@@ -5,7 +5,7 @@ machine interface (see schemas/output.schema.json); text is a human summary;
 dot is visualization-only. Identical inputs and flags produce byte-identical
 output.
 
-Exit codes: 0 success, 1 model error, 2 I/O error, 3 resource limit,
+Exit codes: 0 success, 1 model error, 2 I/O or usage error, 3 resource limit,
 4 semantic error.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -205,14 +206,11 @@ def cmd_configs(args) -> int:
             [str(d) for d in result.diagnostics],
         )
         return EXIT_MODEL
-    from .configuration import check_configuration
-
     enum = _enumerate(args, result.database)
     db = enum.database
     entries = []
     lines = [f"{len(enum.configurations)} configuration(s)"]
-    for config in enum.configurations:
-        report = check_configuration(db, config)
+    for config, report in zip(enum.configurations, enum.reports):
         entry = {
             "id": config.id,
             "members": sorted(config.members),
@@ -381,19 +379,44 @@ def cmd_dot(args) -> int:
 
 
 def _parse_satfn_spec(spec: str):
+    """argparse type for --mu; a malformed spec is a usage error."""
     kind, _, rest = spec.partition(":")
-    if kind == "exp":
-        return ExpDecay(float(rest))
-    if kind == "plateau":
-        end, zero, level = (float(x) for x in rest.split(","))
-        return PlateauThenDecay(end, zero, level)
-    if kind == "pwl":
-        points = []
-        for pair in rest.split(","):
-            x, _, y = pair.partition(":")
-            points.append((float(x), float(y)))
-        return PiecewiseLinear(tuple(points))
-    raise ValueError(f"unknown satisfaction function spec {spec!r}")
+    try:
+        if kind == "exp":
+            return ExpDecay(_finite_float(rest))
+        if kind == "plateau":
+            end, zero, level = (_finite_float(x) for x in rest.split(","))
+            return PlateauThenDecay(end, zero, level)
+        if kind == "pwl":
+            points = []
+            for pair in rest.split(","):
+                x, _, y = pair.partition(":")
+                points.append((_finite_float(x), _finite_float(y)))
+            return PiecewiseLinear(tuple(points))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid satisfaction function {spec!r}: {exc}"
+        ) from None
+    raise argparse.ArgumentTypeError(f"unknown satisfaction function spec {spec!r}")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a finite number; the serializer cannot write nan or inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a strictly positive, finite number."""
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
 
 
 def cmd_relax(args) -> int:
@@ -412,7 +435,7 @@ def cmd_relax(args) -> int:
         )
         mode = "prob"
     else:
-        db2, report = relax_fuzzy(db, args.target, _parse_satfn_spec(args.mu))
+        db2, report = relax_fuzzy(db, args.target, args.mu)
         mode = "fuzzy"
     text = serialize(db2)
     if args.format == "json":
@@ -514,14 +537,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     group.add_argument("--prob", action="store_true")
     group.add_argument("--fuzzy", action="store_true")
     p.add_argument("--target", required=True, help="quality constraint id")
-    p.add_argument("--mean", type=float, default=0.0, help="normal mean (prob)")
-    p.add_argument("--variance", type=float, default=1.0, help="normal variance (prob)")
+    p.add_argument("--mean", type=_finite_float, default=0.0, help="normal mean (prob)")
+    p.add_argument(
+        "--variance", type=_positive_float, default=1.0, help="normal variance (prob)"
+    )
     p.add_argument("--level", type=float, default=0.9, help="probability level (prob)")
     p.add_argument(
         "--op", default=">=", choices=(">=", ">", "=", "<=", "<"), help="outer operator"
     )
     p.add_argument(
         "--mu",
+        type=_parse_satfn_spec,
         default="exp:1.0",
         help="satisfaction function (fuzzy): exp:RATE | plateau:END,ZERO,LEVEL | "
         "pwl:X:Y,X:Y,...",

@@ -12,15 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError, UnresolvedReferenceError, WrongSortError
-from .model import (
-    Conflict,
-    G,
-    MEMBER_SORTS,
-    Modality,
-    Q,
-    RequirementsDatabase,
-    S,
-)
+from .model import Conflict, MEMBER_SORTS, Modality, RequirementsDatabase
 from .operationalization import (
     DEFAULT_SEARCH_LIMIT,
     _minimal_sets,
@@ -46,7 +38,12 @@ class Configuration:
     def from_members(members: Iterable[str], label: str | None = None) -> "Configuration":
         members = frozenset(members)
         if label is None:
-            label = "cfg-" + format(abs(hash(tuple(sorted(members)))) % 16 ** 8, "08x")
+            # Imported here: hashlib loads OpenSSL, about 4 MB and 5 ms that
+            # the CLI commands, which never label a set this way, would pay.
+            import hashlib
+
+            key = "\0".join(sorted(members)).encode()
+            label = "cfg-" + hashlib.blake2b(key, digest_size=4).hexdigest()
         return Configuration(label, members)
 
 
@@ -91,14 +88,20 @@ class PropertyReport:
         return [name for name in names if not getattr(self, name).ok]
 
 
+# The report of a configuration: all six properties hold, with no witnesses.
+_PASSED = PropertyReport(*[PropertyCheck(True)] * 6)
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     """Configurations found, the database they refer to (value conflicts
-    expanded), and whether the result list was truncated."""
+    expanded), whether the result list was truncated, and the property
+    report of each configuration, in the same order."""
 
     database: RequirementsDatabase
     configurations: tuple[Configuration, ...]
     truncated: bool = False
+    reports: tuple[PropertyReport, ...] = ()
 
     def __iter__(self):
         return iter(self.configurations)
@@ -120,30 +123,24 @@ def _member_ids(db: RequirementsDatabase, s: Configuration | Iterable[str]) -> f
     return members
 
 
-def _threshold_targets(db: RequirementsDatabase) -> tuple[list[str], list[str]]:
-    qual = db.mandatory_ids(G, S)
-    quant = db.mandatory_ids(Q)
-    return qual, quant
-
-
 def _satisfies_1_to_4(
     db: RequirementsDatabase, members: frozenset[str], cache: dict
 ) -> bool:
     closure = satisfaction_closure(members, db, cache)
     if closure.bottom:
         return False
-    qual, quant = _threshold_targets(db)
-    if any(target not in closure.satisfied for target in qual):
+    index = db.closure_index
+    if any(target not in closure.satisfied for target in index.qual_targets):
         return False
-    if any(target not in closure.satisfied for target in quant):
+    if any(target not in closure.satisfied for target in index.quant_targets):
         return False
-    return set(db.mandatory_ids(*MEMBER_SORTS)) <= members
+    return members.issuperset(index.mandatory_members)
 
 
 def _dominant(db: RequirementsDatabase, members: frozenset[str], cache: dict) -> list[str]:
     """Optional k/t requirements that could still be added; empty means dominant."""
     addable = []
-    for opt in db.optional_member_ids():
+    for opt in db.closure_index.optional_members:
         if opt in members:
             continue
         if not satisfaction_closure(members | {opt}, db, cache).bottom:
@@ -168,15 +165,13 @@ def check_configuration(
     closure = satisfaction_closure(members, db, cache)
     consistency = PropertyCheck(not closure.bottom, tuple(sorted(closure.bottom_witness)))
 
-    qual_targets, quant_targets = _threshold_targets(db)
-    missing_qual = tuple(t for t in qual_targets if t not in closure.satisfied)
-    missing_quant = tuple(t for t in quant_targets if t not in closure.satisfied)
+    index = db.closure_index
+    missing_qual = tuple(t for t in index.qual_targets if t not in closure.satisfied)
+    missing_quant = tuple(t for t in index.quant_targets if t not in closure.satisfied)
     qual = PropertyCheck(not missing_qual, missing_qual)
     quant = PropertyCheck(not missing_quant, missing_quant)
 
-    missing_mandatory = tuple(
-        m for m in db.mandatory_ids(*MEMBER_SORTS) if m not in members
-    )
+    missing_mandatory = tuple(m for m in index.mandatory_members if m not in members)
     conformity = PropertyCheck(not missing_mandatory, missing_mandatory)
 
     base_ok = all(c.ok for c in (consistency, qual, quant, conformity))
@@ -187,10 +182,9 @@ def check_configuration(
         dominance = PropertyCheck(False, ("properties 1-4 not satisfied",))
 
     if base_ok and dominance.ok:
-        mandatory = set(db.mandatory_ids(*MEMBER_SORTS))
         removable = tuple(
             req_id
-            for req_id in sorted(members - mandatory)
+            for req_id in sorted(members.difference(index.mandatory_members))
             if _satisfies_1_to_5(db, members - {req_id}, cache)
         )
         minimality = PropertyCheck(not removable, removable)
@@ -258,14 +252,12 @@ def _relevant_plains(
     """
     from .operationalization import _SupportSearch
 
-    mandatory = frozenset(db.mandatory_ids(*MEMBER_SORTS))
-    qual_targets, quant_targets = _threshold_targets(db)
-
-    coverages = [mandatory]
-    for target in qual_targets + quant_targets:
+    index = db.closure_index
+    coverages = [frozenset(index.mandatory_members)]
+    for target in index.qual_targets + index.quant_targets:
         routes = (
             frozenset({"inferred"})
-            if target in qual_targets
+            if target in index.qual_targets
             else frozenset({"member", "inferred", "numeric"})
         )
         supports = _minimal_supports(target, db, routes, search_limit)
@@ -277,7 +269,7 @@ def _relevant_plains(
         if len(coverages) > search_limit:
             raise ResourceLimitError("threshold-support combination exceeded the limit")
 
-    optional_ids = set(db.optional_member_ids())
+    optional_ids = set(index.optional_members)
     search = _SupportSearch(db, search_limit)
     pool: set[str] = set()
     for req in sorted(db, key=lambda r: r.id):
@@ -329,7 +321,7 @@ def enumerate_configurations(
     coverages, plains = _relevant_plains(db, search_limit)
     if not coverages:
         return EnumerationResult(db, (), False)
-    optionals = db.optional_member_ids()
+    optionals = db.closure_index.optional_members
 
     # Grow each minimal coverage with every useful subset of the remaining
     # plain candidates; inconsistent partial sets cannot recover, so they
@@ -361,16 +353,18 @@ def enumerate_configurations(
         ):
             candidates.add(extended)
 
-    configurations = []
+    found = []
     for members in sorted(candidates, key=lambda s: tuple(sorted(s))):
-        if check_configuration(db, members, cache).is_configuration:
-            configurations.append(members)
+        report = check_configuration(db, members, cache)
+        if report.is_configuration:
+            # Share the one report that passing checks produce, rather than
+            # keep a copy per configuration alive after the search.
+            found.append((members, _PASSED if report == _PASSED else report))
 
-    truncated = max_results is not None and len(configurations) > max_results
+    truncated = max_results is not None and len(found) > max_results
     if truncated:
-        configurations = configurations[:max_results]
+        found = found[:max_results]
     labeled = tuple(
-        Configuration(f"S{i}", members)
-        for i, members in enumerate(configurations, start=1)
+        Configuration(f"S{i}", members) for i, (members, _) in enumerate(found, start=1)
     )
-    return EnumerationResult(db, labeled, truncated)
+    return EnumerationResult(db, labeled, truncated, tuple(r for _, r in found))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -402,6 +403,15 @@ class RequirementsDatabase:
         name = var.name if isinstance(var, QuantVar) else var
         return self.sat_fns.get(name)
 
+    @cached_property
+    def closure_index(self):
+        """The `operationalization.ClosureIndex` of this database, built on
+        first use and kept on this instance; derived databases build their own."""
+        # Imported here: operationalization depends on this module.
+        from .operationalization import ClosureIndex
+
+        return ClosureIndex(self)
+
     def with_requirement(self, req: Requirement) -> "RequirementsDatabase":
         """A new database with `req` added; this database is unchanged."""
         return add_requirement(self, req)
@@ -475,14 +485,13 @@ def validate_database(
             )
 
 
-def _check_implication_acyclicity(db: RequirementsDatabase) -> None:
-    """No atom may be its own consequent through a chain of implications."""
-    edges: dict[str, set[str]] = {}
-    for req in db:
-        if isinstance(req.body, Implication):
-            for ant in req.body.antecedents:
-                edges.setdefault(ant, set()).add(req.body.consequent)
-    # Iterative DFS with colors; cycle iff a gray node is revisited.
+def find_cycle_edge(edges: Mapping[str, Iterable[str]]) -> tuple[str, str] | None:
+    """The first edge (node, next) that closes a cycle, or None when acyclic.
+
+    Depth-first from each start node in sorted order, visiting successors in
+    sorted order; a cycle exists iff a gray (on-path) node is reached again.
+    Iterative, so chain length is not limited by the recursion limit.
+    """
     color: dict[str, int] = {}
     for start in sorted(edges):
         if color.get(start):
@@ -491,20 +500,29 @@ def _check_implication_acyclicity(db: RequirementsDatabase) -> None:
         color[start] = 1
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
                 if color.get(nxt) == 1:
-                    raise CyclicReferenceError(
-                        f"implication cycle through {nxt!r}"
-                    )
+                    return node, nxt
                 if not color.get(nxt):
                     color[nxt] = 1
                     stack.append((nxt, iter(sorted(edges.get(nxt, ())))))
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 color[node] = 2
                 stack.pop()
+    return None
+
+
+def _check_implication_acyclicity(db: RequirementsDatabase) -> None:
+    """No atom may be its own consequent through a chain of implications."""
+    edges: dict[str, set[str]] = {}
+    for req in db:
+        if isinstance(req.body, Implication):
+            for ant in req.body.antecedents:
+                edges.setdefault(ant, set()).add(req.body.consequent)
+    cycle = find_cycle_edge(edges)
+    if cycle is not None:
+        raise CyclicReferenceError(f"implication cycle through {cycle[1]!r}")
 
 
 def add_requirement(db: RequirementsDatabase, req: Requirement) -> RequirementsDatabase:

@@ -47,10 +47,12 @@ from .model import (
 )
 from .quanteval import (
     MAX_VALUES_PER_VARIABLE,
+    _assignment_shape,
     _eval,
+    _propagate,
+    check_refinement_acyclic,
     compare,
     probability,
-    propagate_values,
 )
 
 DEFAULT_SEARCH_LIMIT = 2 ** 20
@@ -76,13 +78,55 @@ class SatisfactionClosure:
 
 
 def _resolve_ids(members: Iterable[Requirement | str], db: RequirementsDatabase) -> frozenset[str]:
-    ids = set()
-    for item in members:
-        req_id = item.id if isinstance(item, Requirement) else item
-        if req_id not in db:
-            raise UnresolvedReferenceError(f"cannot resolve requirement id {req_id!r}")
-        ids.add(req_id)
-    return frozenset(ids)
+    listed = [item.id if isinstance(item, Requirement) else item for item in members]
+    # Via a set: a frozenset built from a list can get a table twice as large,
+    # and these sets are the keys of every closure cache.
+    ids = frozenset(set(listed))
+    if not ids <= db.requirements.keys():
+        unknown = next(req_id for req_id in listed if req_id not in db)
+        raise UnresolvedReferenceError(f"cannot resolve requirement id {unknown!r}")
+    return ids
+
+
+class ClosureIndex:
+    """The per-database tables that every satisfaction closure and
+    configuration check reads. Built once per database, on first use, as
+    `RequirementsDatabase.closure_index`; rewrites return new databases,
+    which build their own."""
+
+    def __init__(self, db: RequirementsDatabase):
+        reqs = sorted(db, key=lambda r: r.id)
+        self.implications = {r.id: r for r in reqs if isinstance(r.body, Implication)}
+        self.conflicts = {r.id: r for r in reqs if isinstance(r.body, Conflict)}
+        # Tasks state what execution brings about, so a task is satisfied only
+        # by membership or inference; beliefs (k) and desires (q) follow from
+        # values.
+        self.quantitative = tuple(
+            r
+            for r in reqs
+            if isinstance(r.body, SimpleQuant)
+            and r.sort is not T
+            and not isinstance(r.body.cond, Distributed)
+        )
+        self.assignments = {
+            r.id: shape for r in reqs if (shape := _assignment_shape(r)) is not None
+        }
+        self.distributions = {
+            r.id: (r.body.cond.var.name, r.body.cond.dist)
+            for r in reqs
+            if isinstance(r.body, SimpleQuant) and isinstance(r.body.cond, Distributed)
+        }
+        self.mandatory_members = tuple(db.mandatory_ids(*MEMBER_SORTS))
+        self.qual_targets = tuple(db.mandatory_ids(G, S))
+        self.quant_targets = tuple(db.mandatory_ids(Q))
+        self.optional_members = tuple(db.optional_member_ids())
+        # Every subset of an acyclic graph is acyclic, so only a database with
+        # a refinement cycle needs the check on each satisfied subset.
+        try:
+            check_refinement_acyclic((var, rhs) for var, rhs, _ in self.assignments.values())
+            self.refinement_acyclic = True
+        except RefinementCycleError:
+            self.refinement_acyclic = False
 
 
 def satisfaction_closure(
@@ -90,47 +134,65 @@ def satisfaction_closure(
     db: RequirementsDatabase,
     cache: dict | None = None,
 ) -> SatisfactionClosure:
-    """Fixpoint of membership, implication firing, and numeric discharge."""
+    """Fixpoint of membership, implication firing, and numeric discharge.
+
+    Each round fires the member implications in id order, then tests every
+    unsatisfied quantitative requirement against the values and
+    distributions of the satisfied set as it stood when the round began;
+    `origin` records the first route that satisfied each requirement.
+
+    Round invariant: when a round begins, `values` and `dists` equal what
+    `propagate_values` and the distribution environment give for the
+    current satisfied set, and every unsatisfied quantitative requirement
+    that this round does not re-test was found impossible under identical
+    values and distributions in an earlier round. It must hold because
+    value propagation is not monotone (an equation stops firing once one of
+    its inputs gains a second value), so values are recomputed from the whole
+    satisfied set rather than extended, and because the round order decides
+    both the origins and which error, if any, is raised. Values are
+    recomputed only when the satisfied assignments changed, distributions
+    only when the satisfied distribution assumptions changed, and conditions
+    re-tested only when either result changed: each skipped call would see
+    the inputs of a call already made.
+    """
     ids = _resolve_ids(members, db)
     if cache is not None and ids in cache:
         return cache[ids]
-    origin: dict[str, Route] = {req_id: "member" for req_id in sorted(ids)}
-    member_implications = sorted(
-        (r for r in (db[i] for i in ids) if isinstance(r.body, Implication)),
-        key=lambda r: r.id,
-    )
-    member_conflicts = sorted(
-        (r for r in (db[i] for i in ids) if isinstance(r.body, Conflict)),
-        key=lambda r: r.id,
-    )
-    # Tasks state what execution brings about, so a task is satisfied only by
-    # membership or inference; beliefs (k) and desires (q) follow from values.
-    quantitative = [
-        r
-        for r in sorted(db, key=lambda r: r.id)
-        if isinstance(r.body, SimpleQuant)
-        and r.sort is not T
-        and not isinstance(r.body.cond, Distributed)
-    ]
-    values: dict[str, frozenset[float]] = {}
-    dists: dict[str, tuple[DistributionSpec, ...]] = {}
-    changed = True
-    while changed:
-        changed = False
-        satisfied_reqs = [db[i] for i in sorted(origin)]
-        values = propagate_values(satisfied_reqs)
-        dists = _distribution_env(satisfied_reqs)
+    index = db.closure_index
+    order = sorted(ids)
+    origin: dict[str, Route] = {req_id: "member" for req_id in order}
+    member_implications = [index.implications[i] for i in order if i in index.implications]
+    member_conflicts = [index.conflicts[i] for i in order if i in index.conflicts]
+    values: dict[str, frozenset[float]] | None = None
+    dists: dict[str, tuple[DistributionSpec, ...]] | None = None
+    new_ids = order
+    while values is None or new_ids:
+        retest = False
+        if values is None or any(i in index.assignments for i in new_ids):
+            shapes = [index.assignments[i] for i in sorted(origin) if i in index.assignments]
+            if not index.refinement_acyclic:
+                check_refinement_acyclic((var, rhs) for var, rhs, needed in shapes if needed)
+            fresh = _propagate(shapes)
+            retest = fresh != values
+            values = fresh
+        if dists is None or any(i in index.distributions for i in new_ids):
+            fresh = _distribution_env(
+                index.distributions[i] for i in sorted(origin) if i in index.distributions
+            )
+            retest = retest or fresh != dists
+            dists = fresh
+        known = len(origin)
         for imp in member_implications:
             body = imp.body
             if body.consequent not in origin and body.antecedents <= origin.keys():
                 origin[body.consequent] = "inferred"
-                changed = True
-        for req in quantitative:
-            if req.id in origin:
-                continue
-            if _condition_possible(req.body.cond, values, dists):
-                origin[req.id] = "numeric"
-                changed = True
+        if retest:
+            for req in index.quantitative:
+                if req.id in origin:
+                    continue
+                if _condition_possible(req.body.cond, values, dists):
+                    origin[req.id] = "numeric"
+        new_ids = list(origin)[known:]
     fired = frozenset(
         c.id for c in member_conflicts if c.body.antecedents <= origin.keys()
     )
@@ -149,14 +211,13 @@ def satisfaction_closure(
 
 
 def _distribution_env(
-    reqs: Iterable[Requirement],
+    declared: Iterable[tuple[str, DistributionSpec]],
 ) -> dict[str, tuple[DistributionSpec, ...]]:
     by_var: dict[str, list[DistributionSpec]] = {}
-    for req in reqs:
-        if isinstance(req.body, SimpleQuant) and isinstance(req.body.cond, Distributed):
-            bucket = by_var.setdefault(req.body.cond.var.name, [])
-            if req.body.cond.dist not in bucket:
-                bucket.append(req.body.cond.dist)
+    for var, dist in declared:
+        bucket = by_var.setdefault(var, [])
+        if dist not in bucket:
+            bucket.append(dist)
     return {var: tuple(specs) for var, specs in by_var.items()}
 
 
@@ -221,7 +282,7 @@ def is_admissible(
     against the mandatory k/t subset only.
     """
     ids = _resolve_ids(phi_set, db)
-    if not set(db.mandatory_ids(*MEMBER_SORTS)) <= ids:
+    if not set(db.closure_index.mandatory_members) <= ids:
         return False
     return not satisfaction_closure(ids, db).bottom
 
@@ -448,7 +509,7 @@ def _minimal_supports(
     routes: frozenset[str],
     limit: int,
 ) -> list[frozenset[str]]:
-    mandatory = frozenset(db.mandatory_ids(*MEMBER_SORTS))
+    mandatory = frozenset(db.closure_index.mandatory_members)
     search = _SupportSearch(db, limit)
     options, _ = search.options(target_id, frozenset())
     parts = _minimal_sets(

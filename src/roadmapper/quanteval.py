@@ -36,6 +36,7 @@ from .model import (
     SatisfactionFn,
     SimpleQuant,
     Var,
+    find_cycle_edge,
     free_variables,
     MEMBER_SORTS,
 )
@@ -177,13 +178,17 @@ def sat_value(fn: SatisfactionFn, x: float) -> float:
 # --- assigned-value collection ---------------------------------------------------
 
 
-def _assignment_shape(req: Requirement) -> tuple[str, NumExpr] | None:
-    """(variable, rhs) when the requirement is a k/t '=' condition with a Var lhs."""
+AssignmentShape = tuple[str, NumExpr, frozenset[str]]
+
+
+def _assignment_shape(req: Requirement) -> AssignmentShape | None:
+    """(variable, rhs, rhs variables) when the requirement is a k/t '='
+    condition with a Var lhs."""
     if not isinstance(req.body, SimpleQuant) or req.sort not in MEMBER_SORTS:
         return None
     cond = req.body.cond
     if isinstance(cond, Compare) and cond.op == "=" and isinstance(cond.lhs, Var):
-        return cond.lhs.var.name, cond.rhs
+        return cond.lhs.var.name, cond.rhs, free_variables(cond.rhs)
     return None
 
 
@@ -194,20 +199,9 @@ def check_refinement_acyclic(equations: Iterable[tuple[str, NumExpr]]) -> None:
         rhs_vars = free_variables(rhs)
         if rhs_vars:
             edges.setdefault(lhs, set()).update(rhs_vars)
-    color: dict[str, int] = {}
-
-    def visit(node: str) -> None:
-        color[node] = 1
-        for nxt in sorted(edges.get(node, ())):
-            if color.get(nxt) == 1:
-                raise RefinementCycleError(f"refinement cycle through variable {nxt!r}")
-            if not color.get(nxt):
-                visit(nxt)
-        color[node] = 2
-
-    for start in sorted(edges):
-        if not color.get(start):
-            visit(start)
+    cycle = find_cycle_edge(edges)
+    if cycle is not None:
+        raise RefinementCycleError(f"refinement cycle through variable {cycle[1]!r}")
 
 
 def propagate_values(
@@ -219,15 +213,25 @@ def propagate_values(
     refinement equation fires only while every right-hand variable holds
     exactly one value; values once propagated are never retracted.
     """
+    shapes = [
+        shape
+        for req in sorted(requirements, key=lambda r: r.id)
+        if (shape := _assignment_shape(req)) is not None
+    ]
+    check_refinement_acyclic((var, rhs) for var, rhs, needed in shapes if needed)
+    return _propagate(shapes)
+
+
+def _propagate(shapes: Iterable[AssignmentShape]) -> dict[str, frozenset[float]]:
+    """`propagate_values` over precomputed assignment shapes in id order,
+    whose refinement equations are known to be acyclic."""
     direct: list[tuple[str, NumExpr]] = []
-    equations: list[tuple[str, NumExpr]] = []
-    for req in sorted(requirements, key=lambda r: r.id):
-        shape = _assignment_shape(req)
-        if shape is None:
-            continue
-        lhs, rhs = shape
-        (equations if free_variables(rhs) else direct).append((lhs, rhs))
-    check_refinement_acyclic(equations)
+    equations: list[AssignmentShape] = []
+    for var, rhs, needed in shapes:
+        if needed:
+            equations.append((var, rhs, needed))
+        else:
+            direct.append((var, rhs))
     values: dict[str, set[float]] = {}
 
     def record(var: str, value: float) -> bool:
@@ -245,8 +249,7 @@ def propagate_values(
     changed = True
     while changed:
         changed = False
-        for var, rhs in equations:
-            needed = free_variables(rhs)
+        for var, rhs, needed in equations:
             if any(len(values.get(w, ())) != 1 for w in needed):
                 continue
             env = {w: next(iter(values[w])) for w in needed}

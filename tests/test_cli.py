@@ -243,6 +243,27 @@ def test_relax_wrong_sort_exit_code(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--fuzzy", "--mu", "bogus:1"],
+        ["--fuzzy", "--mu", "exp:-1"],
+        ["--fuzzy", "--mu", "plateau:1,2"],
+        ["--prob", "--variance", "0"],
+        ["--fuzzy", "--mu", "exp:nan"],
+        ["--prob", "--mean", "inf"],
+    ],
+)
+def test_relax_bad_arguments_are_usage_errors(capsys, tmp_path, flags):
+    path = tmp_path / "relax.req"
+    path.write_text("q qc: t2 <= 110.\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["relax", str(path), "--target", "qc", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and flags[-2] in err
+
+
 # --- determinism ----------------------------------------------------------------------
 
 def test_outputs_are_byte_identical(capsys, toy_file):

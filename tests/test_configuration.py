@@ -1,16 +1,33 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import roadmapper
 from roadmapper.configuration import (
+    Configuration,
     check_configuration,
     enumerate_configurations,
 )
 from roadmapper.errors import ResourceLimitError, UnresolvedReferenceError, WrongSortError
+from roadmapper.model import (
+    Compare,
+    Const,
+    Implication,
+    QuantVar,
+    Requirement,
+    SimpleQuant,
+    T,
+    Var,
+)
 from roadmapper.operationalization import satisfaction_closure
 from roadmapper.testkit import ModelGenSpec, brute_configurations, generate_database
+from roadmapper.transforms import expand_value_conflicts
 
 from conftest import parse_ok
 
@@ -182,3 +199,76 @@ def test_canonical_order_and_labels():
     keys = [c.canonical_key for c in enum]
     assert keys == sorted(keys)
     assert [c.id for c in enum] == ["S1", "S2"]
+
+
+def test_from_members_label_does_not_depend_on_hash_seed():
+    script = (
+        "from roadmapper.configuration import Configuration; "
+        "print(Configuration.from_members(['u1', 'u2']).id)"
+    )
+    package_root = str(Path(roadmapper.__file__).resolve().parent.parent)
+    labels = []
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        labels.append(done.stdout.strip())
+    assert labels[0] == labels[1] == Configuration.from_members(["u2", "u1"]).id
+    assert labels[0].startswith("cfg-") and len(labels[0]) == 12
+
+
+def _assert_reports_match_fresh_checks(enum):
+    assert len(enum.reports) == len(enum.configurations)
+    for config, report in zip(enum.configurations, enum.reports):
+        assert report == check_configuration(enum.database, config)
+        assert report.is_configuration
+
+
+def test_enumeration_reports_match_fresh_checks(las_enumeration):
+    _assert_reports_match_fresh_checks(las_enumeration)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_enumeration_reports_match_fresh_checks_on_generated_models(seed):
+    db = generate_database(
+        ModelGenSpec(seed=seed, tasks=4, include_quantities=seed % 2 == 0)
+    )
+    enum = enumerate_configurations(db)
+    _assert_reports_match_fresh_checks(enum)
+    if len(enum) > 1:
+        cut = enumerate_configurations(db, max_results=1)
+        assert cut.truncated and len(cut.reports) == 1
+        assert cut.reports[0] == enum.reports[0]
+
+
+def test_truncated_las_enumeration_keeps_matching_reports(las_db, las_enumeration):
+    cut = enumerate_configurations(las_db, max_atoms=64, max_results=5)
+    assert cut.truncated
+    assert cut.reports == las_enumeration.reports[:5]
+    _assert_reports_match_fresh_checks(cut)
+
+
+def test_derived_database_builds_its_own_closure_index():
+    db = parse_ok("g p1 ! . t a: v = 1. k i1: a -> p1. t b.")
+    index = db.closure_index
+    assert db.closure_index is index
+    assert "p1" not in satisfaction_closure(["b"], db).satisfied
+
+    grown = db.with_requirement(Requirement("i2", Implication(frozenset({"b"}), "p1")))
+    assert grown.closure_index is not index
+    assert "i2" in grown.closure_index.implications
+    assert "i2" not in index.implications
+    assert "p1" in satisfaction_closure(["b", "i2"], grown).satisfied
+
+    two = Compare(Var(QuantVar("v")), "=", Const(2.0))
+    conflicting = db.with_requirement(Requirement("c", SimpleQuant(T, two)))
+    conflicting.closure_index  # built before the rewrite below
+    expanded, report = expand_value_conflicts(conflicting)
+    assert report.added_requirements
+    assert expanded.closure_index is not conflicting.closure_index
+    conflicts = sorted(expanded.closure_index.conflicts)
+    assert conflicts and set(conflicts) <= set(report.added_requirements)
+    assert not conflicting.closure_index.conflicts
+    assert satisfaction_closure(["a", "c", *conflicts], expanded).bottom

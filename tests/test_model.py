@@ -133,6 +133,18 @@ def test_implication_cycle_rejected():
         build_database(reqs)
 
 
+def test_implication_check_handles_long_chains():
+    reqs = [prop("a0")] + [prop(f"a{i}", G) for i in range(1, 3001)]
+    reqs += [
+        Requirement(f"i{i}", Implication(frozenset({f"a{i - 1}"}), f"a{i}"))
+        for i in range(1, 3001)
+    ]
+    build_database(reqs)
+    closing = Requirement("i0", Implication(frozenset({"a3000"}), "a0"))
+    with pytest.raises(CyclicReferenceError):
+        build_database(reqs + [closing])
+
+
 def test_self_implication_rejected():
     with pytest.raises(CyclicReferenceError):
         Implication(frozenset({"a"}), "a")

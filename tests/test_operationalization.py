@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,9 @@ from roadmapper.testkit import (
     ModelGenSpec,
     brute_operationalizations,
     generate_database,
+    naive_satisfaction,
 )
+from roadmapper.transforms import expand_value_conflicts
 
 from conftest import parse_ok
 
@@ -177,6 +180,32 @@ def test_satisfaction_closure_reports_origins():
     assert sc.origin["p2"] == "inferred"
     assert sc.origin["qc"] == "numeric"
     assert sc.values["v"] == frozenset({3.0})
+
+
+def _small_expanded_models(per_kind: int = 6, max_members: int = 11):
+    """tasks=3 generated models, with and without quantities, value
+    conflicts expanded, small enough to check every member subset."""
+    for quantities in (False, True):
+        kept = seed = 0
+        while kept < per_kind:
+            spec = ModelGenSpec(seed=seed, tasks=3, include_quantities=quantities)
+            db, _ = expand_value_conflicts(generate_database(spec))
+            seed += 1
+            if len(db.member_ids()) <= max_members:
+                kept += 1
+                yield spec, db
+
+
+def test_closure_matches_naive_satisfaction_on_every_subset():
+    for spec, db in _small_expanded_models():
+        members = db.member_ids()
+        for size in range(len(members) + 1):
+            for subset in itertools.combinations(members, size):
+                chosen = frozenset(subset)
+                closure = satisfaction_closure(chosen, db)
+                assert (closure.satisfied, closure.bottom) == naive_satisfaction(
+                    chosen, db
+                ), f"{spec}: {sorted(chosen)}"
 
 
 def test_search_limit_raises_resource_error():

@@ -33,6 +33,7 @@ from roadmapper.model import (
     Var,
 )
 from roadmapper.quanteval import (
+    check_refinement_acyclic,
     eval_condition,
     eval_expr,
     normal_cdf,
@@ -281,6 +282,13 @@ def test_val_refinement_cycle_detected():
     db = parse_ok("k e1: x = y + 1. k e2: y = x - 1.")
     with pytest.raises(RefinementCycleError):
         val([db["e1"], db["e2"]], "x")
+
+
+def test_refinement_check_handles_long_chains():
+    chain = [(f"x{i}", BinOp("+", v(f"x{i + 1}"), Const(1.0))) for i in range(3000)]
+    check_refinement_acyclic(chain)
+    with pytest.raises(RefinementCycleError, match="'x0'"):
+        check_refinement_acyclic(chain + [("x3000", v("x0"))])
 
 
 def test_val_monotone_in_set_argument():
