@@ -5,8 +5,8 @@ machine interface (see schemas/output.schema.json); text is a human summary;
 dot is visualization-only. Identical inputs and flags produce byte-identical
 output.
 
-Exit codes: 0 success, 1 model error, 2 I/O or usage error, 3 resource limit,
-4 semantic error.
+Exit codes: 0 success, 1 model error, 2 I/O or usage error (a closed stdout
+included), 3 resource limit, 4 semantic error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,15 @@ from .errors import (
     UnresolvedReferenceError,
     WrongSortError,
 )
-from .model import ExpDecay, Modality, Normal, PiecewiseLinear, PlateauThenDecay, Sort
+from .model import (
+    ExpDecay,
+    Modality,
+    Normal,
+    PiecewiseLinear,
+    PlateauThenDecay,
+    RequirementsDatabase,
+    Sort,
+)
 from .operationalization import (
     qualitative_operationalizations,
     quantitative_operationalizations,
@@ -125,6 +133,19 @@ def _load(path: str) -> tuple[ParseResult | None, int]:
         return None, EXIT_IO
 
 
+def _load_database(path: str) -> tuple[RequirementsDatabase | None, int]:
+    """The valid database in `path` and EXIT_OK, or None and the exit code
+    after printing why there is none to stderr."""
+    result, code = _load(path)
+    if result is None:
+        return None, code
+    if not result.ok:
+        for d in result.diagnostics:
+            print(str(d), file=sys.stderr)
+        return None, EXIT_MODEL
+    return result.database, EXIT_OK
+
+
 def _report_payload(report) -> dict:
     return {
         "added": sorted(report.added_requirements),
@@ -210,6 +231,15 @@ def cmd_configs(args) -> int:
     db = enum.database
     entries = []
     lines = [f"{len(enum.configurations)} configuration(s)"]
+    if args.explain:
+        # The operationalizations of a target do not depend on the configuration.
+        target_ops = [
+            (target, qualitative_operationalizations(target, db))
+            for target in db.mandatory_ids(Sort.GOAL, Sort.SOFTGOAL)
+        ] + [
+            (target, quantitative_operationalizations(target, db))
+            for target in db.mandatory_ids(Sort.QUALITY_CONSTRAINT)
+        ]
     for config, report in zip(enum.configurations, enum.reports):
         entry = {
             "id": config.id,
@@ -217,22 +247,10 @@ def cmd_configs(args) -> int:
             "properties": _property_payload(report),
         }
         if args.explain:
-            explanations = {}
-            for target in db.mandatory_ids(Sort.GOAL, Sort.SOFTGOAL):
-                ops = qualitative_operationalizations(target, db)
-                explanations[target] = [
-                    sorted(op.support)
-                    for op in ops
-                    if op.support <= config.members
-                ]
-            for target in db.mandatory_ids(Sort.QUALITY_CONSTRAINT):
-                ops = quantitative_operationalizations(target, db)
-                explanations[target] = [
-                    sorted(op.support)
-                    for op in ops
-                    if op.support <= config.members
-                ]
-            entry["explanations"] = explanations
+            entry["explanations"] = {
+                target: [sorted(op.support) for op in ops if op.support <= config.members]
+                for target, ops in target_ops
+            }
         entries.append(entry)
         lines.append(f"  {config.id}: {', '.join(sorted(config.members))}")
     payload = {
@@ -247,20 +265,16 @@ def cmd_configs(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    result, code = _load(args.file)
-    if result is None:
+    db, code = _load_database(args.file)
+    if db is None:
         return code
-    if not result.ok:
-        for d in result.diagnostics:
-            print(str(d), file=sys.stderr)
-        return EXIT_MODEL
     rules = {
         "r1": MaximizeValue,
         "r2": MinimizeValue,
         "r3": MaximizeValueThenPreferences,
     }
     rule = rules[args.rule](args.var)
-    enum = _enumerate(args, result.database)
+    enum = _enumerate(args, db)
     ranking = rank_configurations(enum.database, enum.configurations, rule)
     entries = []
     lines = [f"ranking under {args.rule} on {args.var!r}"]
@@ -295,14 +309,10 @@ def cmd_rank(args) -> int:
 
 
 def cmd_roadmaps(args) -> int:
-    result, code = _load(args.file)
-    if result is None:
+    db, code = _load_database(args.file)
+    if db is None:
         return code
-    if not result.ok:
-        for d in result.diagnostics:
-            print(str(d), file=sys.stderr)
-        return EXIT_MODEL
-    enum = _enumerate(args, result.database)
+    enum = _enumerate(args, db)
     roadmaps = build_roadmaps(enum.database, enum.configurations, args.maxlen)
     rule = RoadmapValueSum(args.var, args.floor, args.maxdiff)
     ranking = rank_roadmaps(enum.database, roadmaps, rule)
@@ -367,14 +377,10 @@ def cmd_roadmaps(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    result, code = _load(args.file)
-    if result is None:
+    db, code = _load_database(args.file)
+    if db is None:
         return code
-    if not result.ok:
-        for d in result.diagnostics:
-            print(str(d), file=sys.stderr)
-        return EXIT_MODEL
-    sys.stdout.write(render_dot(result.database))
+    sys.stdout.write(render_dot(db))
     return EXIT_OK
 
 
@@ -420,14 +426,9 @@ def _positive_float(text: str) -> float:
 
 
 def cmd_relax(args) -> int:
-    result, code = _load(args.file)
-    if result is None:
+    db, code = _load_database(args.file)
+    if db is None:
         return code
-    if not result.ok:
-        for d in result.diagnostics:
-            print(str(d), file=sys.stderr)
-        return EXIT_MODEL
-    db = result.database
     if args.prob:
         dist = Normal(args.mean, args.variance)
         db2, report = relax_probabilistic(
@@ -568,7 +569,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout; send the rest, and the flush at exit, nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

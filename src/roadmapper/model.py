@@ -16,6 +16,8 @@ from .errors import (
     DanglingReferenceError,
     DuplicateIdError,
     DivisionByZeroError,
+    InconsistentMandatorySetError,
+    RoadmapperError,
 )
 
 
@@ -424,8 +426,6 @@ def build_database(
     requirements: Iterable[Requirement],
     preferences: Iterable[Preference] = (),
     sat_fns: Mapping[str, SatisfactionFn] | None = None,
-    *,
-    check_mandatory_consistency: bool = True,
 ) -> RequirementsDatabase:
     """Assemble and validate a database from its parts.
 
@@ -442,47 +442,95 @@ def build_database(
         preferences=frozenset(preferences),
         sat_fns=dict(sat_fns or {}),
     )
-    validate_database(db, check_mandatory_consistency=check_mandatory_consistency)
+    validate_database(db)
     return db
+
+
+@dataclass(frozen=True)
+class ValidityProblem:
+    """One way a database is ill-formed.
+
+    `subject` is the requirement id or the preference the problem is about;
+    `error` is the exception type `validate_database` raises for it.
+    """
+
+    subject: str | Preference
+    error: type[RoadmapperError]
+    message: str
+
+
+def validity_problems(
+    db: RequirementsDatabase, *, check_mandatory_consistency: bool = True
+) -> list[ValidityProblem]:
+    """Every validity problem of `db`, in a deterministic order.
+
+    First each dangling or complex reference (requirements by id, references
+    sorted), then each bad preference side, then the first implication cycle
+    `find_cycle_edge` finds, attributed to the lowest-id implication carrying
+    that edge. Mandatory consistency is checked only when nothing else is
+    wrong, since the closure needs resolvable, acyclic references.
+    """
+    references = [
+        (req_id, repr(req_id), ref)
+        for req_id in sorted(db.requirements)
+        for ref in sorted(db[req_id].references())
+    ]
+    references += [
+        (pref, "preference", side)
+        for pref in sorted(db.preferences, key=lambda p: (p.kind.value, p.left, p.right))
+        for side in (pref.left, pref.right)
+    ]
+    problems: list[ValidityProblem] = []
+    for subject, who, ref in references:
+        target = db.requirements.get(ref)
+        if target is None:
+            message = f"{who} references unknown id {ref!r}"
+        elif target.is_complex:
+            message = (
+                f"{who} references complex requirement {ref!r}; "
+                "only simple requirements and softgoals may be referenced"
+            )
+        else:
+            continue
+        problems.append(ValidityProblem(subject, DanglingReferenceError, message))
+    implications = [r for r in db if isinstance(r.body, Implication)]
+    edges: dict[str, set[str]] = {}
+    for req in implications:
+        for ant in req.body.antecedents:
+            edges.setdefault(ant, set()).add(req.body.consequent)
+    cycle = find_cycle_edge(edges)
+    if cycle is not None:
+        node, nxt = cycle
+        via = min(
+            r.id for r in implications
+            if node in r.body.antecedents and r.body.consequent == nxt
+        )
+        message = f"implication {via!r} closes a cycle through {nxt!r}"
+        problems.append(ValidityProblem(via, CyclicReferenceError, message))
+    if check_mandatory_consistency and not problems:
+        # Imported here: inference depends on this module.
+        from .inference import closure
+
+        result = closure(db.mandatory_ids(), db)
+        if result.bottom:
+            witnesses = sorted(result.bottom_witness)
+            message = (
+                "the mandatory subset derives the contradiction "
+                f"(via {', '.join(witnesses)})"
+            )
+            problems.append(
+                ValidityProblem(witnesses[0], InconsistentMandatorySetError, message)
+            )
+    return problems
 
 
 def validate_database(
     db: RequirementsDatabase, *, check_mandatory_consistency: bool = True
 ) -> None:
-    """Check cross-references, reference shapes, cycles, and mandatory consistency."""
-    for req in db:
-        for ref in sorted(req.references()):
-            target = db.requirements.get(ref)
-            if target is None:
-                raise DanglingReferenceError(
-                    f"{req.id!r} references unknown id {ref!r}"
-                )
-            if target.is_complex:
-                raise DanglingReferenceError(
-                    f"{req.id!r} references complex requirement {ref!r}; "
-                    "antecedents and consequents must be simple requirements or softgoals"
-                )
-    for pref in db.preferences:
-        for side in (pref.left, pref.right):
-            target = db.requirements.get(side)
-            if target is None:
-                raise DanglingReferenceError(f"preference references unknown id {side!r}")
-            if target.is_complex:
-                raise DanglingReferenceError(
-                    f"preferences cannot mention complex requirement {side!r}"
-                )
-    _check_implication_acyclicity(db)
-    if check_mandatory_consistency:
-        # Imported here: inference depends on this module.
-        from .errors import InconsistentMandatorySetError
-        from .inference import closure
-
-        result = closure(db.mandatory_ids(), db)
-        if result.bottom:
-            witnesses = ", ".join(sorted(result.bottom_witness))
-            raise InconsistentMandatorySetError(
-                f"the mandatory subset derives the contradiction (via {witnesses})"
-            )
+    """Raise the first of `validity_problems(db)`, if there is one."""
+    problems = validity_problems(db, check_mandatory_consistency=check_mandatory_consistency)
+    if problems:
+        raise problems[0].error(problems[0].message)
 
 
 def find_cycle_edge(edges: Mapping[str, Iterable[str]]) -> tuple[str, str] | None:
@@ -513,25 +561,10 @@ def find_cycle_edge(edges: Mapping[str, Iterable[str]]) -> tuple[str, str] | Non
     return None
 
 
-def _check_implication_acyclicity(db: RequirementsDatabase) -> None:
-    """No atom may be its own consequent through a chain of implications."""
-    edges: dict[str, set[str]] = {}
-    for req in db:
-        if isinstance(req.body, Implication):
-            for ant in req.body.antecedents:
-                edges.setdefault(ant, set()).add(req.body.consequent)
-    cycle = find_cycle_edge(edges)
-    if cycle is not None:
-        raise CyclicReferenceError(f"implication cycle through {cycle[1]!r}")
-
-
 def add_requirement(db: RequirementsDatabase, req: Requirement) -> RequirementsDatabase:
     """Return a new database containing `req`; the input is not mutated."""
     if req.id in db.requirements:
         raise DuplicateIdError(f"requirement id {req.id!r} already in database")
-    for ref in sorted(req.references()):
-        if ref not in db.requirements:
-            raise DanglingReferenceError(f"{req.id!r} references unknown id {ref!r}")
     table = dict(db.requirements)
     table[req.id] = req
     out = db.replace(requirements=table)

@@ -37,7 +37,6 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import RoadmapperError
-from .inference import closure
 from .model import (
     BinOp,
     Compare,
@@ -73,7 +72,7 @@ from .model import (
     Sort,
     VagueProp,
     Var,
-    build_database,
+    validity_problems,
 )
 
 _UNITS = {"sec": 1.0, "min": 60.0, "hrs": 3600.0}
@@ -578,9 +577,10 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
             parser.skip_to_next_decl()
 
     requirements: dict[str, Requirement] = {}
-    spans: dict[str, SourceSpan] = {}
-    preferences: list[tuple[Preference, SourceSpan]] = []
+    preferences: list[Preference] = []
     sat_fns: dict[str, SatisfactionFn] = {}
+    # The declaration of each requirement id and preference, for problem spans.
+    spans: dict[str | Preference, SourceSpan] = {}
     for decl in decls:
         if decl.kind == "requirement":
             req = decl.requirement
@@ -594,87 +594,35 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
             requirements[req.id] = req
             spans[req.id] = decl.span
         elif decl.kind == "preference":
-            preferences.append((decl.preference, decl.span))
+            preferences.append(decl.preference)
+            spans.setdefault(decl.preference, decl.span)
         else:
             var, fn = decl.satfn
             sat_fns[var] = fn
 
-    def err(span: SourceSpan, message: str) -> None:
-        diagnostics.append(ParseDiagnostic(Severity.ERROR, span, message))
-
-    def warn(span: SourceSpan, message: str) -> None:
-        diagnostics.append(ParseDiagnostic(Severity.WARNING, span, message))
-
-    # Reference checks, with spans pointing at the offending declaration.
     for req in sorted(requirements.values(), key=lambda r: r.id):
-        for ref in sorted(req.references()):
-            target = requirements.get(ref)
-            if target is None:
-                err(spans[req.id], f"{req.id!r} references unknown id {ref!r}")
-            elif target.is_complex:
-                err(
-                    spans[req.id],
-                    f"{req.id!r} references {ref!r}, which is itself a relation; "
-                    "relations connect simple requirements and softgoals",
-                )
         if isinstance(req.body, Conflict):
             vague = [
                 ref
                 for ref in sorted(req.body.antecedents)
-                if isinstance(requirements.get(ref), Requirement)
-                and isinstance(requirements[ref].body, Softgoal)
+                if ref in requirements and isinstance(requirements[ref].body, Softgoal)
             ]
             if vague:
-                warn(
-                    spans[req.id],
-                    f"conflict {req.id!r} involves softgoal(s) {vague}; "
-                    "softgoal conflicts have no worked interpretation",
+                diagnostics.append(
+                    ParseDiagnostic(
+                        Severity.WARNING,
+                        spans[req.id],
+                        f"conflict {req.id!r} involves softgoal(s) {vague}; "
+                        "softgoal conflicts have no worked interpretation",
+                    )
                 )
-    for pref, span in preferences:
-        for side in (pref.left, pref.right):
-            target = requirements.get(side)
-            if target is None:
-                err(span, f"preference references unknown id {side!r}")
-            elif target.is_complex:
-                err(span, f"preferences cannot mention relation {side!r}")
 
-    # Implication cycles: an atom must not be its own consequent via any chain.
-    edges: dict[str, list[tuple[str, str]]] = {}
-    for req in sorted(requirements.values(), key=lambda r: r.id):
-        if isinstance(req.body, Implication):
-            for ant in sorted(req.body.antecedents):
-                edges.setdefault(ant, []).append((req.body.consequent, req.id))
-    color: dict[str, int] = {}
-
-    def dfs(node: str) -> None:
-        color[node] = 1
-        for nxt, via in edges.get(node, ()):
-            if color.get(nxt) == 1:
-                err(spans[via], f"implication {via!r} closes a cycle through {nxt!r}")
-            elif not color.get(nxt):
-                dfs(nxt)
-        color[node] = 2
-
-    for start in sorted(edges):
-        if not color.get(start):
-            dfs(start)
-
-    if any(d.severity is Severity.ERROR for d in diagnostics):
-        return ParseResult(None, diagnostics)
-
-    db = build_database(
-        requirements.values(),
-        [p for p, _ in preferences],
-        sat_fns,
-        check_mandatory_consistency=False,
-    )
-    mandatory = closure(db.mandatory_ids(), db)
-    if mandatory.bottom:
-        witness = sorted(mandatory.bottom_witness)[0]
-        err(
-            spans.get(witness, SourceSpan(filename, 1, 1)),
-            f"the mandatory subset is inconsistent (conflict {witness!r} fires)",
+    db = RequirementsDatabase(requirements, frozenset(preferences), sat_fns)
+    for problem in validity_problems(db):
+        diagnostics.append(
+            ParseDiagnostic(Severity.ERROR, spans[problem.subject], problem.message)
         )
+    if any(d.severity is Severity.ERROR for d in diagnostics):
         return ParseResult(None, diagnostics)
     return ParseResult(db, diagnostics)
 

@@ -18,6 +18,13 @@ def parse_ok(text: str):
     return result.database
 
 
+def implication_chain(n: int) -> str:
+    """`t a0.`, goals a1..an, and one implication per link a{i-1} -> a{i}."""
+    lines = ["t a0."] + [f"g a{i}." for i in range(1, n + 1)]
+    lines += [f"k i{i}: a{i - 1} -> a{i}." for i in range(1, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def las_db():
     result = load_file(LAS_PATH)

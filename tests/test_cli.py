@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import roadmapper.cli
 from roadmapper.cli import main
 from roadmapper.parser import parse
 from roadmapper.testkit import parse_dot
 
-from conftest import LAS_PATH, SCHEMA_PATH
+from conftest import LAS_PATH, REPO_ROOT, SCHEMA_PATH, implication_chain
 
 TOY = (
     "g p1 ! . t a: v = 5. t b: v = 3. k i1: a -> p1. k i2: b -> p1. "
@@ -59,6 +63,33 @@ def test_check_reports_diagnostic_with_span(capsys, schema, tmp_path):
     assert diag["severity"] == "error" and diag["line"] == 2
 
 
+def test_check_long_implication_chain_and_its_cycle(capsys, schema, tmp_path):
+    path = tmp_path / "chain.req"
+    path.write_text(implication_chain(1500))
+    code, payload, _ = run_json(capsys, schema, "check", str(path))
+    assert code == 0 and payload["ok"]
+    path.write_text(implication_chain(1500) + "k i0: a1500 -> a0.\n")
+    code, payload, err = run_json(capsys, schema, "check", str(path))
+    assert code == 1 and "Traceback" not in err
+    [diag] = payload["diagnostics"]
+    assert "cycle" in diag["message"] and diag["line"] == 3002
+
+
+def test_closed_stdout_is_an_io_error():
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "roadmapper.cli", "check", str(LAS_PATH)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_check_missing_file(capsys):
     code, out, err = run(capsys, "check", "/nonexistent/nowhere.req")
     assert code == 2
@@ -103,6 +134,23 @@ def test_configs_explain_witnesses(capsys, schema, toy_file):
     assert witnesses and all(
         set(w) <= set(entry["members"]) for w in witnesses
     )
+
+
+def test_configs_explain_computes_operationalizations_once(
+    capsys, toy_file, monkeypatch
+):
+    calls = []
+    for name in ("qualitative_operationalizations", "quantitative_operationalizations"):
+        original = getattr(roadmapper.cli, name)
+
+        def counted(target, db, _original=original, _name=name):
+            calls.append((_name, target))
+            return _original(target, db)
+
+        monkeypatch.setattr(roadmapper.cli, name, counted)
+    code, out, _ = run(capsys, "configs", toy_file, "--explain")
+    assert code == 0 and json.loads(out)["count"] == 2
+    assert calls == [("qualitative_operationalizations", "p1")]
 
 
 # --- rank ----------------------------------------------------------------------

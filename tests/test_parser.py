@@ -18,7 +18,7 @@ from roadmapper.model import (
 from roadmapper.parser import Severity, parse, serialize
 from roadmapper.testkit import ModelGenSpec, generate_database
 
-from conftest import LAS_PATH, parse_ok
+from conftest import LAS_PATH, implication_chain, parse_ok
 
 
 def test_parse_operationalization_example():
@@ -160,6 +160,38 @@ def test_implication_cycle_has_local_span():
     errors = _error_messages(text)
     assert any("cycle" in e.message for e in errors)
     assert all(e.span.line >= 3 for e in errors)
+
+
+def test_long_implication_chain_parses():
+    db = parse_ok(implication_chain(1500))
+    assert len(db.requirements) == 3001
+
+
+def test_closing_a_long_chain_gives_one_cycle_error_on_its_line():
+    text = implication_chain(1500) + "k i0: a1500 -> a0.\n"
+    errors = _error_messages(text)
+    assert len(errors) == 1
+    assert "cycle" in errors[0].message
+    assert errors[0].span.line == text.count("\n")
+
+
+def test_validity_problems_and_syntax_errors_are_all_reported_at_their_lines():
+    text = (
+        "t a.\n"
+        "g p1.\n"
+        "k i1: ghost -> p1.\n"
+        "pref: a > nowhere.\n"
+        "k i2: a -> p1.\n"
+        "k i3: p1 -> a.\n"
+        "q broken.\n"
+    )
+    errors = _error_messages(text)
+    lines = {e.span.line: e.message for e in errors}
+    assert len(errors) == 4 and sorted(lines) == [3, 4, 6, 7]
+    assert "ghost" in lines[3]
+    assert "nowhere" in lines[4]
+    assert "cycle" in lines[6]
+    assert "condition" in lines[7]
 
 
 def test_inconsistent_mandatory_set_is_an_error():
