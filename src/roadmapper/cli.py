@@ -317,16 +317,21 @@ def cmd_roadmaps(args) -> int:
     rule = RoadmapValueSum(args.var, args.floor, args.maxdiff)
     ranking = rank_roadmaps(enum.database, roadmaps, rule)
 
+    # Roadmaps share operators by value (on LAS at maxlen 2, 16,256
+    # adaptations are 2,186 distinct operators): render each one once.
+    rendered: dict = {}
+
+    def _rendered(a):
+        if a not in rendered:
+            add, delete = sorted(a.add), sorted(a.delete)
+            entry = {"trigger": sorted(a.trigger), "add": add, "delete": delete}
+            rendered[a] = ((delete, add), entry)
+        return rendered[a]
+
     def _adaptations(roadmap):
         return [
-            {
-                "trigger": sorted(a.trigger),
-                "add": sorted(a.add),
-                "delete": sorted(a.delete),
-            }
-            for a in sorted(
-                roadmap.adaptations, key=lambda a: (sorted(a.delete), sorted(a.add))
-            )
+            entry
+            for _, entry in sorted(map(_rendered, roadmap.adaptations), key=lambda r: r[0])
         ]
 
     payload = {
@@ -425,6 +430,25 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for a whole number of zero or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a whole number of one or more."""
+    value = _non_negative_int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
 def cmd_relax(args) -> int:
     db, code = _load_database(args.file)
     if db is None:
@@ -495,7 +519,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
             f"env {ATOM_LIMIT_ENV})",
         )
         p.add_argument(
-            "--max-results", type=int, default=None, help="truncate configuration lists"
+            "--max-results",
+            type=_non_negative_int,
+            default=None,
+            help="truncate configuration lists",
         )
 
     p = sub.add_parser("check", help="parse and validate a database")
@@ -524,8 +551,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     limits(p)
     p.add_argument("--var", required=True, help="summed variable")
     p.add_argument("--floor", type=float, default=float("-inf"))
-    p.add_argument("--maxdiff", type=int, default=10**6)
-    p.add_argument("--maxlen", type=int, default=2)
+    p.add_argument("--maxdiff", type=_non_negative_int, default=10**6)
+    p.add_argument("--maxlen", type=_positive_int, default=2)
     p.set_defaults(func=cmd_roadmaps)
 
     p = sub.add_parser("dot", help="render the requirement graph as DOT")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping
+from typing import Container, Iterable, Literal, Mapping
 
 from .errors import (
     RefinementCycleError,
@@ -78,6 +78,8 @@ class SatisfactionClosure:
 
 
 def _resolve_ids(members: Iterable[Requirement | str], db: RequirementsDatabase) -> frozenset[str]:
+    if isinstance(members, frozenset) and members <= db.requirements.keys():
+        return members
     listed = [item.id if isinstance(item, Requirement) else item for item in members]
     # Via a set: a frozenset built from a list can get a table twice as large,
     # and these sets are the keys of every closure cache.
@@ -88,11 +90,31 @@ def _resolve_ids(members: Iterable[Requirement | str], db: RequirementsDatabase)
     return ids
 
 
+# Entries per memo table of a `ClosureIndex`; a full table is emptied.
+_MEMO_LIMIT = 1024
+
+
+def _remember(table: dict, key, value):
+    if len(table) >= _MEMO_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
+
+
 class ClosureIndex:
     """The per-database tables that every satisfaction closure and
     configuration check reads. Built once per database, on first use, as
     `RequirementsDatabase.closure_index`; rewrites return new databases,
-    which build their own."""
+    which build their own.
+
+    The index also memoises the closure's numeric layer, a pure function of
+    the satisfied ids: propagated values keyed by the id-ordered tuple of
+    satisfied assignment ids, distribution environments keyed by the tuple of
+    satisfied distribution assumptions, and each quantitative requirement's
+    condition outcome keyed by both. A table that reaches `_MEMO_LIMIT`
+    entries is emptied. An input that raised is not stored, so it raises
+    again. Closures share the memoised `values` and `distributions`
+    mappings: treat them as read-only."""
 
     def __init__(self, db: RequirementsDatabase):
         reqs = sorted(db, key=lambda r: r.id)
@@ -127,6 +149,52 @@ class ClosureIndex:
             self.refinement_acyclic = True
         except RefinementCycleError:
             self.refinement_acyclic = False
+        self._values: dict[tuple[str, ...], dict[str, frozenset[float]]] = {}
+        self._dists: dict[tuple[str, ...], dict[str, tuple[DistributionSpec, ...]]] = {}
+        self._outcomes: dict[tuple[tuple[str, ...], tuple[str, ...]], dict[str, bool]] = {}
+
+    def values_of(self, key: tuple[str, ...]) -> dict[str, frozenset[float]]:
+        """`propagate_values` of the assignments `key` names, in id order."""
+        values = self._values.get(key)
+        if values is None:
+            shapes = [self.assignments[i] for i in key]
+            if not self.refinement_acyclic:
+                check_refinement_acyclic((var, rhs) for var, rhs, needed in shapes if needed)
+            values = _remember(self._values, key, _propagate(shapes))
+        return values
+
+    def dists_of(self, key: tuple[str, ...]) -> dict[str, tuple[DistributionSpec, ...]]:
+        """The distribution environment of the assumptions `key` names."""
+        dists = self._dists.get(key)
+        if dists is None:
+            fresh = _distribution_env(self.distributions[i] for i in key)
+            dists = _remember(self._dists, key, fresh)
+        return dists
+
+    def conditions_met(
+        self,
+        keys: tuple[tuple[str, ...], tuple[str, ...]],
+        values: Mapping[str, frozenset[float]],
+        dists: Mapping[str, tuple[DistributionSpec, ...]],
+        satisfied: Container[str],
+    ) -> list[str]:
+        """Ids of the quantitative requirements outside `satisfied` whose
+        condition some combination of `values` and `dists` makes true, in id
+        order. `keys` names those values and distributions in the memo."""
+        outcomes = self._outcomes.get(keys)
+        if outcomes is None:
+            outcomes = _remember(self._outcomes, keys, {})
+        met = []
+        for req in self.quantitative:
+            if req.id in satisfied:
+                continue
+            possible = outcomes.get(req.id)
+            if possible is None:
+                possible = _condition_possible(req.body.cond, values, dists)
+                outcomes[req.id] = possible
+            if possible:
+                met.append(req.id)
+        return met
 
 
 def satisfaction_closure(
@@ -143,17 +211,13 @@ def satisfaction_closure(
 
     Round invariant: when a round begins, `values` and `dists` equal what
     `propagate_values` and the distribution environment give for the
-    current satisfied set, and every unsatisfied quantitative requirement
-    that this round does not re-test was found impossible under identical
-    values and distributions in an earlier round. It must hold because
-    value propagation is not monotone (an equation stops firing once one of
-    its inputs gains a second value), so values are recomputed from the whole
-    satisfied set rather than extended, and because the round order decides
-    both the origins and which error, if any, is raised. Values are
-    recomputed only when the satisfied assignments changed, distributions
-    only when the satisfied distribution assumptions changed, and conditions
-    re-tested only when either result changed: each skipped call would see
-    the inputs of a call already made.
+    current satisfied set. It must hold because value propagation is not
+    monotone (an equation stops firing once one of its inputs gains a second
+    value), so values are recomputed from the whole satisfied set rather
+    than extended, and because the round order decides both the origins and
+    which error, if any, is raised. Each round looks values, distributions
+    and condition outcomes up in the index's memo, which holds only what a
+    computation on the same input returned.
     """
     ids = _resolve_ids(members, db)
     if cache is not None and ids in cache:
@@ -161,40 +225,27 @@ def satisfaction_closure(
     index = db.closure_index
     order = sorted(ids)
     origin: dict[str, Route] = {req_id: "member" for req_id in order}
+    satisfied = origin.keys()  # a live view: it grows with `origin`
     member_implications = [index.implications[i] for i in order if i in index.implications]
     member_conflicts = [index.conflicts[i] for i in order if i in index.conflicts]
-    values: dict[str, frozenset[float]] | None = None
-    dists: dict[str, tuple[DistributionSpec, ...]] | None = None
-    new_ids = order
-    while values is None or new_ids:
-        retest = False
-        if values is None or any(i in index.assignments for i in new_ids):
-            shapes = [index.assignments[i] for i in sorted(origin) if i in index.assignments]
-            if not index.refinement_acyclic:
-                check_refinement_acyclic((var, rhs) for var, rhs, needed in shapes if needed)
-            fresh = _propagate(shapes)
-            retest = fresh != values
-            values = fresh
-        if dists is None or any(i in index.distributions for i in new_ids):
-            fresh = _distribution_env(
-                index.distributions[i] for i in sorted(origin) if i in index.distributions
-            )
-            retest = retest or fresh != dists
-            dists = fresh
+    while True:
+        keys = (
+            tuple(sorted(index.assignments.keys() & satisfied)),
+            tuple(sorted(index.distributions.keys() & satisfied)),
+        )
+        values = index.values_of(keys[0])
+        dists = index.dists_of(keys[1])
         known = len(origin)
         for imp in member_implications:
             body = imp.body
-            if body.consequent not in origin and body.antecedents <= origin.keys():
+            if body.consequent not in origin and body.antecedents <= satisfied:
                 origin[body.consequent] = "inferred"
-        if retest:
-            for req in index.quantitative:
-                if req.id in origin:
-                    continue
-                if _condition_possible(req.body.cond, values, dists):
-                    origin[req.id] = "numeric"
-        new_ids = list(origin)[known:]
+        for req_id in index.conditions_met(keys, values, dists, satisfied):
+            origin[req_id] = "numeric"
+        if len(origin) == known:
+            break
     fired = frozenset(
-        c.id for c in member_conflicts if c.body.antecedents <= origin.keys()
+        c.id for c in member_conflicts if c.body.antecedents <= satisfied
     )
     result = SatisfactionClosure(
         members=ids,

@@ -25,7 +25,9 @@ comments run from `//` to end of line. The grammar:
     primary   := NUMBER | IDENT | "(" numexpr ")" | "-" NUMBER
 
 Numeric literals accept the unit suffixes `sec`, `min`, and `hrs`, normalized
-to seconds at parse time. An atom declaration's identifier doubles as its
+to seconds at parse time. A numeric expression nests at most `MAX_EXPR_DEPTH`
+levels of operators and parentheses; a parenthesised negative literal such as
+`(-2)` is no level. An atom declaration's identifier doubles as its
 propositional variable when the declaration has no condition body. `false`
 appears only as an implication consequent and turns the relation into a
 conflict. Files are UTF-8 and newline-agnostic.
@@ -76,6 +78,10 @@ from .model import (
 )
 
 _UNITS = {"sec": 1.0, "min": 60.0, "hrs": 3600.0}
+# Deepest numeric expression the parser accepts, counting operator nesting
+# and open parentheses: evaluation, hashing and printing all recurse over it.
+MAX_EXPR_DEPTH = 100
+_TOO_DEEP = f"expression nested more than {MAX_EXPR_DEPTH} levels deep"
 _SORTS = {s.value: s for s in Sort}
 _MODS = {"!": Modality.MANDATORY, "?": Modality.OPTIONAL}
 
@@ -264,6 +270,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # open parentheses and '^' operands being parsed
 
     def peek(self, offset: int = 0) -> _Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -299,6 +306,7 @@ class _Parser:
     # -- declarations
 
     def declaration(self) -> _Decl:
+        self.nesting = 0
         token = self.peek()
         if token.kind != "ident":
             raise _ParseError(token.span, f"expected a declaration, got {self._describe(token)}")
@@ -477,43 +485,76 @@ class _Parser:
         return self.next().kind
 
     def numexpr(self) -> NumExpr:
-        expr = self.term()
+        return self.sum()[0]
+
+    # sum, term, factor and primary return an expression and its height.
+
+    def sum(self) -> tuple[NumExpr, int]:
+        expr, height = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            expr = BinOp(op, expr, self.term())
-        return expr
+            op = self.next()
+            right, right_height = self.term()
+            expr, height = self.binop(op, expr, right, max(height, right_height))
+        return expr, height
 
-    def term(self) -> NumExpr:
-        expr = self.factor()
+    def term(self) -> tuple[NumExpr, int]:
+        expr, height = self.factor()
         while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            expr = BinOp(op, expr, self.factor())
-        return expr
+            op = self.next()
+            right, right_height = self.factor()
+            expr, height = self.binop(op, expr, right, max(height, right_height))
+        return expr, height
 
-    def factor(self) -> NumExpr:
-        base = self.primary()
+    def factor(self) -> tuple[NumExpr, int]:
+        base, height = self.primary()
         if self.peek().kind == "^":
-            self.next()
-            return BinOp("^", base, self.factor())
-        return base
+            op = self.next()
+            self.enter(op)
+            exponent, exponent_height = self.factor()
+            self.nesting -= 1
+            return self.binop(op, base, exponent, max(height, exponent_height))
+        return base, height
 
-    def primary(self) -> NumExpr:
+    def primary(self) -> tuple[NumExpr, int]:
         token = self.peek()
         if token.kind == "number":
             self.next()
-            return Const(token.value)
+            return Const(token.value), 0
         if token.kind == "-" and self.peek(1).kind == "number":
             self.next()
-            return Const(-self.next().value)
+            return Const(-self.next().value), 0
         if token.kind == "ident":
             self.next()
-            return Var(QuantVar(token.value))
+            return Var(QuantVar(token.value)), 0
         if token.kind == "(":
             self.next()
-            expr = self.numexpr()
+            if [self.peek(i).kind for i in range(3)] == ["-", "number", ")"]:
+                # `serialize` writes a negative operand as `(-2)`: no new level.
+                self.next()
+                value = -self.next().value
+                self.next()
+                return Const(value), 0
+            self.enter(token)
+            expr = self.sum()
+            self.nesting -= 1
             self.expect(")", "')'")
             return expr
         raise _ParseError(token.span, f"expected a number, variable, or '(', got {self._describe(token)}")
+
+    def enter(self, token: _Token) -> None:
+        self.nesting += 1
+        if self.nesting > MAX_EXPR_DEPTH:
+            raise _ParseError(token.span, _TOO_DEEP)
+
+    def binop(
+        self, op: _Token, left: NumExpr, right: NumExpr, height: int
+    ) -> tuple[NumExpr, int]:
+        if height >= MAX_EXPR_DEPTH:
+            raise _ParseError(op.span, _TOO_DEEP)
+        try:
+            return BinOp(op.kind, left, right), height + 1
+        except RoadmapperError as exc:
+            raise _ParseError(op.span, str(exc)) from None
 
     def build_requirement(
         self,
@@ -559,7 +600,8 @@ class _Parser:
 
 
 def parse(text: str, filename: str = "<input>") -> ParseResult:
-    """Parse a `.req` document; error diagnostics imply no database."""
+    """Parse a `.req` document; error diagnostics imply no database.
+    Diagnostics are listed by line and column."""
     diagnostics: list[ParseDiagnostic] = []
     try:
         tokens = _lex(text, filename)
@@ -622,6 +664,8 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
         diagnostics.append(
             ParseDiagnostic(Severity.ERROR, spans[problem.subject], problem.message)
         )
+    # By position; a stable sort keeps the phase order within one span.
+    diagnostics.sort(key=lambda d: (d.span.line, d.span.column))
     if any(d.severity is Severity.ERROR for d in diagnostics):
         return ParseResult(None, diagnostics)
     return ParseResult(db, diagnostics)

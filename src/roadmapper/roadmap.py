@@ -300,6 +300,16 @@ def rank_roadmaps(
     ranked: list[RankedRoadmap] = []
     excluded: list[ExcludedRoadmap] = []
     value_cache: dict[frozenset[str], float] = {}
+    # Comparing canonical positions orders roadmaps as comparing their
+    # canonical keys would, without sorting each configuration's members again.
+    distinct = {c.members for roadmap in roadmaps for c in roadmap.configurations}
+    position = {
+        members: i
+        for i, members in enumerate(sorted(distinct, key=lambda m: tuple(sorted(m))))
+    }
+
+    def canonical_positions(roadmap: Roadmap) -> tuple[int, ...]:
+        return tuple(position[c.members] for c in roadmap.configurations)
 
     def value_of(members: frozenset[str]) -> float:
         if members not in value_cache:
@@ -331,10 +341,10 @@ def rank_roadmaps(
         key=lambda r: (
             -r.total,
             len(r.roadmap.configurations),
-            r.roadmap.canonical_key,
+            canonical_positions(r.roadmap),
         )
     )
-    excluded.sort(key=lambda e: e.roadmap.canonical_key)
+    excluded.sort(key=lambda e: canonical_positions(e.roadmap))
     return RoadmapRanking(tuple(ranked), tuple(excluded))
 
 

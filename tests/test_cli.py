@@ -75,6 +75,33 @@ def test_check_long_implication_chain_and_its_cycle(capsys, schema, tmp_path):
     assert "cycle" in diag["message"] and diag["line"] == 3002
 
 
+def test_check_text_lists_diagnostics_by_line(capsys, tmp_path):
+    path = tmp_path / "two.req"
+    path.write_text("t a.\ng p1.\nk i1: ghost -> p1.\nt b.\nt c.\nt d.\nq broken.\n")
+    code, out, _ = run(capsys, "check", str(path), "--format", "text")
+    assert code == 1
+    assert [line.split(":")[1] for line in out.splitlines()] == ["3", "7"]
+
+
+@pytest.mark.parametrize("command", ["check", "configs"])
+@pytest.mark.parametrize(
+    "expression",
+    [
+        " + ".join(["x"] * 3000),
+        " ^ ".join(["2"] * 1500),
+        "(" * 1500 + "x" + ")" * 1500,
+    ],
+    ids=["sum", "power", "parentheses"],
+)
+def test_too_deep_expression_is_a_model_error(capsys, tmp_path, command, expression):
+    path = tmp_path / "deep.req"
+    path.write_text(f"t b: x = 1.\ng p.\nt a: y = {expression}.\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and "Traceback" not in err
+    [diag] = json.loads(out)["diagnostics"]
+    assert diag["line"] == 3 and "nested more than" in diag["message"]
+
+
 def test_closed_stdout_is_an_io_error():
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.Popen(
@@ -310,6 +337,23 @@ def test_relax_bad_arguments_are_usage_errors(capsys, tmp_path, flags):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and flags[-2] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roadmaps", "--var", "v", "--maxlen", "0"],
+        ["roadmaps", "--var", "v", "--maxdiff", "-1"],
+        ["configs", "--max-results", "-1"],
+    ],
+    ids=["maxlen", "maxdiff", "max-results"],
+)
+def test_bad_limits_are_usage_errors(capsys, toy_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], toy_file, *argv[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and argv[-2] in err
 
 
 # --- determinism ----------------------------------------------------------------------

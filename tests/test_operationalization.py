@@ -5,8 +5,16 @@ import random
 
 import pytest
 
-from roadmapper.errors import WrongSortError
+from roadmapper.errors import (
+    DivisionByZeroError,
+    RefinementCycleError,
+    RoadmapperError,
+    ValOverflowError,
+    WrongSortError,
+)
+from roadmapper.model import RequirementsDatabase
 from roadmapper.operationalization import (
+    _MEMO_LIMIT,
     is_admissible,
     qualitative_operationalizations,
     quantitative_operationalizations,
@@ -206,6 +214,103 @@ def test_closure_matches_naive_satisfaction_on_every_subset():
                 assert (closure.satisfied, closure.bottom) == naive_satisfaction(
                     chosen, db
                 ), f"{spec}: {sorted(chosen)}"
+
+
+CYCLIC = (
+    "t a: x = y + 1. t b: y = x + 1. t c: x = 2. t d: y = 3. q qc: x >= 2. "
+    "k e: z = x * 2. q qz: z > 3."
+)
+DIVIDING = (
+    "t a: x = w / (w - 2). t f: w = 2. t b: y = 2. t c: x = y / (y - 2). "
+    "q qc: x > 0. k d: y = 2. q qd: y >= 2. t e: z = y / (w - 2). t g: w = 3."
+)
+PROBABILISTIC = (
+    "t a: x ~ Normal(1, 2). t b: x ~ Normal(0, 1). t c: y = 1. "
+    "q qp: P(x <= y) >= 0.5. k d: y = 3. q qq: P(x < 2) > 0.9."
+)
+
+
+def _closure_outcome(members, db):
+    """Everything a closure reports, or the error it raises."""
+    try:
+        c = satisfaction_closure(members, db)
+    except RoadmapperError as exc:
+        return type(exc), str(exc)
+    return (
+        c.satisfied,
+        c.bottom,
+        list(c.origin.items()),
+        dict(c.values),
+        dict(c.distributions),
+        c.bottom_witness,
+    )
+
+
+def _fresh(db):
+    """The same database with an index of its own, its memo empty."""
+    return RequirementsDatabase(db.requirements, db.preferences, db.sat_fns)
+
+
+def _all_subsets(db):
+    members = db.member_ids()
+    return [
+        frozenset(subset)
+        for size in range(len(members) + 1)
+        for subset in itertools.combinations(members, size)
+    ]
+
+
+def test_memoised_closures_match_fresh_index_closures_in_any_order():
+    models = [db for _, db in _small_expanded_models()]
+    models += [parse_ok(text) for text in (CYCLIC, DIVIDING, PROBABILISTIC)]
+    rng = random.Random(4)
+    raised = 0
+    for db in models:
+        subsets = _all_subsets(db)
+        expected = {s: _closure_outcome(s, _fresh(db)) for s in subsets}
+        rng.shuffle(subsets)
+        for chosen in subsets + subsets[: len(subsets) // 4]:
+            assert _closure_outcome(chosen, db) == expected[chosen], sorted(chosen)
+        raised += sum(isinstance(o[0], type) for o in expected.values())
+    assert raised > 0  # the error paths were exercised
+
+
+@pytest.mark.parametrize(
+    "text, members, error",
+    [
+        (CYCLIC, {"a", "b"}, RefinementCycleError),
+        (DIVIDING, {"a", "f"}, DivisionByZeroError),
+        (
+            " ".join(f"t {v}{i}: {v} = {i}." for v in "xyz" for i in range(17))
+            + " q qc: x + y + z > 1000.",
+            {f"{v}{i}" for v in "xyz" for i in range(17)},
+            ValOverflowError,
+        ),
+    ],
+)
+def test_memo_never_stores_an_error(text, members, error):
+    db = parse_ok(text)
+    for _ in range(3):
+        with pytest.raises(error):
+            satisfaction_closure(frozenset(members), db)
+
+
+def test_memo_stays_within_its_cap():
+    assignments = 11
+    text = " ".join(f"t a{i}: v{i} = {i}." for i in range(assignments))
+    db = parse_ok(text + " t d: v0 ~ Normal(0, 1). q qc: v1 + v2 >= 3.")
+    subsets = _all_subsets(db)
+    assert 2 ** assignments > _MEMO_LIMIT
+    index = db.closure_index
+    sizes = set()
+    for chosen in subsets:
+        satisfaction_closure(chosen, db)
+        sizes.add(
+            max(len(index._values), len(index._dists), len(index._outcomes))
+        )
+    assert max(sizes) == _MEMO_LIMIT
+    for chosen in subsets[::97]:
+        assert _closure_outcome(chosen, db) == _closure_outcome(chosen, _fresh(db))
 
 
 def test_search_limit_raises_resource_error():

@@ -15,7 +15,8 @@ from roadmapper.model import (
     ProbCompare,
     Softgoal,
 )
-from roadmapper.parser import Severity, parse, serialize
+from roadmapper.parser import MAX_EXPR_DEPTH, Severity, parse, serialize
+from roadmapper.quanteval import eval_expr
 from roadmapper.testkit import ModelGenSpec, generate_database
 
 from conftest import LAS_PATH, implication_chain, parse_ok
@@ -192,6 +193,49 @@ def test_validity_problems_and_syntax_errors_are_all_reported_at_their_lines():
     assert "nowhere" in lines[4]
     assert "cycle" in lines[6]
     assert "condition" in lines[7]
+
+
+def test_diagnostics_are_listed_by_position():
+    text = "t a.\ng p1.\nk i1: ghost -> p1.\nt b.\nt c.\nt d.\nq broken.\n"
+    result = parse(text)
+    assert [d.span.line for d in result.diagnostics] == [3, 7]
+
+
+DEEP_EXPRESSIONS = {
+    "sum": "t a: y = " + " + ".join(["x"] * 3000) + ".",
+    "power": "t a: y = " + " ^ ".join(["2"] * 1500) + ".",
+    "parentheses": "t a: y = " + "(" * 1500 + "x" + ")" * 1500 + ".",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_EXPRESSIONS))
+def test_too_deep_expression_is_one_diagnostic(name):
+    errors = _error_messages(DEEP_EXPRESSIONS[name] + "\nt b: x = 1.\nq oops.\n")
+    assert [e.span.line for e in errors] == [1, 3]
+    assert f"nested more than {MAX_EXPR_DEPTH} levels" in errors[0].message
+
+
+def test_expressions_at_the_depth_cap_parse_evaluate_and_round_trip():
+    terms = MAX_EXPR_DEPTH + 1  # one operator fewer than terms
+    left = MAX_EXPR_DEPTH - 1  # parentheses around a left-nested '^' tree
+    text = (
+        "t a: y = " + " + ".join(["x"] * terms) + ".\n"
+        "t c: z = " + "(" * MAX_EXPR_DEPTH + "x" + ")" * MAX_EXPR_DEPTH + ".\n"
+        # Serialized, the negative exponents gain parentheses.
+        "t d: w = " + " ^ ".join(["1"] * (terms - 1) + ["-1"]) + ".\n"
+        "t e: v = " + "(" * left + "2 ^ -1" + ") ^ 2" * left + ".\n"
+    )
+    db = parse_ok(text)
+    assert eval_expr(db["a"].body.cond.rhs, {"x": 1.0}) == terms
+    assert eval_expr(db["d"].body.cond.rhs, {}) == 1.0
+    assert "^ (-1.0)" in serialize(db)
+    assert parse_ok(serialize(db)) == db
+
+
+def test_division_by_constant_zero_is_a_span_diagnostic():
+    errors = _error_messages("t b: y = 1.\nt a: x = y / 0.\n")
+    assert [(e.span.line, e.span.column) for e in errors] == [(2, 12)]
+    assert "division by the constant 0" in errors[0].message
 
 
 def test_inconsistent_mandatory_set_is_an_error():

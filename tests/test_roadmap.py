@@ -282,6 +282,34 @@ def test_rank_roadmaps_filter_witnesses_verify(ranked_db):
             assert len(a.members ^ b.members) > rule.max_diff
 
 
+def test_rank_roadmaps_orders_by_canonical_keys_at_maxlen_three():
+    db = parse_ok("t a: v = 1. t b: v = 2. t c: v = 3. t d: v = 2. t e. t f.")
+    configs = [
+        cfg("s1", {"c", "e"}),
+        cfg("s2", {"a", "e"}),
+        cfg("s3", {"b", "f"}),
+        cfg("s4", {"d"}),
+        cfg("s5", {"a", "f"}),
+    ]
+    roadmaps = build_roadmaps(db, configs, 3)
+    for roadmap in roadmaps:
+        seq = roadmap.configurations
+        assert roadmap.adaptations == frozenset(
+            derive_adaptation(a, b) for a, b in zip(seq, seq[1:])
+        )
+    random.Random(3).shuffle(roadmaps)
+    ranking = rank_roadmaps(db, roadmaps, RoadmapValueSum("v", floor=1.5, max_diff=3))
+    assert ranking.ranked and ranking.excluded
+    assert {e.reason for e in ranking.excluded} == {"floor", "diff"}
+    assert list(ranking.ranked) == sorted(
+        ranking.ranked,
+        key=lambda r: (-r.total, len(r.roadmap.configurations), r.roadmap.canonical_key),
+    )
+    assert list(ranking.excluded) == sorted(
+        ranking.excluded, key=lambda e: e.roadmap.canonical_key
+    )
+
+
 # --- pairwise satisfaction preference ----------------------------------------------------------
 
 def test_pairwise_preference_prefers_more_satisfying_value():
