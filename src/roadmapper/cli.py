@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .configuration import (
     DEFAULT_MAX_ATOMS,
@@ -80,18 +79,6 @@ _SEMANTIC_ERRORS = (
 )
 
 ATOM_LIMIT_ENV = "ROADMAPPER_LIMIT_ATOMS"
-
-
-@dataclass
-class RunConfig:
-    """One command per invocation, with its limits and output format."""
-
-    command: str
-    input_path: str | None = None
-    output_format: str = "json"
-    max_atoms: int = DEFAULT_MAX_ATOMS
-    max_results: int | None = None
-    seed: int = 0
 
 
 def _default_max_atoms() -> int:

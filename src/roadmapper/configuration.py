@@ -9,14 +9,15 @@ respect to optional k/t requirements, and is minimal beyond that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ResourceLimitError, UnresolvedReferenceError, WrongSortError
-from .model import Conflict, MEMBER_SORTS, Modality, RequirementsDatabase
+from .model import MEMBER_SORTS, Modality, RequirementsDatabase
 from .operationalization import (
     DEFAULT_SEARCH_LIMIT,
     _minimal_sets,
     _minimal_supports,
+    _SupportSearch,
     satisfaction_closure,
 )
 
@@ -197,7 +198,6 @@ def check_configuration(
 def _maximal_optional_extensions(
     db: RequirementsDatabase,
     base: frozenset[str],
-    optionals: Sequence[str],
     cache: dict,
     limit: int,
 ) -> list[frozenset[str]]:
@@ -226,18 +226,9 @@ def _maximal_optional_extensions(
         else:
             walk(current, rest)
 
-    walk(base, tuple(optionals))
-    maximal = []
-    for candidate in set(results):
-        addable = [
-            o
-            for o in optionals
-            if o not in candidate
-            and not satisfaction_closure(candidate | {o}, db, cache).bottom
-        ]
-        if not addable:
-            maximal.append(candidate)
-    return sorted(set(maximal), key=lambda s: tuple(sorted(s)))
+    walk(base, db.closure_index.optional_members)
+    maximal = [c for c in set(results) if not _dominant(db, c, cache)]
+    return sorted(maximal, key=lambda s: tuple(sorted(s)))
 
 
 def _relevant_plains(
@@ -250,8 +241,6 @@ def _relevant_plains(
     through a conflict, so the extra candidate pool is limited to supports of
     antecedents of conflicts that some optional requirement could help fire.
     """
-    from .operationalization import _SupportSearch
-
     index = db.closure_index
     coverages = [frozenset(index.mandatory_members)]
     for target in index.qual_targets + index.quant_targets:
@@ -272,9 +261,7 @@ def _relevant_plains(
     optional_ids = set(index.optional_members)
     search = _SupportSearch(db, search_limit)
     pool: set[str] = set()
-    for req in sorted(db, key=lambda r: r.id):
-        if not isinstance(req.body, Conflict):
-            continue
+    for req in index.conflicts.values():
         antecedent_options = {}
         for ant in sorted(req.body.antecedents):
             options, _ = search.options(ant, frozenset())
@@ -321,7 +308,6 @@ def enumerate_configurations(
     coverages, plains = _relevant_plains(db, search_limit)
     if not coverages:
         return EnumerationResult(db, (), False)
-    optionals = db.closure_index.optional_members
 
     # Grow each minimal coverage with every useful subset of the remaining
     # plain candidates; inconsistent partial sets cannot recover, so they
@@ -348,10 +334,7 @@ def enumerate_configurations(
 
     candidates: set[frozenset[str]] = set()
     for base in sorted(expanded, key=lambda s: tuple(sorted(s))):
-        for extended in _maximal_optional_extensions(
-            db, base, optionals, cache, search_limit
-        ):
-            candidates.add(extended)
+        candidates.update(_maximal_optional_extensions(db, base, cache, search_limit))
 
     found = []
     for members in sorted(candidates, key=lambda s: tuple(sorted(s))):

@@ -5,12 +5,15 @@ it is the consequent of a premise implication whose antecedents are all
 derived. A premise conflict whose antecedents are all derived flags the
 contradiction; deriving the contradiction never licenses deriving anything
 else (no ex falso), which keeps the relation paraconsistent.
+
+`fire` and `fired_conflicts` are the one implementation of these two rules;
+`operationalization.satisfaction_closure` uses them too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import AbstractSet, Any, Iterable, Mapping
 
 from .errors import UnresolvedReferenceError
 from .model import Conflict, Implication, Requirement, RequirementsDatabase
@@ -53,6 +56,31 @@ def _resolve_premises(
     return premises
 
 
+def fire(
+    implications: Iterable[Requirement], derived: dict[str, Any], label: Any = None
+) -> bool:
+    """One forward-chaining pass: each implication, in the order given, whose
+    consequent is not in `derived` and whose antecedents all are, adds its
+    consequent, recorded as `label`, or as the implication's id when `label`
+    is None. An id added early in the pass can fire a later implication of
+    the same pass. Returns whether anything was added."""
+    known = derived.keys()  # a live view: it grows with `derived`
+    added = False
+    for imp in implications:
+        body = imp.body
+        if body.consequent not in derived and body.antecedents <= known:
+            derived[body.consequent] = imp.id if label is None else label
+            added = True
+    return added
+
+
+def fired_conflicts(
+    conflicts: Iterable[Requirement], derived: AbstractSet[str]
+) -> frozenset[str]:
+    """Ids of the conflicts whose antecedents are all in `derived`."""
+    return frozenset(c.id for c in conflicts if c.body.antecedents <= derived)
+
+
 def closure(
     pi: Iterable[Requirement | str], db: RequirementsDatabase | None = None
 ) -> Closure:
@@ -63,32 +91,24 @@ def closure(
     `pi` act as premises.
     """
     premises = _resolve_premises(pi, db)
-    derived: set[str] = set(premises)
-    support: dict[str, frozenset[str]] = {pid: frozenset() for pid in premises}
+    # Derived ids in derivation order, each with the implication that derived
+    # it; premises have None.
+    derived: dict[str, str | None] = dict.fromkeys(premises)
     implications = sorted(
         (r for r in premises.values() if isinstance(r.body, Implication)),
         key=lambda r: r.id,
     )
-    conflicts = sorted(
-        (r for r in premises.values() if isinstance(r.body, Conflict)),
-        key=lambda r: r.id,
-    )
-    changed = True
-    while changed:
-        changed = False
-        for imp in implications:
-            body = imp.body
-            if body.consequent in derived:
-                continue
-            if body.antecedents <= derived:
-                derived.add(body.consequent)
-                used = frozenset({imp.id}).union(
-                    *(support.get(a, frozenset()) for a in body.antecedents)
-                )
-                support[body.consequent] = used
-                changed = True
-    fired = frozenset(
-        c.id for c in conflicts if c.body.antecedents <= derived
+    while fire(implications, derived):
+        pass
+    support: dict[str, frozenset[str]] = {}
+    for req_id, imp_id in derived.items():
+        if imp_id is None:
+            support[req_id] = frozenset()
+        else:
+            antecedents = premises[imp_id].body.antecedents
+            support[req_id] = frozenset({imp_id}).union(*(support[a] for a in antecedents))
+    fired = fired_conflicts(
+        (r for r in premises.values() if isinstance(r.body, Conflict)), derived.keys()
     )
     return Closure(
         derived=frozenset(derived),

@@ -42,9 +42,9 @@ from .model import (
     S,
     SimpleQuant,
     T,
-    Var,
     free_variables,
 )
+from .inference import fire, fired_conflicts
 from .quanteval import (
     MAX_VALUES_PER_VARIABLE,
     _assignment_shape,
@@ -94,6 +94,13 @@ def _resolve_ids(members: Iterable[Requirement | str], db: RequirementsDatabase)
 _MEMO_LIMIT = 1024
 
 
+def _grouped(pairs: Iterable[tuple[str, object]]) -> dict[str, list]:
+    groups: dict[str, list] = {}
+    for key, item in pairs:
+        groups.setdefault(key, []).append(item)
+    return groups
+
+
 def _remember(table: dict, key, value):
     if len(table) >= _MEMO_LIMIT:
         table.clear()
@@ -102,8 +109,8 @@ def _remember(table: dict, key, value):
 
 
 class ClosureIndex:
-    """The per-database tables that every satisfaction closure and
-    configuration check reads. Built once per database, on first use, as
+    """The per-database tables that every satisfaction closure, configuration
+    check and support search reads. Built once per database, on first use, as
     `RequirementsDatabase.closure_index`; rewrites return new databases,
     which build their own.
 
@@ -120,24 +127,36 @@ class ClosureIndex:
         reqs = sorted(db, key=lambda r: r.id)
         self.implications = {r.id: r for r in reqs if isinstance(r.body, Implication)}
         self.conflicts = {r.id: r for r in reqs if isinstance(r.body, Conflict)}
+        self.by_consequent = _grouped(
+            (imp.body.consequent, imp) for imp in self.implications.values()
+        )
         # Tasks state what execution brings about, so a task is satisfied only
         # by membership or inference; beliefs (k) and desires (q) follow from
         # values.
-        self.quantitative = tuple(
-            r
+        self.quantitative = {
+            r.id: r
             for r in reqs
             if isinstance(r.body, SimpleQuant)
             and r.sort is not T
             and not isinstance(r.body.cond, Distributed)
-        )
+        }
         self.assignments = {
             r.id: shape for r in reqs if (shape := _assignment_shape(r)) is not None
         }
+        # Per variable, in id order: (id, rhs, rhs variables) of each
+        # assignment to it, and (id, distribution) of each assumption on it.
+        self.assignments_by_var = _grouped(
+            (var, (req_id, rhs, needed))
+            for req_id, (var, rhs, needed) in self.assignments.items()
+        )
         self.distributions = {
             r.id: (r.body.cond.var.name, r.body.cond.dist)
             for r in reqs
             if isinstance(r.body, SimpleQuant) and isinstance(r.body.cond, Distributed)
         }
+        self.dists_by_var = _grouped(
+            (var, (req_id, dist)) for req_id, (var, dist) in self.distributions.items()
+        )
         self.mandatory_members = tuple(db.mandatory_ids(*MEMBER_SORTS))
         self.qual_targets = tuple(db.mandatory_ids(G, S))
         self.quant_targets = tuple(db.mandatory_ids(Q))
@@ -185,7 +204,7 @@ class ClosureIndex:
         if outcomes is None:
             outcomes = _remember(self._outcomes, keys, {})
         met = []
-        for req in self.quantitative:
+        for req in self.quantitative.values():
             if req.id in satisfied:
                 continue
             possible = outcomes.get(req.id)
@@ -204,10 +223,11 @@ def satisfaction_closure(
 ) -> SatisfactionClosure:
     """Fixpoint of membership, implication firing, and numeric discharge.
 
-    Each round fires the member implications in id order, then tests every
-    unsatisfied quantitative requirement against the values and
-    distributions of the satisfied set as it stood when the round began;
-    `origin` records the first route that satisfied each requirement.
+    Each round makes one `inference.fire` pass over the member implications
+    in id order, then tests every unsatisfied quantitative requirement
+    against the values and distributions of the satisfied set as it stood
+    when the round began; `origin` records the first route that satisfied
+    each requirement.
 
     Round invariant: when a round begins, `values` and `dists` equal what
     `propagate_values` and the distribution environment give for the
@@ -219,15 +239,15 @@ def satisfaction_closure(
     and condition outcomes up in the index's memo, which holds only what a
     computation on the same input returned.
     """
+    # Only resolved id sets are stored, so a hit needs no resolving.
+    if cache is not None and isinstance(members, frozenset) and members in cache:
+        return cache[members]
     ids = _resolve_ids(members, db)
-    if cache is not None and ids in cache:
-        return cache[ids]
     index = db.closure_index
     order = sorted(ids)
     origin: dict[str, Route] = {req_id: "member" for req_id in order}
     satisfied = origin.keys()  # a live view: it grows with `origin`
     member_implications = [index.implications[i] for i in order if i in index.implications]
-    member_conflicts = [index.conflicts[i] for i in order if i in index.conflicts]
     while True:
         keys = (
             tuple(sorted(index.assignments.keys() & satisfied)),
@@ -235,17 +255,14 @@ def satisfaction_closure(
         )
         values = index.values_of(keys[0])
         dists = index.dists_of(keys[1])
-        known = len(origin)
-        for imp in member_implications:
-            body = imp.body
-            if body.consequent not in origin and body.antecedents <= satisfied:
-                origin[body.consequent] = "inferred"
-        for req_id in index.conditions_met(keys, values, dists, satisfied):
+        inferred = fire(member_implications, origin, "inferred")
+        met = index.conditions_met(keys, values, dists, satisfied)
+        for req_id in met:
             origin[req_id] = "numeric"
-        if len(origin) == known:
+        if not (inferred or met):
             break
-    fired = frozenset(
-        c.id for c in member_conflicts if c.body.antecedents <= satisfied
+    fired = fired_conflicts(
+        [index.conflicts[i] for i in index.conflicts.keys() & ids], satisfied
     )
     result = SatisfactionClosure(
         members=ids,
@@ -290,37 +307,43 @@ def _env_combinations(
         yield dict(zip(variables, combo))
 
 
+def _needed_variables(cond) -> list[str] | None:
+    """The variables that `cond` needs values for, sorted, or None when no
+    values can make it true."""
+    if isinstance(cond, Compare):
+        return sorted(free_variables(cond.lhs) | free_variables(cond.rhs))
+    if isinstance(cond, ProbCompare):
+        open_vars = free_variables(cond.bound) | free_variables(cond.level)
+        return None if cond.var.name in open_vars else sorted(open_vars)
+    return None  # Distributed conditions satisfy only by membership or inference
+
+
+def _holds(cond, env: Mapping[str, float], dist: DistributionSpec | None) -> bool:
+    """Whether `cond` is true under `env`, with `dist` governing the variable
+    of a probability bound. An evaluation error counts as false."""
+    try:
+        if isinstance(cond, Compare):
+            return compare(_eval(cond.lhs, env), cond.op, _eval(cond.rhs, env))
+        p = probability(dist, cond.inner_op, _eval(cond.bound, env))
+        return compare(p, cond.outer_op, _eval(cond.level, env))
+    except RoadmapperError:
+        return False
+
+
 def _condition_possible(
     cond, values: Mapping[str, frozenset[float]], dists: Mapping
 ) -> bool:
     """Whether some combination of known values (and a declared distribution)
-    makes the condition true. Evaluation failures rule the combination out."""
-    if isinstance(cond, Compare):
-        needed = sorted(free_variables(cond.lhs) | free_variables(cond.rhs))
-        for env in _env_combinations(needed, values):
-            try:
-                if compare(_eval(cond.lhs, env), cond.op, _eval(cond.rhs, env)):
-                    return True
-            except RoadmapperError:
-                continue
+    makes the condition true."""
+    needed = _needed_variables(cond)
+    if needed is None:
         return False
-    if isinstance(cond, ProbCompare):
-        governed = cond.var.name
-        needed = sorted(
-            (free_variables(cond.bound) | free_variables(cond.level)) - {governed}
-        )
-        if governed in free_variables(cond.bound) | free_variables(cond.level):
-            return False
-        for dist in dists.get(governed, ()):
-            for env in _env_combinations(needed, values):
-                try:
-                    p = probability(dist, cond.inner_op, _eval(cond.bound, env))
-                    if compare(p, cond.outer_op, _eval(cond.level, env)):
-                        return True
-                except RoadmapperError:
-                    continue
-        return False
-    return False  # Distributed conditions satisfy only by membership or inference
+    governing = dists.get(cond.var.name, ()) if isinstance(cond, ProbCompare) else (None,)
+    return any(
+        _holds(cond, env, dist)
+        for dist in governing
+        for env in _env_combinations(needed, values)
+    )
 
 
 def is_admissible(
@@ -370,22 +393,11 @@ class _SupportSearch:
 
     def __init__(self, db: RequirementsDatabase, limit: int):
         self.db = db
+        self.index = db.closure_index
         self.limit = limit
         self.explored = 0
         self.req_memo: dict[str, tuple[tuple[frozenset[str], Route], ...]] = {}
         self.unit_memo: dict[str, tuple[tuple[frozenset[str], float], ...]] = {}
-        self.by_consequent: dict[str, list[Requirement]] = {}
-        self.assignments_by_var: dict[str, list[Requirement]] = {}
-        self.dists_by_var: dict[str, list[Requirement]] = {}
-        for req in sorted(db, key=lambda r: r.id):
-            if isinstance(req.body, Implication):
-                self.by_consequent.setdefault(req.body.consequent, []).append(req)
-            if isinstance(req.body, SimpleQuant) and req.sort in MEMBER_SORTS:
-                cond = req.body.cond
-                if isinstance(cond, Compare) and cond.op == "=" and isinstance(cond.lhs, Var):
-                    self.assignments_by_var.setdefault(cond.lhs.var.name, []).append(req)
-                elif isinstance(cond, Distributed):
-                    self.dists_by_var.setdefault(cond.var.name, []).append(req)
 
     def tick(self, n: int = 1) -> None:
         self.explored += n
@@ -409,7 +421,7 @@ class _SupportSearch:
         collected: list[tuple[frozenset[str], Route]] = []
         if req.sort in MEMBER_SORTS:
             collected.append((frozenset({req_id}), "member"))
-        for imp in self.by_consequent.get(req_id, ()):
+        for imp in self.index.by_consequent.get(req_id, ()):
             combos: list[frozenset[str]] = [frozenset({imp.id})]
             for ant in sorted(imp.body.antecedents):
                 ant_options, t = self.options(ant, stack)
@@ -421,11 +433,7 @@ class _SupportSearch:
                 self.tick(len(combos) * len(sets))
                 combos = _minimal_sets([c | s for c in combos for s in sets])
             collected.extend((c, "inferred") for c in combos)
-        if (
-            isinstance(req.body, SimpleQuant)
-            and req.sort is not T
-            and not isinstance(req.body.cond, Distributed)
-        ):
+        if req_id in self.index.quantitative:
             numeric, t = self._numeric_options(req.body.cond, stack)
             tainted = tainted or t
             collected.extend((members, "numeric") for members in numeric)
@@ -441,39 +449,25 @@ class _SupportSearch:
     def _numeric_options(
         self, cond, stack: frozenset
     ) -> tuple[list[frozenset[str]], bool]:
+        needed = _needed_variables(cond)
+        if needed is None:
+            return [], False
+        combos, tainted = self._value_combos(needed, stack)
+        governing: list[tuple[frozenset[str], DistributionSpec | None]] = []
         if isinstance(cond, Compare):
-            needed = sorted(free_variables(cond.lhs) | free_variables(cond.rhs))
-            combos, tainted = self._value_combos(needed, stack)
-            found = []
-            for members, env in combos:
-                try:
-                    if compare(_eval(cond.lhs, env), cond.op, _eval(cond.rhs, env)):
-                        found.append(members)
-                except RoadmapperError:
-                    continue
-            return _minimal_sets(found), tainted
-        if isinstance(cond, ProbCompare):
-            governed = cond.var.name
-            open_vars = free_variables(cond.bound) | free_variables(cond.level)
-            if governed in open_vars:
-                return [], False
-            needed = sorted(open_vars)
-            combos, tainted = self._value_combos(needed, stack)
-            found = []
-            for dist_req in self.dists_by_var.get(governed, ()):
-                dist_options, t = self.options(dist_req.id, stack)
+            governing.append((frozenset(), None))
+        else:
+            for dist_id, dist in self.index.dists_by_var.get(cond.var.name, ()):
+                dist_options, t = self.options(dist_id, stack)
                 tainted = tainted or t
-                dist = dist_req.body.cond.dist
-                for dist_members, _ in dist_options:
-                    for members, env in combos:
-                        try:
-                            p = probability(dist, cond.inner_op, _eval(cond.bound, env))
-                            if compare(p, cond.outer_op, _eval(cond.level, env)):
-                                found.append(dist_members | members)
-                        except RoadmapperError:
-                            continue
-            return _minimal_sets(found), tainted
-        return [], False
+                governing.extend((members, dist) for members, _ in dist_options)
+        found = [
+            dist_members | members
+            for dist_members, dist in governing
+            for members, env in combos
+            if _holds(cond, env, dist)
+        ]
+        return _minimal_sets(found), tainted
 
     def _value_combos(
         self, variables: list[str], stack: frozenset
@@ -506,14 +500,12 @@ class _SupportSearch:
         stack = stack | {key}
         tainted = False
         found: list[tuple[frozenset[str], float]] = []
-        for req in self.assignments_by_var.get(var, ()):
-            rhs = req.body.cond.rhs
-            rhs_vars = sorted(free_variables(rhs))
+        for req_id, rhs, rhs_vars in self.index.assignments_by_var.get(var, ()):
             if var in rhs_vars:
                 raise RefinementCycleError(
                     f"variable {var!r} is defined in terms of itself"
                 )
-            sat_options, t = self.options(req.id, stack)
+            sat_options, t = self.options(req_id, stack)
             tainted = tainted or t
             if not sat_options:
                 continue
@@ -525,7 +517,7 @@ class _SupportSearch:
                     continue
                 found.extend((c, value) for c in carriers)
                 continue
-            combos, t = self._value_combos(rhs_vars, stack)
+            combos, t = self._value_combos(sorted(rhs_vars), stack)
             tainted = tainted or t
             for members, env in combos:
                 try:

@@ -93,12 +93,14 @@ def test_check_text_lists_diagnostics_by_line(capsys, tmp_path):
     ],
     ids=["sum", "power", "parentheses"],
 )
-def test_too_deep_expression_is_a_model_error(capsys, tmp_path, command, expression):
+def test_too_deep_expression_is_a_model_error(
+    capsys, schema, tmp_path, command, expression
+):
     path = tmp_path / "deep.req"
     path.write_text(f"t b: x = 1.\ng p.\nt a: y = {expression}.\n")
-    code, out, err = run(capsys, command, str(path))
+    code, payload, err = run_json(capsys, schema, command, str(path))
     assert code == 1 and "Traceback" not in err
-    [diag] = json.loads(out)["diagnostics"]
+    [diag] = payload["diagnostics"]
     assert diag["line"] == 3 and "nested more than" in diag["message"]
 
 

@@ -12,6 +12,7 @@ from roadmapper.errors import (
     ValOverflowError,
     WrongSortError,
 )
+from roadmapper.inference import closure as symbolic_closure
 from roadmapper.model import RequirementsDatabase
 from roadmapper.operationalization import (
     _MEMO_LIMIT,
@@ -214,6 +215,16 @@ def test_closure_matches_naive_satisfaction_on_every_subset():
                 assert (closure.satisfied, closure.bottom) == naive_satisfaction(
                     chosen, db
                 ), f"{spec}: {sorted(chosen)}"
+                # Without quantities nothing is discharged numerically, so the
+                # symbolic closure is the whole satisfaction closure.
+                symbolic = symbolic_closure(chosen, db)
+                if spec.include_quantities:
+                    assert symbolic.derived <= closure.satisfied
+                else:
+                    assert (symbolic.derived, symbolic.bottom_witness) == (
+                        closure.satisfied,
+                        closure.bottom_witness,
+                    ), f"{spec}: {sorted(chosen)}"
 
 
 CYCLIC = (
