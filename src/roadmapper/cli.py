@@ -5,17 +5,21 @@ machine interface (see schemas/output.schema.json); text is a human summary;
 dot is visualization-only. Identical inputs and flags produce byte-identical
 output.
 
-Exit codes: 0 success, 1 model error, 2 I/O or usage error (a closed stdout
-included), 3 resource limit, 4 semantic error.
+JSON is written as it is produced, one member of the top-level containers
+at a time, once the whole payload is built, so a failing command never leaves
+half a document on stdout.
+
+Exit codes: 0 success, 1 model error or internal error, 2 I/O or usage error
+(a closed stdout included), 3 resource limit, 4 semantic error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .configuration import (
     DEFAULT_MAX_ATOMS,
@@ -91,9 +95,83 @@ def _default_max_atoms() -> int:
     return DEFAULT_MAX_ATOMS
 
 
+def _object_members(obj: dict) -> list:
+    """The (`"key": ` text, value) pair of each member, in key order."""
+    members = []
+    for key in sorted(obj):
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+        members.append((encode_basestring_ascii(key) + ": ", obj[key]))
+    return members
+
+
+def _json_text(value, newline: str) -> str:
+    """`value` as the `json` module writes it with `sort_keys=True, indent=2`,
+    nested after `newline` (the line break and indent of its own line)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(member, inner) for member in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            prefix + _json_text(member, inner)
+            for prefix, member in _object_members(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_members(value, write, newline: str, levels: int) -> None:
+    """Write `value` nested after `newline`; a non-empty container in the top
+    `levels` levels passes each member to `write` on its own."""
+    if not (levels and isinstance(value, (dict, list, tuple)) and value):
+        write(_json_text(value, newline))
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        opening, closing, members = "{", "}", _object_members(value)
+    else:
+        opening, closing, members = "[", "]", [("", member) for member in value]
+    separator = opening + inner
+    for prefix, member in members:
+        write(separator + prefix)
+        _write_members(member, write, inner, levels - 1)
+        separator = "," + inner
+    write(newline + closing)
+
+
+def _write_json(payload, write) -> None:
+    """Write the text the `json` module gives `payload` with `sort_keys=True,
+    indent=2`, and a newline, through `write`: one member of the document and
+    of each of its top-level arrays and objects at a time, so that no call
+    holds the whole text. Object keys must be `str` (TypeError otherwise)."""
+    _write_members(payload, write, "\n", 2)
+    write("\n")
+
+
 def _emit(payload: dict, fmt: str, text_lines) -> None:
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _write_json(payload, sys.stdout.write)
     else:
         for line in text_lines:
             print(line)
@@ -304,8 +382,7 @@ def cmd_roadmaps(args) -> int:
     rule = RoadmapValueSum(args.var, args.floor, args.maxdiff)
     ranking = rank_roadmaps(enum.database, roadmaps, rule)
 
-    # Roadmaps share operators by value (on LAS at maxlen 2, 16,256
-    # adaptations are 2,186 distinct operators): render each one once.
+    # Roadmaps share their operators (see build_roadmaps): render each once.
     rendered: dict = {}
 
     def _rendered(a):
@@ -459,7 +536,7 @@ def cmd_relax(args) -> int:
             "report": _report_payload(report),
             "database": text,
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _write_json(payload, sys.stdout.write)
     else:
         sys.stdout.write(text)
         print(
@@ -598,6 +675,10 @@ def main(argv=None) -> int:
         return EXIT_SEMANTIC
     except RoadmapperError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MODEL
+    except Exception as exc:
+        # Exit 1 is what an uncaught traceback gives, so scripts see no change.
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MODEL
 
 

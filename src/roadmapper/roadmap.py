@@ -204,12 +204,17 @@ def build_roadmaps(
         raise ValueError("max_len must be at least 1")
     ordered = sorted(configs, key=lambda c: c.canonical_key)
     roadmaps: list[Roadmap] = []
+    # Many pairs share an operator (on LAS at max_len 2, 16,256 pairs give
+    # 2,186 distinct ones): keep one object per distinct operator and set.
+    shared: dict = {}
     for length in range(1, min(max_len, len(ordered)) + 1):
         for sequence in itertools.permutations(ordered, length):
             adaptations = frozenset(
-                derive_adaptation(a, b) for a, b in zip(sequence, sequence[1:])
+                shared.setdefault(op, op)
+                for op in map(derive_adaptation, sequence, sequence[1:])
             )
-            roadmaps.append(Roadmap(tuple(sequence), adaptations))
+            adaptations = shared.setdefault(adaptations, adaptations)
+            roadmaps.append(Roadmap(sequence, adaptations))
             if len(roadmaps) > limit:
                 raise ResourceLimitError(
                     f"more than {limit} roadmaps; raise the limit or lower max_len"

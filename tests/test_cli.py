@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roadmapper.cli
-from roadmapper.cli import main
+from roadmapper.cli import _write_json, main
 from roadmapper.parser import parse
 from roadmapper.testkit import parse_dot
 
@@ -104,19 +109,43 @@ def test_too_deep_expression_is_a_model_error(
     assert diag["line"] == 3 and "nested more than" in diag["message"]
 
 
-def test_closed_stdout_is_an_io_error():
+def cli_process(*argv, hashseed=None, **popen):
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "roadmapper.cli", "check", str(LAS_PATH)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = str(hashseed)
+    return subprocess.Popen(
+        [sys.executable, "-m", "roadmapper.cli", *argv], env=env, **popen
     )
+
+
+LAS_ROADMAPS = ("roadmaps", str(LAS_PATH), "--var", "rt", "--max-atoms", "64")
+
+
+@pytest.mark.parametrize(
+    "argv", [("check", str(LAS_PATH)), LAS_ROADMAPS], ids=["check", "roadmaps"]
+)
+def test_closed_stdout_is_an_io_error(argv):
+    proc = cli_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("configs", str(LAS_PATH), "--max-atoms", "64"), (*LAS_ROADMAPS, "--maxlen", "1")],
+    ids=["configs", "roadmaps"],
+)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    outputs = []
+    for seed in (1, 2):
+        proc = cli_process(*argv, hashseed=seed, stdout=subprocess.PIPE)
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_check_missing_file(capsys):
@@ -374,3 +403,138 @@ def test_gen_is_deterministic_and_parses(capsys):
     _, second, _ = run(capsys, "gen", "--seed", "7")
     assert first == second
     assert parse(first).ok
+
+
+# --- internal errors ------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        implication_chain(1500).replace("g a1500.", "g a1500 !."),
+        "g p !.\nt base !.\nk i0: base -> p.\n"
+        + "".join(f"t o{i} ?.\n" for i in range(1200)),
+    ],
+    ids=["implication-chain", "optional-tasks"],
+)
+def test_internal_error_is_one_line_and_exit_1(capsys, tmp_path, text):
+    path = tmp_path / "big.req"
+    path.write_text(text)
+    code, out, err = run(capsys, "configs", str(path), "--max-atoms", "4000")
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: internal: ")
+
+
+# --- the JSON writer ------------------------------------------------------------
+
+def dumped(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def written(value) -> str:
+    parts = []
+    _write_json(value, parts.append)
+    return "".join(parts)
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf])
+    | st.text()
+    | st.sampled_from(["", "\x00\x1f\x7f", "\"\\/\b\f\n\r\t", "é\u2028😀", "\ud800"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(json_values)
+def test_writer_matches_json_dumps(value):
+    assert written(value) == dumped(value)
+
+
+def test_writer_matches_json_dumps_on_empty_and_nested_containers():
+    for value in ({}, [], {"a": {}, "b": [], "c": [[], {}]}, [[{"x": [1, [2.5]]}]], ("t", 1)):
+        assert written(value) == dumped(value)
+
+
+@pytest.mark.parametrize(
+    "value", [{1: "a"}, {"a": {None: 1}}, {"a": [{"b": {2.5: 0}}]}, {"a": 1, ("x",): 2}]
+)
+def test_writer_rejects_keys_that_are_not_strings(value):
+    with pytest.raises(TypeError):
+        written(value)
+
+
+# --- LAS through the benchmark's invocations --------------------------------------
+
+class RecordingStdout:
+    """A stdout that keeps each `write` call's text."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.fixture(scope="module")
+def las_outputs():
+    """The writes of every distinct LAS invocation of the benchmark, by key,
+    run in-process from the repository root, as the benchmark runs them."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    reference = json.loads((REPO_ROOT / "perfbench" / "reference.json").read_text())
+    invocations = {inv.key: inv for inv in workloads.las(0, None)}
+    cwd, stdout = os.getcwd(), sys.stdout
+    outputs = {}
+    try:
+        os.chdir(REPO_ROOT)
+        for key, inv in invocations.items():
+            sys.stdout = RecordingStdout()
+            assert main(inv.argv) == inv.expect_rc
+            outputs[key] = sys.stdout.calls
+    finally:
+        sys.stdout = stdout
+        os.chdir(cwd)
+    return outputs, reference
+
+
+def test_las_outputs_match_the_benchmark_reference(las_outputs):
+    outputs, reference = las_outputs
+    assert sorted(outputs) == sorted(
+        ["las/check", "las/configs", "las/rank", "las/roadmaps", "las/dot",
+         "las/relax-prob", "las/relax-fuzzy"]
+    )
+    for key, calls in outputs.items():
+        data = "".join(calls).encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            reference[key]["bytes"], reference[key]["sha256"]
+        ), key
+
+
+def test_las_roadmaps_json_is_written_as_it_is_produced(las_outputs):
+    outputs, reference = las_outputs
+    calls = outputs["las/roadmaps"]
+    data = "".join(calls).encode()
+    assert hashlib.sha256(data).hexdigest() == reference["las/roadmaps"]["sha256"]
+    assert len(data) > 6_000_000 and max(map(len, calls)) <= 64 * 1024

@@ -162,6 +162,17 @@ def test_maxlen_zero_rejected():
         build_roadmaps(parse_ok(""), [cfg("c", {"x"})], 0)
 
 
+def test_las_roadmaps_share_one_object_per_distinct_operator(las_enumeration):
+    roadmaps = build_roadmaps(
+        las_enumeration.database, las_enumeration.configurations, 2
+    )
+    operators = [op for r in roadmaps for op in r.adaptations]
+    assert len(operators) == 128 * 127
+    assert len({id(op) for op in operators}) == len(set(operators)) == 2186
+    sets = [r.adaptations for r in roadmaps]
+    assert len({id(s) for s in sets}) == len(set(sets))
+
+
 # --- rank_configurations ----------------------------------------------------------------
 
 @pytest.fixture()
