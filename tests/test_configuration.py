@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import roadmapper
+from roadmapper import configuration
 from roadmapper.configuration import (
     Configuration,
     check_configuration,
@@ -191,6 +193,33 @@ def test_oracle_equivalence_on_random_models(seed):
     assert engine == oracle
 
 
+@pytest.mark.parametrize("quantities", [False, True], ids=["plain", "quant"])
+@pytest.mark.parametrize("tasks", [3, 4])
+@pytest.mark.parametrize("seed", range(10))
+def test_bottom_is_monotone_after_value_conflict_expansion(seed, tasks, quantities):
+    # Plain growth prunes every superset of an inconsistent set, which is
+    # sound only if adding a member never makes a set consistent again.
+    db, _ = expand_value_conflicts(
+        generate_database(
+            ModelGenSpec(seed=seed, tasks=tasks, include_quantities=quantities)
+        )
+    )
+    ids = sorted(db.member_ids())
+    bottom = [
+        satisfaction_closure(
+            frozenset(m for bit, m in enumerate(ids) if mask >> bit & 1), db
+        ).bottom
+        for mask in range(1 << len(ids))
+    ]
+    for mask, inconsistent in enumerate(bottom):
+        if inconsistent:
+            for bit in range(len(ids)):
+                assert bottom[mask | 1 << bit], (
+                    sorted(m for b, m in enumerate(ids) if mask >> b & 1),
+                    ids[bit],
+                )
+
+
 def test_canonical_order_and_labels():
     db = parse_ok(
         "g p1 ! . t a. t b. k i1: a -> p1. k i2: b -> p1. k c1 !: a & b -> false."
@@ -272,3 +301,78 @@ def test_derived_database_builds_its_own_closure_index():
     assert conflicts and set(conflicts) <= set(report.added_requirements)
     assert not conflicting.closure_index.conflicts
     assert satisfaction_closure(["a", "c", *conflicts], expanded).bottom
+
+
+_CACHE_BOUND_SPECS = [
+    ModelGenSpec(seed=seed, tasks=tasks, include_quantities=quantities)
+    for tasks in (3, 4, 6, 8)
+    for quantities in (False, True)
+    for seed in range(3)
+]
+
+
+def test_a_tiny_verdict_cache_changes_no_result(monkeypatch, las_db, las_enumeration):
+    full = [las_enumeration] + [
+        enumerate_configurations(generate_database(spec), max_atoms=64)
+        for spec in _CACHE_BOUND_SPECS
+    ]
+    monkeypatch.setattr(configuration, "_VERDICT_LIMIT", 4)
+    tiny = [enumerate_configurations(las_db, max_atoms=64)] + [
+        enumerate_configurations(generate_database(spec), max_atoms=64)
+        for spec in _CACHE_BOUND_SPECS
+    ]
+    for before, after in zip(full, tiny):
+        assert after.configurations == before.configurations
+        assert after.reports == before.reports
+
+    db = las_enumeration.database
+    shared: dict = {}
+    for config in las_enumeration.configurations[:16]:
+        for members in [config.members] + [config.members - {m} for m in sorted(config.members)]:
+            assert check_configuration(db, members, shared) == check_configuration(db, members)
+    assert len(shared) <= 4
+
+
+def test_las_enumeration_memory_stays_bounded(las_enumeration):
+    db = las_enumeration.database  # value conflicts expanded, index built
+    tracemalloc.start()
+    try:
+        enum = enumerate_configurations(db, max_atoms=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert enum.configurations == las_enumeration.configurations
+    assert peak <= 9 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "text, limit, phase, explored",
+    [
+        (
+            "g p1 !. g p2 !. t a. t b. t c. t d. k i1: a -> p1. k i2: b -> p1. "
+            "k i3: c -> p2. k i4: d -> p2.",
+            3,
+            "threshold-support combination",
+            4,
+        ),
+        (
+            "g p1 ! . t x. k i1: x -> p1. t blocker. t opt ?. "
+            "k c1 !: blocker & opt -> false.",
+            2,
+            "configuration growth",
+            3,
+        ),
+        ("t o1 ?. t o2 ?. t o3 ?.", 4, "optional extension", 5),
+    ],
+    ids=["combination", "growth", "optional"],
+)
+def test_search_limit_error_names_phase_progress_and_knob(text, limit, phase, explored):
+    with pytest.raises(ResourceLimitError) as caught:
+        enumerate_configurations(parse_ok(text), search_limit=limit)
+    message = str(caught.value)
+    assert message.startswith(phase)
+    assert f"after {explored} nodes" in message
+    assert f"search_limit={limit}" in message
+    assert "search_limit keyword of enumerate_configurations" in message
+    assert "CLI has no option" in message
+    assert enumerate_configurations(parse_ok(text), search_limit=64).configurations
