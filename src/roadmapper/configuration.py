@@ -17,6 +17,7 @@ from .operationalization import (
     DEFAULT_SEARCH_LIMIT,
     _minimal_sets,
     _minimal_supports,
+    _search_limit_error,
     _SupportSearch,
     satisfaction_closure,
 )
@@ -118,14 +119,18 @@ class EnumerationResult:
 
 def _member_ids(db: RequirementsDatabase, s: Configuration | Iterable[str]) -> frozenset[str]:
     members = s.members if isinstance(s, Configuration) else frozenset(s)
-    for req_id in sorted(members):
-        if req_id not in db:
-            raise UnresolvedReferenceError(f"configuration member {req_id!r} not in database")
-        if db[req_id].sort not in MEMBER_SORTS:
-            raise WrongSortError(
-                f"configuration member {req_id!r} is {db[req_id].sort.value}-sorted; "
-                "only domain assumptions and tasks may be members"
-            )
+    if not members <= db.closure_index.member_ids:
+        # The first offending member in id order names the error.
+        for req_id in sorted(members):
+            if req_id not in db:
+                raise UnresolvedReferenceError(
+                    f"configuration member {req_id!r} not in database"
+                )
+            if db[req_id].sort not in MEMBER_SORTS:
+                raise WrongSortError(
+                    f"configuration member {req_id!r} is {db[req_id].sort.value}-sorted; "
+                    "only domain assumptions and tasks may be members"
+                )
     return members
 
 
@@ -195,8 +200,17 @@ def check_configuration(
     `cache` holds verdicts on member sets, not closures; pass one dict to
     several checks of the same database to share them.
     """
-    members = _member_ids(db, s)
-    cache = {} if cache is None else cache
+    return _check(db, _member_ids(db, s), {} if cache is None else cache, frozenset())
+
+
+def _check(
+    db: RequirementsDatabase,
+    members: frozenset[str],
+    cache: dict,
+    needed: frozenset[str],
+) -> PropertyReport:
+    """`check_configuration` of validated `members`; dropping a member of
+    `needed` is known to fail properties 1-4, so minimality skips it."""
     witness, missing_qual, missing_quant = _verdict(db, members, cache)
     consistency = PropertyCheck(not witness, tuple(sorted(witness)))
     qual = PropertyCheck(not missing_qual, missing_qual)
@@ -216,7 +230,7 @@ def check_configuration(
     if base_ok and dominance.ok:
         removable = tuple(
             req_id
-            for req_id in sorted(members.difference(index.mandatory_members))
+            for req_id in sorted(members.difference(index.mandatory_members, needed))
             if _satisfies_1_to_5(db, members - {req_id}, cache)
         )
         minimality = PropertyCheck(not removable, removable)
@@ -224,14 +238,6 @@ def check_configuration(
         minimality = PropertyCheck(False, ("properties 1-5 not satisfied",))
 
     return PropertyReport(consistency, qual, quant, conformity, dominance, minimality)
-
-
-def _search_limit_error(phase: str, explored: int, limit: int) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"{phase} stopped after {explored} nodes, more than search_limit={limit}; "
-        "the search_limit keyword of enumerate_configurations raises it "
-        "(the CLI has no option for it)"
-    )
 
 
 def _maximal_optional_extensions(
@@ -300,7 +306,7 @@ def _relevant_plains(
             )
 
     optional_ids = set(index.optional_members)
-    search = _SupportSearch(db, search_limit)
+    search = _SupportSearch(db, search_limit, "conflict-pool support search")
     pool: set[str] = set()
     for req in index.conflicts.values():
         antecedent_options = {}
@@ -379,7 +385,16 @@ def enumerate_configurations(
 
     found = []
     for members in sorted(candidates, key=lambda s: tuple(sorted(s))):
-        report = check_configuration(db, members, cache)
+        # Minimality is tested only on a set that passed properties 1-5, so a
+        # consistent one. Dropping a non-mandatory member of every coverage
+        # inside it leaves a set that is still consistent, because bottom is
+        # monotone after value-conflict expansion, and that holds no coverage.
+        # A consistent set that holds the mandatory members and meets every
+        # mandatory target holds a coverage, so that set misses a target.
+        # Both properties are tested exhaustively on generated models.
+        inside = [c for c in coverages if c <= members]
+        needed = frozenset.intersection(*inside) if inside else frozenset()
+        report = _check(db, members, cache, needed)
         if report.is_configuration:
             # Share the one report that passing checks produce, rather than
             # keep a copy per configuration alive after the search.

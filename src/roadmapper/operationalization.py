@@ -157,6 +157,7 @@ class ClosureIndex:
         self.dists_by_var = _grouped(
             (var, (req_id, dist)) for req_id, (var, dist) in self.distributions.items()
         )
+        self.member_ids = frozenset(db.member_ids())
         self.mandatory_members = tuple(db.mandatory_ids(*MEMBER_SORTS))
         self.qual_targets = tuple(db.mandatory_ids(G, S))
         self.quant_targets = tuple(db.mandatory_ids(Q))
@@ -373,6 +374,20 @@ class Operationalization:
     kind: Literal["qualitative", "quantitative"]
 
 
+# The keyword that raises a search limit, and the function that takes it.
+_ENUMERATION_KNOB = ("search_limit", "enumerate_configurations")
+
+
+def _search_limit_error(
+    phase: str, explored: int, limit: int, knob: tuple[str, str] = _ENUMERATION_KNOB
+) -> ResourceLimitError:
+    keyword, function = knob
+    return ResourceLimitError(
+        f"{phase} stopped after {explored} nodes, more than {keyword}={limit}; "
+        f"the {keyword} keyword of {function} raises it (the CLI has no option for it)"
+    )
+
+
 def _minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
     """Distinct sets with strict supersets removed, in canonical order."""
     unique = sorted(set(sets), key=lambda s: (len(s), tuple(sorted(s))))
@@ -391,10 +406,18 @@ class _SupportSearch:
     computed without hitting such a guard are memoized.
     """
 
-    def __init__(self, db: RequirementsDatabase, limit: int):
+    def __init__(
+        self,
+        db: RequirementsDatabase,
+        limit: int,
+        phase: str,
+        knob: tuple[str, str] = _ENUMERATION_KNOB,
+    ):
         self.db = db
         self.index = db.closure_index
         self.limit = limit
+        self.phase = phase
+        self.knob = knob
         self.explored = 0
         self.req_memo: dict[str, tuple[tuple[frozenset[str], Route], ...]] = {}
         self.unit_memo: dict[str, tuple[tuple[frozenset[str], float], ...]] = {}
@@ -402,9 +425,7 @@ class _SupportSearch:
     def tick(self, n: int = 1) -> None:
         self.explored += n
         if self.explored > self.limit:
-            raise ResourceLimitError(
-                f"support search explored more than {self.limit} candidates"
-            )
+            raise _search_limit_error(self.phase, self.explored, self.limit, self.knob)
 
     def options(
         self, req_id: str, stack: frozenset
@@ -551,9 +572,10 @@ def _minimal_supports(
     db: RequirementsDatabase,
     routes: frozenset[str],
     limit: int,
+    knob: tuple[str, str] = _ENUMERATION_KNOB,
 ) -> list[frozenset[str]]:
     mandatory = frozenset(db.closure_index.mandatory_members)
-    search = _SupportSearch(db, limit)
+    search = _SupportSearch(db, limit, f"threshold-support search for {target_id!r}", knob)
     options, _ = search.options(target_id, frozenset())
     parts = _minimal_sets(
         [members - mandatory for members, route in options if route in routes]
@@ -592,7 +614,10 @@ def qualitative_operationalizations(
         raise WrongSortError(
             f"{target_id!r} is {db[target_id].sort.value}-sorted; expected g, q, or s"
         )
-    supports = _minimal_supports(target_id, db, frozenset({"inferred"}), limit)
+    supports = _minimal_supports(
+        target_id, db, frozenset({"inferred"}), limit,
+        ("limit", "qualitative_operationalizations"),
+    )
     return tuple(
         Operationalization(target_id, support, "qualitative") for support in supports
     )
@@ -612,7 +637,8 @@ def quantitative_operationalizations(
     if not isinstance(db[target_id].body, SimpleQuant):
         raise WrongSortError(f"{target_id!r} is not a quantitative requirement")
     supports = _minimal_supports(
-        target_id, db, frozenset({"member", "inferred", "numeric"}), limit
+        target_id, db, frozenset({"member", "inferred", "numeric"}), limit,
+        ("limit", "quantitative_operationalizations"),
     )
     return tuple(
         Operationalization(target_id, support, "quantitative") for support in supports

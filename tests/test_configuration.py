@@ -27,7 +27,7 @@ from roadmapper.model import (
     T,
     Var,
 )
-from roadmapper.operationalization import satisfaction_closure
+from roadmapper.operationalization import DEFAULT_SEARCH_LIMIT, satisfaction_closure
 from roadmapper.testkit import ModelGenSpec, brute_configurations, generate_database
 from roadmapper.transforms import expand_value_conflicts
 
@@ -68,6 +68,31 @@ def test_non_member_sort_raises():
     db = parse_ok("g p1. t a.")
     with pytest.raises(WrongSortError):
         check_configuration(db, ["p1"])
+
+
+@pytest.mark.parametrize(
+    "members, error, message",
+    [
+        (
+            ["zz", "ghost", "a", "p1"],
+            UnresolvedReferenceError,
+            "configuration member 'ghost' not in database",
+        ),
+        (
+            ["zz", "p1", "a"],
+            WrongSortError,
+            "configuration member 'p1' is g-sorted; "
+            "only domain assumptions and tasks may be members",
+        ),
+    ],
+    ids=["unresolved", "wrong-sort"],
+)
+def test_member_errors_name_the_first_offending_member(members, error, message):
+    db = parse_ok("g p1. t a. k b.")
+    with pytest.raises(error) as caught:
+        check_configuration(db, members)
+    assert str(caught.value) == message
+    assert check_configuration(db, ["a", "b"]) == check_configuration(db, ("b", "a"))
 
 
 def test_two_exclusive_alternatives_give_two_configurations():
@@ -220,6 +245,31 @@ def test_bottom_is_monotone_after_value_conflict_expansion(seed, tasks, quantiti
                 )
 
 
+@pytest.mark.parametrize("quantities", [False, True], ids=["plain", "quant"])
+@pytest.mark.parametrize("tasks", [3, 4])
+@pytest.mark.parametrize("seed", range(10))
+def test_target_meeting_consistent_sets_hold_a_coverage(seed, tasks, quantities):
+    # The enumerator keeps every member of all coverages inside a candidate
+    # without a closure, which is sound only if a consistent set holding the
+    # mandatory members that meets every mandatory target holds a coverage.
+    db, _ = expand_value_conflicts(
+        generate_database(
+            ModelGenSpec(seed=seed, tasks=tasks, include_quantities=quantities)
+        )
+    )
+    index = db.closure_index
+    coverages, _ = configuration._relevant_plains(db, DEFAULT_SEARCH_LIMIT)
+    mandatory = frozenset(index.mandatory_members)
+    rest = sorted(set(db.member_ids()) - mandatory)
+    targets = index.qual_targets + index.quant_targets
+    for mask in range(1 << len(rest)):
+        members = mandatory | {m for bit, m in enumerate(rest) if mask >> bit & 1}
+        closure = satisfaction_closure(members, db)
+        if closure.bottom or not closure.satisfied.issuperset(targets):
+            continue
+        assert any(c <= members for c in coverages), sorted(members)
+
+
 def test_canonical_order_and_labels():
     db = parse_ok(
         "g p1 ! . t a. t b. k i1: a -> p1. k i2: b -> p1. k c1 !: a & b -> false."
@@ -333,6 +383,22 @@ def test_a_tiny_verdict_cache_changes_no_result(monkeypatch, las_db, las_enumera
     assert len(shared) <= 4
 
 
+def test_las_minimality_is_mostly_decided_without_closures(monkeypatch, las_db):
+    computed = 0
+    closure = configuration.satisfaction_closure
+
+    def counted(*args, **kwargs):
+        nonlocal computed
+        computed += 1
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(configuration, "satisfaction_closure", counted)
+    enumerate_configurations(las_db, max_atoms=64)
+    # 2,112 when every single removal from each of the 128 configurations
+    # runs the full check.
+    assert computed <= 400
+
+
 def test_las_enumeration_memory_stays_bounded(las_enumeration):
     db = las_enumeration.database  # value conflicts expanded, index built
     tracemalloc.start()
@@ -363,8 +429,22 @@ def test_las_enumeration_memory_stays_bounded(las_enumeration):
             3,
         ),
         ("t o1 ?. t o2 ?. t o3 ?.", 4, "optional extension", 5),
+        (
+            "g p1 !. g p2 !. t a. t b. t c. t d. k i1: a -> p1. k i2: b -> p1. "
+            "k i3: c -> p2. k i4: d -> p2.",
+            1,
+            "threshold-support search for 'p1'",
+            2,
+        ),
+        (
+            "t a ?. t b. t x. t y. k i1 !: x -> b. k i2 !: y -> b. "
+            "k c1 !: a & b -> false.",
+            1,
+            "conflict-pool support search",
+            2,
+        ),
     ],
-    ids=["combination", "growth", "optional"],
+    ids=["combination", "growth", "optional", "threshold-support", "conflict-pool"],
 )
 def test_search_limit_error_names_phase_progress_and_knob(text, limit, phase, explored):
     with pytest.raises(ResourceLimitError) as caught:

@@ -330,5 +330,10 @@ def test_search_limit_raises_resource_error():
     db = parse_ok(
         "g p1. t a. t b. t c. k i1: a & b -> p1. k i2: b & c -> p1. k i3: a & c -> p1."
     )
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as caught:
         qualitative_operationalizations("p1", db, limit=1)
+    assert str(caught.value) == (
+        "threshold-support search for 'p1' stopped after 2 nodes, more than limit=1; "
+        "the limit keyword of qualitative_operationalizations raises it "
+        "(the CLI has no option for it)"
+    )

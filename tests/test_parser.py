@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from roadmapper.model import (
     Compare,
@@ -15,7 +17,7 @@ from roadmapper.model import (
     ProbCompare,
     Softgoal,
 )
-from roadmapper.parser import MAX_EXPR_DEPTH, Severity, parse, serialize
+from roadmapper.parser import _PUNCT, MAX_EXPR_DEPTH, Severity, parse, serialize
 from roadmapper.quanteval import eval_expr
 from roadmapper.testkit import ModelGenSpec, generate_database
 
@@ -315,3 +317,52 @@ def test_las_file_parses_cleanly():
 def test_false_is_reserved():
     errors = _error_messages("t false.")
     assert any("reserved" in e.message for e in errors)
+
+
+# Words, literals and stray characters of the `.req` language, with every
+# punctuation token; joined at random they are mostly not a valid document.
+_TOKENS = (
+    *"kgqst",
+    "pref", "satfn", "false", "P", "Normal", "exp", "plateau", "pwl",
+    "a", "b", "x1", "_v", "@w",
+    "0", "2", "2.5", ".5", "1e3", "3min", "4hrs", "7xyz",
+    '"text"', '"esc\\"', '"open',
+    "// note\n", "#", "\u00e9", "\t",
+    *_PUNCT,
+)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_TOKENS), st.sampled_from(("", " ", "\n"))),
+        max_size=40,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_random_token_streams_give_diagnostics_never_exceptions(stream):
+    result = parse("".join(token + gap for token, gap in stream))
+    assert result.ok != bool(result.errors())
+    assert all(isinstance(d.span.line, int) for d in result.diagnostics)
+
+
+@given(
+    st.builds(
+        ModelGenSpec,
+        seed=st.integers(0, 10 ** 6),
+        tasks=st.integers(1, 8),
+        assumptions=st.integers(0, 3),
+        goals=st.integers(1, 4),
+        conflict_density=st.floats(0, 0.6),
+        optional_ratio=st.floats(0, 0.5),
+        mandatory_ratio=st.floats(0, 0.6),
+        preference_count=st.integers(0, 3),
+        include_quantities=st.booleans(),
+    )
+)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_parse_serialize_parse_is_stable_on_generated_models(spec):
+    db = parse_ok(serialize(generate_database(spec)))
+    text = serialize(db)
+    again = parse_ok(text)
+    assert again == db
+    assert serialize(again) == text
