@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 from .configuration import (
     DEFAULT_MAX_ATOMS,
+    PROPERTY_NAMES,
     EnumerationResult,
     enumerate_configurations,
 )
@@ -267,14 +268,7 @@ def _enumerate(args, db) -> EnumerationResult:
 
 def _property_payload(report) -> dict:
     out = {}
-    for name in (
-        "consistency",
-        "qual_threshold",
-        "quant_threshold",
-        "conformity",
-        "dominance",
-        "minimality",
-    ):
+    for name in PROPERTY_NAMES:
         check = getattr(report, name)
         out[name] = {"ok": check.ok, "witness": list(check.witness)}
     return out

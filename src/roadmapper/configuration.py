@@ -8,26 +8,28 @@ respect to optional k/t requirements, and is minimal beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ResourceLimitError, UnresolvedReferenceError, WrongSortError
 from .model import MEMBER_SORTS, Modality, RequirementsDatabase
 from .operationalization import (
     DEFAULT_SEARCH_LIMIT,
+    _Budget,
     _minimal_sets,
     _minimal_supports,
-    _search_limit_error,
     _SupportSearch,
     satisfaction_closure,
 )
 
 DEFAULT_MAX_ATOMS = 24
 
-# Entries per verdict cache; a full cache is emptied. Repeat lookups mostly
-# follow soon after the first, so emptying costs few recomputations: 9% more
-# closures than an unbounded cache on a 54-atom generated model.
-_VERDICT_LIMIT = 2 ** 16
+# Member ids held as keys of one verdict cache; a cache that would hold more
+# is emptied. Repeat lookups mostly follow soon after the first, so emptying
+# costs few recomputations: on a 54-atom generated model this limit computes
+# 1% more closures than 2 ** 21 ids would, and peaks at 85 MB RSS instead of
+# 147 MB. LAS and the benchmark's generated models hold at most 161,153 ids.
+_VERDICT_LIMIT = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -71,29 +73,14 @@ class PropertyReport:
 
     @property
     def is_configuration(self) -> bool:
-        return all(
-            check.ok
-            for check in (
-                self.consistency,
-                self.qual_threshold,
-                self.quant_threshold,
-                self.conformity,
-                self.dominance,
-                self.minimality,
-            )
-        )
+        return not self.failing()
 
     def failing(self) -> list[str]:
-        names = (
-            "consistency",
-            "qual_threshold",
-            "quant_threshold",
-            "conformity",
-            "dominance",
-            "minimality",
-        )
-        return [name for name in names if not getattr(self, name).ok]
+        return [name for name in PROPERTY_NAMES if not getattr(self, name).ok]
 
+
+# The six properties in the order a report lists them.
+PROPERTY_NAMES = tuple(f.name for f in fields(PropertyReport))
 
 # The report of a configuration: all six properties hold, with no witnesses.
 _PASSED = PropertyReport(*[PropertyCheck(True)] * 6)
@@ -146,48 +133,105 @@ class _Verdict(NamedTuple):
 _CONSISTENT = frozenset()
 
 
-def _verdict(db: RequirementsDatabase, members: frozenset[str], cache: dict) -> _Verdict:
-    """The verdict on `members`, from `cache` or from a satisfaction closure
-    that is dropped once the verdict is taken."""
-    verdict = cache.get(members)
-    if verdict is None:
-        closure = satisfaction_closure(members, db)
-        index = db.closure_index
-        verdict = _Verdict(
-            closure.bottom_witness or _CONSISTENT,
-            tuple(t for t in index.qual_targets if t not in closure.satisfied),
-            tuple(t for t in index.quant_targets if t not in closure.satisfied),
+class _Search:
+    """The state of one search over a database: its closure index, the
+    verdict cache and the node budget every phase draws on. A check walks
+    nothing, so it has no budget."""
+
+    def __init__(
+        self, db: RequirementsDatabase, budget: _Budget | None, verdicts: dict
+    ):
+        self.db = db
+        self.index = db.closure_index
+        self.budget = budget
+        self.verdicts = verdicts
+        self.held = sum(map(len, verdicts))  # member ids held as keys
+
+    def verdict(self, members: frozenset[str]) -> _Verdict:
+        """The verdict on `members`, from the cache or from a satisfaction
+        closure that is dropped once the verdict is taken."""
+        verdict = self.verdicts.get(members)
+        if verdict is None:
+            closure = satisfaction_closure(members, self.db)
+            verdict = _Verdict(
+                closure.bottom_witness or _CONSISTENT,
+                tuple(t for t in self.index.qual_targets if t not in closure.satisfied),
+                tuple(t for t in self.index.quant_targets if t not in closure.satisfied),
+            )
+            if self.held + len(members) > _VERDICT_LIMIT:
+                self.verdicts.clear()
+                self.held = 0
+            self.verdicts[members] = verdict
+            self.held += len(members)
+        return verdict
+
+    def addable(self, members: frozenset[str]) -> list[str]:
+        """Optional k/t requirements that could still be added; empty means dominant."""
+        return [
+            opt
+            for opt in self.index.optional_members
+            if opt not in members and not self.verdict(members | {opt}).witness
+        ]
+
+    def satisfies_1_to_5(self, members: frozenset[str]) -> bool:
+        witness, missing_qual, missing_quant = self.verdict(members)
+        return (
+            not (witness or missing_qual or missing_quant)
+            and members.issuperset(self.index.mandatory_members)
+            and not self.addable(members)
         )
-        if len(cache) >= _VERDICT_LIMIT:
-            cache.clear()
-        cache[members] = verdict
-    return verdict
 
+    def check(self, members: frozenset[str], needed: frozenset[str]) -> PropertyReport:
+        """`check_configuration` of validated `members`; dropping a member of
+        `needed` is known to fail properties 1-4, so minimality skips it."""
+        witness, missing_qual, missing_quant = self.verdict(members)
+        consistency = PropertyCheck(not witness, tuple(sorted(witness)))
+        qual = PropertyCheck(not missing_qual, missing_qual)
+        quant = PropertyCheck(not missing_quant, missing_quant)
 
-def _satisfies_1_to_4(
-    db: RequirementsDatabase, members: frozenset[str], cache: dict
-) -> bool:
-    verdict = _verdict(db, members, cache)
-    if verdict.witness or verdict.missing_qual or verdict.missing_quant:
-        return False
-    return members.issuperset(db.closure_index.mandatory_members)
+        mandatory = self.index.mandatory_members
+        missing_mandatory = tuple(m for m in mandatory if m not in members)
+        conformity = PropertyCheck(not missing_mandatory, missing_mandatory)
 
+        base_ok = all(c.ok for c in (consistency, qual, quant, conformity))
+        if base_ok:
+            addable = self.addable(members)
+            dominance = PropertyCheck(not addable, tuple(addable))
+        else:
+            dominance = PropertyCheck(False, ("properties 1-4 not satisfied",))
 
-def _dominant(db: RequirementsDatabase, members: frozenset[str], cache: dict) -> list[str]:
-    """Optional k/t requirements that could still be added; empty means dominant."""
-    addable = []
-    for opt in db.closure_index.optional_members:
-        if opt in members:
-            continue
-        if not _verdict(db, members | {opt}, cache).witness:
-            addable.append(opt)
-    return addable
+        if base_ok and dominance.ok:
+            removable = tuple(
+                req_id
+                for req_id in sorted(members.difference(mandatory, needed))
+                if self.satisfies_1_to_5(members - {req_id})
+            )
+            minimality = PropertyCheck(not removable, removable)
+        else:
+            minimality = PropertyCheck(False, ("properties 1-5 not satisfied",))
 
+        return PropertyReport(consistency, qual, quant, conformity, dominance, minimality)
 
-def _satisfies_1_to_5(
-    db: RequirementsDatabase, members: frozenset[str], cache: dict
-) -> bool:
-    return _satisfies_1_to_4(db, members, cache) and not _dominant(db, members, cache)
+    def walk(
+        self, base: frozenset[str], candidates: Iterable[str], phase: str
+    ) -> Iterator[frozenset[str]]:
+        """Every consistent set of `base` plus some `candidates`, from an
+        include/exclude walk: an inconsistent set cannot become consistent
+        again, so it prunes its subtree. Each set visited is one node."""
+        if self.verdict(base).witness:
+            return
+        candidates = [c for c in candidates if c not in base]
+        stack = [(base, 0)]
+        while stack:
+            current, i = stack.pop()
+            self.budget.tick(phase)
+            if i == len(candidates):
+                yield current
+                continue
+            stack.append((current, i + 1))
+            grown = current | {candidates[i]}
+            if not self.verdict(grown).witness:
+                stack.append((grown, i + 1))
 
 
 def check_configuration(
@@ -200,84 +244,12 @@ def check_configuration(
     `cache` holds verdicts on member sets, not closures; pass one dict to
     several checks of the same database to share them.
     """
-    return _check(db, _member_ids(db, s), {} if cache is None else cache, frozenset())
-
-
-def _check(
-    db: RequirementsDatabase,
-    members: frozenset[str],
-    cache: dict,
-    needed: frozenset[str],
-) -> PropertyReport:
-    """`check_configuration` of validated `members`; dropping a member of
-    `needed` is known to fail properties 1-4, so minimality skips it."""
-    witness, missing_qual, missing_quant = _verdict(db, members, cache)
-    consistency = PropertyCheck(not witness, tuple(sorted(witness)))
-    qual = PropertyCheck(not missing_qual, missing_qual)
-    quant = PropertyCheck(not missing_quant, missing_quant)
-
-    index = db.closure_index
-    missing_mandatory = tuple(m for m in index.mandatory_members if m not in members)
-    conformity = PropertyCheck(not missing_mandatory, missing_mandatory)
-
-    base_ok = all(c.ok for c in (consistency, qual, quant, conformity))
-    if base_ok:
-        addable = _dominant(db, members, cache)
-        dominance = PropertyCheck(not addable, tuple(addable))
-    else:
-        dominance = PropertyCheck(False, ("properties 1-4 not satisfied",))
-
-    if base_ok and dominance.ok:
-        removable = tuple(
-            req_id
-            for req_id in sorted(members.difference(index.mandatory_members, needed))
-            if _satisfies_1_to_5(db, members - {req_id}, cache)
-        )
-        minimality = PropertyCheck(not removable, removable)
-    else:
-        minimality = PropertyCheck(False, ("properties 1-5 not satisfied",))
-
-    return PropertyReport(consistency, qual, quant, conformity, dominance, minimality)
-
-
-def _maximal_optional_extensions(
-    db: RequirementsDatabase,
-    base: frozenset[str],
-    cache: dict,
-    limit: int,
-) -> list[frozenset[str]]:
-    """All maximal consistent ways to add optional members to `base`."""
-    results: list[frozenset[str]] = []
-    explored = 0
-
-    def walk(current: frozenset[str], remaining: tuple[str, ...]) -> None:
-        nonlocal explored
-        explored += 1
-        if explored > limit:
-            raise _search_limit_error("optional extension of a base", explored, limit)
-        if not remaining:
-            results.append(current)
-            return
-        head, rest = remaining[0], remaining[1:]
-        if head in current:
-            walk(current, rest)
-            return
-        extended = current | {head}
-        if not _verdict(db, extended, cache).witness:
-            walk(extended, rest)
-            # Leaving `head` out can only be maximal if adding it later fails,
-            # which the final maximality filter decides.
-            walk(current, rest)
-        else:
-            walk(current, rest)
-
-    walk(base, db.closure_index.optional_members)
-    maximal = [c for c in set(results) if not _dominant(db, c, cache)]
-    return sorted(maximal, key=lambda s: tuple(sorted(s)))
+    members = _member_ids(db, s)
+    return _Search(db, None, {} if cache is None else cache).check(members, frozenset())
 
 
 def _relevant_plains(
-    db: RequirementsDatabase, search_limit: int
+    db: RequirementsDatabase, budget: _Budget
 ) -> tuple[list[frozenset[str]], list[str]]:
     """Minimal threshold coverages and the plain members worth adding to them.
 
@@ -294,19 +266,16 @@ def _relevant_plains(
             if target in index.qual_targets
             else frozenset({"member", "inferred", "numeric"})
         )
-        supports = _minimal_supports(target, db, routes, search_limit)
+        supports = _minimal_supports(target, db, routes, budget)
         if not supports:
             return [], []
+        budget.tick("threshold-support combination", len(coverages) * len(supports))
         coverages = _minimal_sets(
             [base | support for base in coverages for support in supports]
         )
-        if len(coverages) > search_limit:
-            raise _search_limit_error(
-                "threshold-support combination", len(coverages), search_limit
-            )
 
     optional_ids = set(index.optional_members)
-    search = _SupportSearch(db, search_limit, "conflict-pool support search")
+    search = _SupportSearch(db, budget, "conflict-pool support search")
     pool: set[str] = set()
     for req in index.conflicts.values():
         antecedent_options = {}
@@ -351,40 +320,29 @@ def enumerate_configurations(
     from .transforms import expand_value_conflicts
 
     db, _ = expand_value_conflicts(db)
-    cache: dict = {}
-    coverages, plains = _relevant_plains(db, search_limit)
-    if not coverages:
-        return EnumerationResult(db, (), False)
-
+    search = _Search(
+        db, _Budget(search_limit, "search_limit", "enumerate_configurations"), {}
+    )
+    coverages, plains = _relevant_plains(db, search.budget)
     # Grow each minimal coverage with every useful subset of the remaining
-    # plain candidates; inconsistent partial sets cannot recover, so they
-    # prune their whole subtree.
-    expanded: set[frozenset[str]] = set()
-    explored = 0
-    for base in coverages:
-        if _verdict(db, base, cache).witness:
-            continue
-        stack = [(base, tuple(p for p in plains if p not in base))]
-        while stack:
-            current, remaining = stack.pop()
-            explored += 1
-            if explored > search_limit:
-                raise _search_limit_error("configuration growth", explored, search_limit)
-            if not remaining:
-                expanded.add(current)
-                continue
-            head, rest = remaining[0], remaining[1:]
-            stack.append((current, rest))
-            grown = current | {head}
-            if not _verdict(db, grown, cache).witness:
-                stack.append((grown, rest))
-
-    candidates: set[frozenset[str]] = set()
-    for base in sorted(expanded, key=lambda s: tuple(sorted(s))):
-        candidates.update(_maximal_optional_extensions(db, base, cache, search_limit))
+    # plain candidates, then each grown base with its maximal sets of
+    # optional members.
+    bases = {
+        grown
+        for coverage in coverages
+        for grown in search.walk(coverage, plains, "configuration growth")
+    }
+    candidates = {
+        extended
+        for base in sorted(bases, key=sorted)
+        for extended in search.walk(
+            base, search.index.optional_members, "optional extension of a base"
+        )
+        if not search.addable(extended)
+    }
 
     found = []
-    for members in sorted(candidates, key=lambda s: tuple(sorted(s))):
+    for members in sorted(candidates, key=sorted):
         # Minimality is tested only on a set that passed properties 1-5, so a
         # consistent one. Dropping a non-mandatory member of every coverage
         # inside it leaves a set that is still consistent, because bottom is
@@ -394,16 +352,14 @@ def enumerate_configurations(
         # Both properties are tested exhaustively on generated models.
         inside = [c for c in coverages if c <= members]
         needed = frozenset.intersection(*inside) if inside else frozenset()
-        report = _check(db, members, cache, needed)
-        if report.is_configuration:
-            # Share the one report that passing checks produce, rather than
-            # keep a copy per configuration alive after the search.
-            found.append((members, _PASSED if report == _PASSED else report))
+        if search.check(members, needed).is_configuration:
+            found.append(members)
 
     truncated = max_results is not None and len(found) > max_results
     if truncated:
         found = found[:max_results]
     labeled = tuple(
-        Configuration(f"S{i}", members) for i, (members, _) in enumerate(found, start=1)
+        Configuration(f"S{i}", members) for i, members in enumerate(found, start=1)
     )
-    return EnumerationResult(db, labeled, truncated, tuple(r for _, r in found))
+    # Every report that passes all six properties equals _PASSED.
+    return EnumerationResult(db, labeled, truncated, (_PASSED,) * len(labeled))

@@ -82,7 +82,7 @@ def _resolve_ids(members: Iterable[Requirement | str], db: RequirementsDatabase)
         return members
     listed = [item.id if isinstance(item, Requirement) else item for item in members]
     # Via a set: a frozenset built from a list can get a table twice as large,
-    # and these sets are the keys of every closure cache.
+    # and each closure keeps its set as `members`.
     ids = frozenset(set(listed))
     if not ids <= db.requirements.keys():
         unknown = next(req_id for req_id in listed if req_id not in db)
@@ -218,9 +218,7 @@ class ClosureIndex:
 
 
 def satisfaction_closure(
-    members: Iterable[Requirement | str],
-    db: RequirementsDatabase,
-    cache: dict | None = None,
+    members: Iterable[Requirement | str], db: RequirementsDatabase
 ) -> SatisfactionClosure:
     """Fixpoint of membership, implication firing, and numeric discharge.
 
@@ -240,9 +238,6 @@ def satisfaction_closure(
     and condition outcomes up in the index's memo, which holds only what a
     computation on the same input returned.
     """
-    # Only resolved id sets are stored, so a hit needs no resolving.
-    if cache is not None and isinstance(members, frozenset) and members in cache:
-        return cache[members]
     ids = _resolve_ids(members, db)
     index = db.closure_index
     order = sorted(ids)
@@ -265,7 +260,7 @@ def satisfaction_closure(
     fired = fired_conflicts(
         [index.conflicts[i] for i in index.conflicts.keys() & ids], satisfied
     )
-    result = SatisfactionClosure(
+    return SatisfactionClosure(
         members=ids,
         satisfied=frozenset(origin),
         bottom=bool(fired),
@@ -274,9 +269,6 @@ def satisfaction_closure(
         origin=origin,
         bottom_witness=fired,
     )
-    if cache is not None:
-        cache[ids] = result
-    return result
 
 
 def _distribution_env(
@@ -374,18 +366,26 @@ class Operationalization:
     kind: Literal["qualitative", "quantitative"]
 
 
-# The keyword that raises a search limit, and the function that takes it.
-_ENUMERATION_KNOB = ("search_limit", "enumerate_configurations")
+class _Budget:
+    """The search nodes one call may explore, counted across all its phases.
 
+    `keyword` of `function` sets `limit`; the error names both.
+    """
 
-def _search_limit_error(
-    phase: str, explored: int, limit: int, knob: tuple[str, str] = _ENUMERATION_KNOB
-) -> ResourceLimitError:
-    keyword, function = knob
-    return ResourceLimitError(
-        f"{phase} stopped after {explored} nodes, more than {keyword}={limit}; "
-        f"the {keyword} keyword of {function} raises it (the CLI has no option for it)"
-    )
+    def __init__(self, limit: int, keyword: str, function: str):
+        self.limit = limit
+        self.keyword = keyword
+        self.function = function
+        self.explored = 0
+
+    def tick(self, phase: str, n: int = 1) -> None:
+        self.explored += n
+        if self.explored > self.limit:
+            raise ResourceLimitError(
+                f"{phase} stopped after {self.explored} nodes, more than "
+                f"{self.keyword}={self.limit}; the {self.keyword} keyword of "
+                f"{self.function} raises it (the CLI has no option for it)"
+            )
 
 
 def _minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
@@ -406,26 +406,13 @@ class _SupportSearch:
     computed without hitting such a guard are memoized.
     """
 
-    def __init__(
-        self,
-        db: RequirementsDatabase,
-        limit: int,
-        phase: str,
-        knob: tuple[str, str] = _ENUMERATION_KNOB,
-    ):
+    def __init__(self, db: RequirementsDatabase, budget: _Budget, phase: str):
         self.db = db
         self.index = db.closure_index
-        self.limit = limit
+        self.budget = budget
         self.phase = phase
-        self.knob = knob
-        self.explored = 0
         self.req_memo: dict[str, tuple[tuple[frozenset[str], Route], ...]] = {}
         self.unit_memo: dict[str, tuple[tuple[frozenset[str], float], ...]] = {}
-
-    def tick(self, n: int = 1) -> None:
-        self.explored += n
-        if self.explored > self.limit:
-            raise _search_limit_error(self.phase, self.explored, self.limit, self.knob)
 
     def options(
         self, req_id: str, stack: frozenset
@@ -451,7 +438,7 @@ class _SupportSearch:
                 if not sets:
                     combos = []
                     break
-                self.tick(len(combos) * len(sets))
+                self.budget.tick(self.phase, len(combos) * len(sets))
                 combos = _minimal_sets([c | s for c in combos for s in sets])
             collected.extend((c, "inferred") for c in combos)
         if req_id in self.index.quantitative:
@@ -501,7 +488,7 @@ class _SupportSearch:
             tainted = tainted or t
             if not units:
                 return [], tainted
-            self.tick(len(combos) * len(units))
+            self.budget.tick(self.phase, len(combos) * len(units))
             combos = [
                 (members | unit_members, {**env, var: value})
                 for members, env in combos
@@ -545,7 +532,7 @@ class _SupportSearch:
                     value = _eval(rhs, env)
                 except RoadmapperError:
                     continue
-                self.tick(len(carriers))
+                self.budget.tick(self.phase, len(carriers))
                 found.extend((c | members, value) for c in carriers)
         result = self._dedupe_units(found)
         if not tainted:
@@ -571,30 +558,29 @@ def _minimal_supports(
     target_id: str,
     db: RequirementsDatabase,
     routes: frozenset[str],
-    limit: int,
-    knob: tuple[str, str] = _ENUMERATION_KNOB,
+    budget: _Budget,
 ) -> list[frozenset[str]]:
     mandatory = frozenset(db.closure_index.mandatory_members)
-    search = _SupportSearch(db, limit, f"threshold-support search for {target_id!r}", knob)
+    search = _SupportSearch(db, budget, f"threshold-support search for {target_id!r}")
     options, _ = search.options(target_id, frozenset())
     parts = _minimal_sets(
         [members - mandatory for members, route in options if route in routes]
     )
-    cache: dict = {}
+    meets: dict[frozenset[str], bool] = {}
+
+    def supported(members: frozenset[str]) -> bool:
+        if members not in meets:
+            closure = satisfaction_closure(members, db)
+            meets[members] = not closure.bottom and target_id in closure.satisfied
+        return meets[members]
+
     supports = []
     for part in parts:
         candidate = mandatory | part
-        closure = satisfaction_closure(candidate, db, cache)
-        if closure.bottom or target_id not in closure.satisfied:
-            continue
         # Minimality modulo the mandatory set, judged by the closure itself.
-        redundant = False
-        for removed in sorted(part):
-            smaller = satisfaction_closure(candidate - {removed}, db, cache)
-            if not smaller.bottom and target_id in smaller.satisfied:
-                redundant = True
-                break
-        if not redundant:
+        if supported(candidate) and not any(
+            supported(candidate - {removed}) for removed in sorted(part)
+        ):
             supports.append(candidate)
     return sorted(supports, key=lambda s: tuple(sorted(s)))
 
@@ -615,8 +601,8 @@ def qualitative_operationalizations(
             f"{target_id!r} is {db[target_id].sort.value}-sorted; expected g, q, or s"
         )
     supports = _minimal_supports(
-        target_id, db, frozenset({"inferred"}), limit,
-        ("limit", "qualitative_operationalizations"),
+        target_id, db, frozenset({"inferred"}),
+        _Budget(limit, "limit", "qualitative_operationalizations"),
     )
     return tuple(
         Operationalization(target_id, support, "qualitative") for support in supports
@@ -637,8 +623,8 @@ def quantitative_operationalizations(
     if not isinstance(db[target_id].body, SimpleQuant):
         raise WrongSortError(f"{target_id!r} is not a quantitative requirement")
     supports = _minimal_supports(
-        target_id, db, frozenset({"member", "inferred", "numeric"}), limit,
-        ("limit", "quantitative_operationalizations"),
+        target_id, db, frozenset({"member", "inferred", "numeric"}),
+        _Budget(limit, "limit", "quantitative_operationalizations"),
     )
     return tuple(
         Operationalization(target_id, support, "quantitative") for support in supports

@@ -36,6 +36,7 @@ conflict. Files are UTF-8 and newline-agnostic.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 from .errors import RoadmapperError
@@ -134,6 +135,8 @@ _PUNCT = (
     ".", ":", "!", "?", "~", "&", ">", "<", "=",
     "(", ")", ",", "+", "-", "*", "/", "^",
 )
+# Whitespace and comments between tokens.
+_BLANK = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
 
 
 @dataclass(frozen=True)
@@ -160,45 +163,40 @@ def _is_ident_char(ch: str) -> bool:
 
 def _lex(text: str, filename: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
+    i = 0
     n = len(text)
+    # Line, and offset where it starts, as of offset `last`: each span counts
+    # only the newlines since the previous one, so lexing stays linear.
+    line, line_start, last = 1, 0, 0
 
     def span() -> SourceSpan:
-        return SourceSpan(filename, line, col)
+        nonlocal line, line_start, last
+        breaks = text.count("\n", last, i)
+        if breaks:
+            line += breaks
+            line_start = text.rfind("\n", last, i) + 1
+        last = i
+        return SourceSpan(filename, line, i - line_start + 1)
 
-    def advance(count: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
+    while True:
+        i = _BLANK.match(text, i).end()
+        if i >= n:
+            break
         ch = text[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "/" and text[i : i + 2] == "//":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
         start = span()
         if ch == '"':
-            advance()
+            i += 1
             chars: list[str] = []
             while i < n and text[i] != '"':
                 if text[i] == "\\" and i + 1 < n and text[i + 1] in ('"', "\\"):
                     chars.append(text[i + 1])
-                    advance(2)
+                    i += 2
                 else:
                     chars.append(text[i])
-                    advance()
+                    i += 1
             if i >= n:
                 raise _LexError(start, "unterminated string literal")
-            advance()
+            i += 1
             tokens.append(_Token("string", "".join(chars), start))
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
@@ -218,7 +216,7 @@ def _lex(text: str, filename: str) -> list[_Token]:
                     while j < n and text[j].isdigit():
                         j += 1
             value = float(text[i:j])
-            advance(j - i)
+            i = j
             if i < n and text[i].isalpha():
                 k = i
                 while k < n and text[k].isalpha():
@@ -227,7 +225,7 @@ def _lex(text: str, filename: str) -> list[_Token]:
                 if suffix not in _UNITS:
                     raise _LexError(start, f"unknown unit suffix {suffix!r}")
                 value *= _UNITS[suffix]
-                advance(k - i)
+                i = k
             tokens.append(_Token("number", value, start))
             continue
         if _is_ident_start(ch):
@@ -235,12 +233,12 @@ def _lex(text: str, filename: str) -> list[_Token]:
             while j < n and _is_ident_char(text[j]):
                 j += 1
             tokens.append(_Token("ident", text[i:j], start))
-            advance(j - i)
+            i = j
             continue
         for punct in _PUNCT:
             if text.startswith(punct, i):
                 tokens.append(_Token(punct, punct, start))
-                advance(len(punct))
+                i += len(punct)
                 break
         else:
             raise _LexError(start, f"unexpected character {ch!r}")

@@ -411,10 +411,8 @@ def test_gen_is_deterministic_and_parses(capsys):
     "text",
     [
         implication_chain(1500).replace("g a1500.", "g a1500 !."),
-        "g p !.\nt base !.\nk i0: base -> p.\n"
-        + "".join(f"t o{i} ?.\n" for i in range(1200)),
     ],
-    ids=["implication-chain", "optional-tasks"],
+    ids=["implication-chain"],
 )
 def test_internal_error_is_one_line_and_exit_1(capsys, tmp_path, text):
     path = tmp_path / "big.req"

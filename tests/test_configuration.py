@@ -27,7 +27,11 @@ from roadmapper.model import (
     T,
     Var,
 )
-from roadmapper.operationalization import DEFAULT_SEARCH_LIMIT, satisfaction_closure
+from roadmapper.operationalization import (
+    DEFAULT_SEARCH_LIMIT,
+    _Budget,
+    satisfaction_closure,
+)
 from roadmapper.testkit import ModelGenSpec, brute_configurations, generate_database
 from roadmapper.transforms import expand_value_conflicts
 
@@ -258,7 +262,9 @@ def test_target_meeting_consistent_sets_hold_a_coverage(seed, tasks, quantities)
         )
     )
     index = db.closure_index
-    coverages, _ = configuration._relevant_plains(db, DEFAULT_SEARCH_LIMIT)
+    coverages, _ = configuration._relevant_plains(
+        db, _Budget(DEFAULT_SEARCH_LIMIT, "search_limit", "enumerate_configurations")
+    )
     mandatory = frozenset(index.mandatory_members)
     rest = sorted(set(db.member_ids()) - mandatory)
     targets = index.qual_targets + index.quant_targets
@@ -366,7 +372,17 @@ def test_a_tiny_verdict_cache_changes_no_result(monkeypatch, las_db, las_enumera
         enumerate_configurations(generate_database(spec), max_atoms=64)
         for spec in _CACHE_BOUND_SPECS
     ]
-    monkeypatch.setattr(configuration, "_VERDICT_LIMIT", 4)
+    limit = 64  # member ids; a LAS configuration has up to 47
+    monkeypatch.setattr(configuration, "_VERDICT_LIMIT", limit)
+    held = []
+    verdict = configuration._Search.verdict
+
+    def recorded(search, members):
+        found = verdict(search, members)
+        held.append(sum(map(len, search.verdicts)))
+        return found
+
+    monkeypatch.setattr(configuration._Search, "verdict", recorded)
     tiny = [enumerate_configurations(las_db, max_atoms=64)] + [
         enumerate_configurations(generate_database(spec), max_atoms=64)
         for spec in _CACHE_BOUND_SPECS
@@ -374,13 +390,15 @@ def test_a_tiny_verdict_cache_changes_no_result(monkeypatch, las_db, las_enumera
     for before, after in zip(full, tiny):
         assert after.configurations == before.configurations
         assert after.reports == before.reports
+    assert max(held) <= limit
+    assert any(later < earlier for earlier, later in zip(held, held[1:]))
 
     db = las_enumeration.database
     shared: dict = {}
     for config in las_enumeration.configurations[:16]:
         for members in [config.members] + [config.members - {m} for m in sorted(config.members)]:
             assert check_configuration(db, members, shared) == check_configuration(db, members)
-    assert len(shared) <= 4
+            assert sum(map(len, shared)) <= limit
 
 
 def test_las_minimality_is_mostly_decided_without_closures(monkeypatch, las_db):
@@ -456,3 +474,25 @@ def test_search_limit_error_names_phase_progress_and_knob(text, limit, phase, ex
     assert "search_limit keyword of enumerate_configurations" in message
     assert "CLI has no option" in message
     assert enumerate_configurations(parse_ok(text), search_limit=64).configurations
+
+
+def test_search_limit_bounds_the_total_of_all_phases():
+    # The support search for p explores 1 node, the coverage combination 1,
+    # growth 1 and optional extension 7: each phase stays within 7, and
+    # together they explore 10.
+    db = parse_ok("g p !. t a. k i: a -> p. t o1 ?. t o2 ?.")
+    with pytest.raises(ResourceLimitError) as caught:
+        enumerate_configurations(db, search_limit=7)
+    assert str(caught.value).startswith(
+        "optional extension of a base stopped after 8 nodes, more than search_limit=7"
+    )
+    assert len(enumerate_configurations(db, search_limit=10)) == 1
+
+
+def test_many_optional_members_exhaust_the_budget_not_the_stack():
+    text = "g p !.\nt base !.\nk i0: base -> p.\n" + "".join(
+        f"t o{i} ?.\n" for i in range(1200)
+    )
+    with pytest.raises(ResourceLimitError) as caught:
+        enumerate_configurations(parse_ok(text), max_atoms=4000, search_limit=2000)
+    assert str(caught.value).startswith("optional extension of a base stopped after")

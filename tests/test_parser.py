@@ -17,7 +17,7 @@ from roadmapper.model import (
     ProbCompare,
     Softgoal,
 )
-from roadmapper.parser import _PUNCT, MAX_EXPR_DEPTH, Severity, parse, serialize
+from roadmapper.parser import _PUNCT, MAX_EXPR_DEPTH, Severity, _lex, parse, serialize
 from roadmapper.quanteval import eval_expr
 from roadmapper.testkit import ModelGenSpec, generate_database
 
@@ -254,6 +254,47 @@ def test_softgoal_conflict_warning():
     result = parse('s w1: ~ "soft". t a. k c1: w1 & a -> false.')
     assert result.ok
     assert any(d.severity is Severity.WARNING for d in result.diagnostics)
+
+
+def _offsets(text: str) -> dict[tuple[int, int], int]:
+    """The offset at each (line, column) of `text`, counted one character at
+    a time, and the place after its last character."""
+    where, line, column = {}, 1, 1
+    for offset, ch in enumerate(text + "\0"):
+        where[line, column] = offset
+        if ch == "\n":
+            line, column = line + 1, 1
+        else:
+            column += 1
+    return where
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '// lead\r\nt a1 !: x = 5min.\r\n\tk i1: a1 -> g1 "say \\"hi\\" \\\\\r\n'
+        'on two lines".\ng g1 !. q q1: P(rt <= 2.5sec) >= .9. // tail\r\n'
+        "\t\tt b: y = 1.5e3hrs.",
+        "t a.\n// a comment at the end",
+        "\t\r\n\r\n",
+    ],
+    ids=["mixed", "comment-at-eof", "blank"],
+)
+def test_token_spans_match_a_per_character_count(text):
+    where = _offsets(text)
+    tokens = _lex(text, "f.req")
+    offsets = [where[token.span.line, token.span.column] for token in tokens]
+    assert offsets == sorted(set(offsets))
+    assert tokens[-1].kind == "eof" and offsets[-1] == len(text)
+    for token, offset in zip(tokens[:-1], offsets):
+        if token.kind == "string":
+            assert text[offset] == '"'
+        elif token.kind == "number":
+            assert text[offset] in "0123456789."
+        else:
+            assert text.startswith(token.value, offset)
+    [error] = parse(text + '\r\n\tt c "open').errors()
+    assert (error.span.line, error.span.column) == (text.count("\n") + 2, 6)
 
 
 def test_unterminated_string():
