@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .configuration import (
     DEFAULT_MAX_ATOMS,
@@ -96,6 +97,30 @@ def _default_max_atoms() -> int:
     return DEFAULT_MAX_ATOMS
 
 
+# Characters of text one `_write_json` call keeps for dicts it may meet again;
+# a memo that would hold more is emptied first.
+_JSON_MEMO_LIMIT = 2 ** 20
+
+
+class _JsonMemo(dict):
+    """The text of each dict nested in a streamed member, by the dict's id and
+    the `newline` it was written after, holding at most _JSON_MEMO_LIMIT
+    characters. Ids stay unique while the payload is alive and unchanged,
+    which it is for the whole of a `_write_json` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = 0  # characters held as values
+
+    def keep(self, key: tuple[int, str], text: str) -> None:
+        if self.held + len(text) > _JSON_MEMO_LIMIT:
+            self.clear()
+            self.held = 0
+        if len(text) <= _JSON_MEMO_LIMIT:
+            self[key] = text
+            self.held += len(text)
+
+
 def _object_members(obj: dict) -> list:
     """The (`"key": ` text, value) pair of each member, in key order."""
     members = []
@@ -106,9 +131,61 @@ def _object_members(obj: dict) -> list:
     return members
 
 
-def _json_text(value, newline: str) -> str:
+def _object_text(obj: dict, newline: str, memo: _JsonMemo) -> str:
+    if not obj:
+        return "{}"
+    inner = newline + "  "
+    items = [
+        prefix + _json_text(member, inner, memo)
+        for prefix, member in _object_members(obj)
+    ]
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
+
+
+def _array_text(array, newline: str, memo: _JsonMemo) -> str:
+    if not array:
+        return "[]"
+    inner = newline + "  "
+    if type(array[0]) is str:
+        try:
+            return "[" + inner + ("," + inner).join(
+                map(encode_basestring_ascii, array)
+            ) + newline + "]"
+        except TypeError:
+            pass  # not all members are strings
+    items = [_json_text(member, inner, memo) for member in array]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_text(value, newline: str, memo: _JsonMemo) -> str:
     """`value` as the `json` module writes it with `sort_keys=True, indent=2`,
-    nested after `newline` (the line break and indent of its own line)."""
+    nested after `newline` (the line break and indent of its own line). The
+    text of a dict is kept in `memo`, so a dict met again costs one lookup.
+    Exact types take the first branches; subclasses, bool and None the rest."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        key = (id(value), newline)
+        text = memo.get(key)
+        if text is None:
+            text = _object_text(value, newline, memo)
+            memo.keep(key, text)
+        return text
+    if kind is list:
+        return _array_text(value, newline, memo)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        return _float_text(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -120,33 +197,23 @@ def _json_text(value, newline: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    inner = newline + "  "
+        return _float_text(value)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json_text(member, inner) for member in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return _array_text(value, newline, memo)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            prefix + _json_text(member, inner)
-            for prefix, member in _object_members(value)
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _object_text(value, newline, memo)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_members(value, write, newline: str, levels: int) -> None:
+def _write_members(value, write, newline: str, levels: int, memo: _JsonMemo) -> None:
     """Write `value` nested after `newline`; a non-empty container in the top
     `levels` levels passes each member to `write` on its own."""
     if not (levels and isinstance(value, (dict, list, tuple)) and value):
-        write(_json_text(value, newline))
+        # A streamed member is written once: only the dicts inside it are kept.
+        if isinstance(value, dict):
+            write(_object_text(value, newline, memo))
+        else:
+            write(_json_text(value, newline, memo))
         return
     inner = newline + "  "
     if isinstance(value, dict):
@@ -156,7 +223,7 @@ def _write_members(value, write, newline: str, levels: int) -> None:
     separator = opening + inner
     for prefix, member in members:
         write(separator + prefix)
-        _write_members(member, write, inner, levels - 1)
+        _write_members(member, write, inner, levels - 1, memo)
         separator = "," + inner
     write(newline + closing)
 
@@ -166,11 +233,13 @@ def _write_json(payload, write) -> None:
     indent=2`, and a newline, through `write`: one member of the document and
     of each of its top-level arrays and objects at a time, so that no call
     holds the whole text. Object keys must be `str` (TypeError otherwise)."""
-    _write_members(payload, write, "\n", 2)
+    _write_members(payload, write, "\n", 2, _JsonMemo())
     write("\n")
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
+    """Write `payload` as JSON, or print `text_lines`, an iterable that only
+    the text format consumes: pass a generator, so JSON never builds it."""
     if fmt == "json":
         _write_json(payload, sys.stdout.write)
     else:
@@ -235,7 +304,6 @@ def cmd_check(args) -> int:
         "ok": result.ok,
         "diagnostics": _diagnostics_payload(result),
     }
-    lines = [str(d) for d in result.diagnostics]
     if result.ok:
         db = result.database
         by_sort = {s.value: 0 for s in Sort}
@@ -251,12 +319,19 @@ def cmd_check(args) -> int:
             "by_modality": by_modality,
             "mandatory_goals": db.mandatory_ids(Sort.GOAL),
         }
-        lines += [
-            f"{args.file}: {len(db.requirements)} requirements, "
-            f"{len(db.preferences)} preferences, {len(db.sat_fns)} satisfaction functions",
-            "mandatory goals: " + (", ".join(db.mandatory_ids(Sort.GOAL)) or "(none)"),
-        ]
-    _emit(payload, args.format, lines)
+
+    def lines():
+        yield from map(str, result.diagnostics)
+        if result.ok:
+            summary = payload["summary"]
+            yield (
+                f"{args.file}: {summary['requirements']} requirements, "
+                f"{summary['preferences']} preferences, "
+                f"{summary['sat_fns']} satisfaction functions"
+            )
+            yield "mandatory goals: " + (", ".join(summary["mandatory_goals"]) or "(none)")
+
+    _emit(payload, args.format, lines())
     return EXIT_OK if result.ok else EXIT_MODEL
 
 
@@ -283,13 +358,12 @@ def cmd_configs(args) -> int:
             {"command": "configs", "file": args.file, "ok": False,
              "diagnostics": _diagnostics_payload(result)},
             args.format,
-            [str(d) for d in result.diagnostics],
+            map(str, result.diagnostics),
         )
         return EXIT_MODEL
     enum = _enumerate(args, result.database)
     db = enum.database
     entries = []
-    lines = [f"{len(enum.configurations)} configuration(s)"]
     if args.explain:
         # The operationalizations of a target do not depend on the configuration.
         target_ops = [
@@ -311,7 +385,6 @@ def cmd_configs(args) -> int:
                 for target, ops in target_ops
             }
         entries.append(entry)
-        lines.append(f"  {config.id}: {', '.join(sorted(config.members))}")
     payload = {
         "command": "configs",
         "file": args.file,
@@ -319,7 +392,13 @@ def cmd_configs(args) -> int:
         "truncated": enum.truncated,
         "configurations": entries,
     }
-    _emit(payload, args.format, lines)
+
+    def lines():
+        yield f"{len(entries)} configuration(s)"
+        for entry in entries:
+            yield f"  {entry['id']}: {', '.join(entry['members'])}"
+
+    _emit(payload, args.format, lines())
     return EXIT_OK
 
 
@@ -336,7 +415,6 @@ def cmd_rank(args) -> int:
     enum = _enumerate(args, db)
     ranking = rank_configurations(enum.database, enum.configurations, rule)
     entries = []
-    lines = [f"ranking under {args.rule} on {args.var!r}"]
     for position, item in enumerate(ranking, start=1):
         entry = {
             "position": position,
@@ -348,14 +426,6 @@ def cmd_rank(args) -> int:
             entry["preference_count"] = item.preference_count
             entry["pareto"] = item.pareto
         entries.append(entry)
-        extra = (
-            f", preferences={item.preference_count}, pareto={item.pareto}"
-            if item.preference_count is not None
-            else ""
-        )
-        lines.append(
-            f"  {position}. {item.configuration.id} value={item.value!r}{extra}"
-        )
     payload = {
         "command": "rank",
         "file": args.file,
@@ -363,7 +433,18 @@ def cmd_rank(args) -> int:
         "variable": args.var,
         "ranking": entries,
     }
-    _emit(payload, args.format, lines)
+
+    def lines():
+        yield f"ranking under {args.rule} on {args.var!r}"
+        for entry in entries:
+            extra = (
+                f", preferences={entry['preference_count']}, pareto={entry['pareto']}"
+                if "preference_count" in entry
+                else ""
+            )
+            yield f"  {entry['position']}. {entry['id']} value={entry['value']!r}{extra}"
+
+    _emit(payload, args.format, lines())
     return EXIT_OK
 
 
@@ -376,8 +457,10 @@ def cmd_roadmaps(args) -> int:
     rule = RoadmapValueSum(args.var, args.floor, args.maxdiff)
     ranking = rank_roadmaps(enum.database, roadmaps, rule)
 
-    # Roadmaps share their operators (see build_roadmaps): render each once.
+    # Roadmaps share their operators and operator sets (see build_roadmaps):
+    # render each operator once, and list each set once.
     rendered: dict = {}
+    listed: dict = {}
 
     def _rendered(a):
         if a not in rendered:
@@ -386,11 +469,12 @@ def cmd_roadmaps(args) -> int:
             rendered[a] = ((delete, add), entry)
         return rendered[a]
 
-    def _adaptations(roadmap):
-        return [
-            entry
-            for _, entry in sorted(map(_rendered, roadmap.adaptations), key=lambda r: r[0])
-        ]
+    def _adaptations(adaptations):
+        entries = listed.get(adaptations)
+        if entries is None:
+            by_lists = sorted(map(_rendered, adaptations), key=itemgetter(0))
+            entries = listed[adaptations] = [entry for _, entry in by_lists]
+        return entries
 
     payload = {
         "command": "roadmaps",
@@ -409,7 +493,7 @@ def cmd_roadmaps(args) -> int:
             {
                 "sequence": [c.id for c in item.roadmap.configurations],
                 "total": item.total,
-                "adaptations": _adaptations(item.roadmap),
+                "adaptations": _adaptations(item.roadmap.adaptations),
             }
             for item in ranking.ranked
         ],
@@ -422,20 +506,19 @@ def cmd_roadmaps(args) -> int:
             for item in ranking.excluded
         ],
     }
-    lines = [f"{len(ranking.ranked)} roadmap(s), {len(ranking.excluded)} excluded"]
-    for item in ranking.ranked:
-        lines.append(
-            "  "
-            + " -> ".join(c.id for c in item.roadmap.configurations)
-            + f" (total={item.total!r})"
-        )
-    for item in ranking.excluded:
-        lines.append(
-            "  excluded "
-            + " -> ".join(c.id for c in item.roadmap.configurations)
-            + f" ({item.reason} at index {item.witness})"
-        )
-    _emit(payload, args.format, lines)
+
+    def lines():
+        ranked, excluded = payload["ranked"], payload["excluded"]
+        yield f"{len(ranked)} roadmap(s), {len(excluded)} excluded"
+        for entry in ranked:
+            yield f"  {' -> '.join(entry['sequence'])} (total={entry['total']!r})"
+        for entry in excluded:
+            yield (
+                f"  excluded {' -> '.join(entry['sequence'])} "
+                f"({entry['reason']} at index {entry['witness']})"
+            )
+
+    _emit(payload, args.format, lines())
     return EXIT_OK
 
 

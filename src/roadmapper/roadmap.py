@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .configuration import Configuration, check_configuration
@@ -191,6 +192,21 @@ def apply_adaptation(
     return Configuration.from_members(members)
 
 
+def _member_masks(member_sets: Iterable[frozenset[str]]) -> dict[frozenset[str], int]:
+    """An int bitmask for each member set, one bit per member id."""
+    bits: dict[str, int] = {}
+    masks = {}
+    for members in member_sets:
+        mask = 0
+        for member in members:
+            bit = bits.get(member)
+            if bit is None:
+                bit = bits[member] = 1 << len(bits)
+            mask |= bit
+        masks[members] = mask
+    return masks
+
+
 def build_roadmaps(
     db: RequirementsDatabase,
     configs: Sequence[Configuration],
@@ -203,17 +219,28 @@ def build_roadmaps(
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     ordered = sorted(configs, key=lambda c: c.canonical_key)
+    mask = _member_masks(c.members for c in ordered)
     roadmaps: list[Roadmap] = []
     # Many pairs share an operator (on LAS at max_len 2, 16,256 pairs give
     # 2,186 distinct ones): keep one object per distinct operator and set.
-    shared: dict = {}
+    # The default trigger is the delete list, so an operator is known by its
+    # (add, delete) masks, and each distinct one is derived once. Identical
+    # configurations meet at (0, 0), where derive_adaptation raises.
+    operators: dict[tuple[int, int], AdaptationRequirement] = {}
+    sets: dict[frozenset[tuple[int, int]], frozenset[AdaptationRequirement]] = {}
     for length in range(1, min(max_len, len(ordered)) + 1):
         for sequence in itertools.permutations(ordered, length):
-            adaptations = frozenset(
-                shared.setdefault(op, op)
-                for op in map(derive_adaptation, sequence, sequence[1:])
-            )
-            adaptations = shared.setdefault(adaptations, adaptations)
+            keys = []
+            for s_from, s_to in zip(sequence, sequence[1:]):
+                a, b = mask[s_from.members], mask[s_to.members]
+                key = (b & ~a, a & ~b)
+                if key not in operators:
+                    operators[key] = derive_adaptation(s_from, s_to)
+                keys.append(key)
+            key_set = frozenset(keys)
+            adaptations = sets.get(key_set)
+            if adaptations is None:
+                adaptations = sets[key_set] = frozenset(map(operators.get, key_set))
             roadmaps.append(Roadmap(sequence, adaptations))
             if len(roadmaps) > limit:
                 raise ResourceLimitError(
@@ -302,55 +329,47 @@ def rank_roadmaps(
 ) -> RoadmapRanking:
     """Filter roadmaps by the floor and change-size constraints, then rank the
     survivors by summed value; excluded roadmaps carry their reason."""
-    ranked: list[RankedRoadmap] = []
-    excluded: list[ExcludedRoadmap] = []
-    value_cache: dict[frozenset[str], float] = {}
-    # Comparing canonical positions orders roadmaps as comparing their
-    # canonical keys would, without sorting each configuration's members again.
+    # Each entry is (sort key, item). Comparing canonical positions orders
+    # roadmaps as comparing their canonical keys would, without sorting each
+    # configuration's members again.
+    ranked: list[tuple[tuple, RankedRoadmap]] = []
+    excluded: list[tuple[tuple[int, ...], ExcludedRoadmap]] = []
     distinct = {c.members for roadmap in roadmaps for c in roadmap.configurations}
-    position = {
-        members: i
-        for i, members in enumerate(sorted(distinct, key=lambda m: tuple(sorted(m))))
-    }
-
-    def canonical_positions(roadmap: Roadmap) -> tuple[int, ...]:
-        return tuple(position[c.members] for c in roadmap.configurations)
-
-    def value_of(members: frozenset[str]) -> float:
-        if members not in value_cache:
-            value_cache[members] = _unique_value(db, members, rule.var)
-        return value_cache[members]
+    ordered = sorted(distinct, key=lambda m: tuple(sorted(m)))
+    position = {members: i for i, members in enumerate(ordered)}
+    mask = _member_masks(ordered)
+    value_cache: dict[frozenset[str], float] = {}
+    var, floor, max_diff = rule.var, rule.floor, rule.max_diff
 
     for roadmap in roadmaps:
-        values = [value_of(c.members) for c in roadmap.configurations]
-        floor_breach = next(
-            (i for i, v in enumerate(values) if v < rule.floor), None
-        )
-        if floor_breach is not None:
-            excluded.append(ExcludedRoadmap(roadmap, "floor", floor_breach))
-            continue
-        pairs = list(zip(roadmap.configurations, roadmap.configurations[1:]))
-        diff_breach = next(
-            (
-                i
-                for i, (a, b) in enumerate(pairs)
-                if len(a.members ^ b.members) > rule.max_diff
-            ),
-            None,
-        )
-        if diff_breach is not None:
-            excluded.append(ExcludedRoadmap(roadmap, "diff", diff_breach))
-            continue
-        ranked.append(RankedRoadmap(roadmap, sum(values)))
-    ranked.sort(
-        key=lambda r: (
-            -r.total,
-            len(r.roadmap.configurations),
-            canonical_positions(r.roadmap),
-        )
-    )
-    excluded.sort(key=lambda e: canonical_positions(e.roadmap))
-    return RoadmapRanking(tuple(ranked), tuple(excluded))
+        sequence = [c.members for c in roadmap.configurations]
+        # Every value of a roadmap is taken, in order, before any filter, so
+        # the first configuration without one is the one that raises.
+        values = []
+        for members in sequence:
+            value = value_cache.get(members)
+            if value is None:
+                value = value_cache[members] = _unique_value(db, members, var)
+            values.append(value)
+        positions = tuple([position[members] for members in sequence])
+        for i, value in enumerate(values):
+            if value < floor:
+                excluded.append((positions, ExcludedRoadmap(roadmap, "floor", i)))
+                break
+        else:
+            for i in range(len(sequence) - 1):
+                if (mask[sequence[i]] ^ mask[sequence[i + 1]]).bit_count() > max_diff:
+                    excluded.append((positions, ExcludedRoadmap(roadmap, "diff", i)))
+                    break
+            else:
+                total = sum(values)
+                order = (-total, len(sequence), positions)
+                ranked.append((order, RankedRoadmap(roadmap, total)))
+    # Sort on the keys alone: equal keys keep their input order.
+    by_order, entry = itemgetter(0), itemgetter(1)
+    ranked.sort(key=by_order)
+    excluded.sort(key=by_order)
+    return RoadmapRanking(tuple(map(entry, ranked)), tuple(map(entry, excluded)))
 
 
 # --- pairwise satisfaction comparison ------------------------------------------

@@ -459,6 +459,55 @@ def test_writer_matches_json_dumps(value):
     assert written(value) == dumped(value)
 
 
+@st.composite
+def payloads_sharing_a_dict(draw):
+    """A payload that holds one dict object at several positions and depths,
+    streamed members included."""
+    shared = draw(st.dictionaries(st.text(), json_values, min_size=1, max_size=4))
+    tree = draw(
+        st.recursive(
+            json_scalars | st.just(shared),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(), inner, max_size=4),
+            max_leaves=20,
+        )
+    )
+    return {"member": shared, "list": [shared, [shared, {"deep": [shared]}]], "tree": tree}
+
+
+@settings(max_examples=200)
+@given(payloads_sharing_a_dict())
+def test_writer_matches_json_dumps_on_shared_dicts(value):
+    assert written(value) == dumped(value)
+
+
+def test_writer_empties_a_full_memo(monkeypatch):
+    """More distinct shared dicts than a memo of 64 characters holds (two or
+    three), each written 4 times: the memo is emptied, some texts are reused,
+    and the output is unchanged."""
+    monkeypatch.setattr(roadmapper.cli, "_JSON_MEMO_LIMIT", 64)
+    keep = roadmapper.cli._JsonMemo.keep
+    kept, emptied = [], []
+
+    def checked_keep(memo, key, text):
+        before = memo.held
+        keep(memo, key, text)
+        assert memo.held == sum(map(len, memo.values())) <= 64
+        kept.append(key)
+        emptied.append(memo.held < before + len(text))
+
+    monkeypatch.setattr(roadmapper.cli._JsonMemo, "keep", checked_keep)
+    shared = [{"n": i} for i in range(50)]
+    value = {
+        "ranked": [
+            {"op": op, "ops": [op, shared[(i + 1) % 50]]} for i, op in enumerate(shared)
+        ],
+        "again": [[op] for op in shared],
+    }
+    assert written(value) == dumped(value)
+    assert 50 < len(kept) < 4 * 50 and any(emptied)
+
+
 def test_writer_matches_json_dumps_on_empty_and_nested_containers():
     for value in ({}, [], {"a": {}, "b": [], "c": [[], {}]}, [[{"x": [1, [2.5]]}]], ("t", 1)):
         assert written(value) == dumped(value)
@@ -489,9 +538,8 @@ class RecordingStdout:
 
 
 @pytest.fixture(scope="module")
-def las_outputs():
-    """The writes of every distinct LAS invocation of the benchmark, by key,
-    run in-process from the repository root, as the benchmark runs them."""
+def las_invocations():
+    """Every distinct LAS invocation of the benchmark, by key."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py"
     )
@@ -501,13 +549,19 @@ def las_outputs():
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
+    return {inv.key: inv for inv in workloads.las(0, None)}
+
+
+@pytest.fixture(scope="module")
+def las_outputs(las_invocations):
+    """The writes of every distinct LAS invocation of the benchmark, by key,
+    run in-process from the repository root, as the benchmark runs them."""
     reference = json.loads((REPO_ROOT / "perfbench" / "reference.json").read_text())
-    invocations = {inv.key: inv for inv in workloads.las(0, None)}
     cwd, stdout = os.getcwd(), sys.stdout
     outputs = {}
     try:
         os.chdir(REPO_ROOT)
-        for key, inv in invocations.items():
+        for key, inv in las_invocations.items():
             sys.stdout = RecordingStdout()
             assert main(inv.argv) == inv.expect_rc
             outputs[key] = sys.stdout.calls
@@ -528,6 +582,27 @@ def test_las_outputs_match_the_benchmark_reference(las_outputs):
         assert (len(data), hashlib.sha256(data).hexdigest()) == (
             reference[key]["bytes"], reference[key]["sha256"]
         ), key
+
+
+# sha256 of each benchmark LAS invocation's `--format text` output, recorded
+# before the text lines were built lazily.
+LAS_TEXT_SHA256 = {
+    "las/configs": "c5fc677f9d42b94822761cab51136a8e85d247a9559ac86706d4df4c2e92144a",
+    "las/rank": "7761397f1230d1c31c9da1172620a0b5a33c8629ecab8279dc418f091f86020c",
+    "las/roadmaps": "196d98cc16b8325484a4d92e9b17a020b4e61440c0a9b86afbeadd18a6614e4b",
+}
+
+
+def test_las_text_outputs_are_unchanged(las_invocations, capsys):
+    cwd = os.getcwd()
+    try:
+        os.chdir(REPO_ROOT)
+        for key, sha256 in LAS_TEXT_SHA256.items():
+            assert main([*las_invocations[key].argv, "--format", "text"]) == 0
+            data = capsys.readouterr().out.encode()
+            assert hashlib.sha256(data).hexdigest() == sha256, key
+    finally:
+        os.chdir(cwd)
 
 
 def test_las_roadmaps_json_is_written_as_it_is_produced(las_outputs):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+from roadmapper import roadmap
 from roadmapper.configuration import Configuration, enumerate_configurations
 from roadmapper.errors import (
     IdenticalConfigurationsError,
@@ -12,15 +14,22 @@ from roadmapper.errors import (
     NoSatisfactionFnError,
     NotApplicableError,
     RamificationFailureError,
+    ResourceLimitError,
+    RoadmapperError,
     TriggerNotInSourceError,
 )
 from roadmapper.model import PreferenceKind
 from roadmapper.roadmap import (
     AdaptationRequirement,
+    ExcludedRoadmap,
     MaximizeValue,
     MaximizeValueThenPreferences,
     MinimizeValue,
+    RankedRoadmap,
+    Roadmap,
+    RoadmapRanking,
     RoadmapValueSum,
+    _unique_value,
     apply_adaptation,
     build_roadmaps,
     derive_adaptation,
@@ -173,6 +182,36 @@ def test_las_roadmaps_share_one_object_per_distinct_operator(las_enumeration):
     assert len({id(s) for s in sets}) == len(set(sets))
 
 
+def test_las_roadmaps_derive_each_distinct_operator_once(las_enumeration, monkeypatch):
+    calls = []
+
+    def counting(s_from, s_to, trigger=None):
+        calls.append((s_from, s_to))
+        return derive_adaptation(s_from, s_to, trigger)
+
+    monkeypatch.setattr(roadmap, "derive_adaptation", counting)
+    roadmaps = build_roadmaps(
+        las_enumeration.database, las_enumeration.configurations, 2
+    )
+    assert len(roadmaps) == 128 + 128 * 127
+    assert len(calls) == 2186
+
+
+def test_identical_configurations_in_a_roadmap_are_rejected():
+    configs = [cfg("a", {"x", "y"}), cfg("b", {"y", "x"})]
+    assert len(build_roadmaps(parse_ok(""), configs, 1)) == 2
+    with pytest.raises(IdenticalConfigurationsError):
+        build_roadmaps(parse_ok(""), configs, 2)
+
+
+def test_roadmap_limit_counts_every_roadmap():
+    configs = [cfg(f"c{i}", {"m", f"x{i}"}) for i in range(3)]
+    assert len(build_roadmaps(parse_ok(""), configs, 2, limit=9)) == 9
+    message = r"^more than 8 roadmaps; raise the limit or lower max_len$"
+    with pytest.raises(ResourceLimitError, match=message):
+        build_roadmaps(parse_ok(""), configs, 2, limit=8)
+
+
 # --- rank_configurations ----------------------------------------------------------------
 
 @pytest.fixture()
@@ -319,6 +358,123 @@ def test_rank_roadmaps_orders_by_canonical_keys_at_maxlen_three():
     assert list(ranking.excluded) == sorted(
         ranking.excluded, key=lambda e: e.roadmap.canonical_key
     )
+
+
+def reference_rank_roadmaps(db, roadmaps, rule):
+    """`rank_roadmaps` as it ranked on frozenset differences and per-sequence
+    sort keys, kept verbatim as the oracle for the ranking on bitmasks."""
+    ranked: list[RankedRoadmap] = []
+    excluded: list[ExcludedRoadmap] = []
+    value_cache: dict[frozenset[str], float] = {}
+    # Comparing canonical positions orders roadmaps as comparing their
+    # canonical keys would, without sorting each configuration's members again.
+    distinct = {c.members for roadmap in roadmaps for c in roadmap.configurations}
+    position = {
+        members: i
+        for i, members in enumerate(sorted(distinct, key=lambda m: tuple(sorted(m))))
+    }
+
+    def canonical_positions(roadmap: Roadmap) -> tuple[int, ...]:
+        return tuple(position[c.members] for c in roadmap.configurations)
+
+    def value_of(members: frozenset[str]) -> float:
+        if members not in value_cache:
+            value_cache[members] = _unique_value(db, members, rule.var)
+        return value_cache[members]
+
+    for roadmap in roadmaps:
+        values = [value_of(c.members) for c in roadmap.configurations]
+        floor_breach = next(
+            (i for i, v in enumerate(values) if v < rule.floor), None
+        )
+        if floor_breach is not None:
+            excluded.append(ExcludedRoadmap(roadmap, "floor", floor_breach))
+            continue
+        pairs = list(zip(roadmap.configurations, roadmap.configurations[1:]))
+        diff_breach = next(
+            (
+                i
+                for i, (a, b) in enumerate(pairs)
+                if len(a.members ^ b.members) > rule.max_diff
+            ),
+            None,
+        )
+        if diff_breach is not None:
+            excluded.append(ExcludedRoadmap(roadmap, "diff", diff_breach))
+            continue
+        ranked.append(RankedRoadmap(roadmap, sum(values)))
+    ranked.sort(
+        key=lambda r: (
+            -r.total,
+            len(r.roadmap.configurations),
+            canonical_positions(r.roadmap),
+        )
+    )
+    excluded.sort(key=lambda e: canonical_positions(e.roadmap))
+    return RoadmapRanking(tuple(ranked), tuple(excluded))
+
+
+def ranking_outcome(rank, db, roadmaps, rule):
+    """The ranking, or the type and message of the error that ended it."""
+    try:
+        return rank(db, roadmaps, rule)
+    except RoadmapperError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("quantities", [False, True], ids=["plain", "quantities"])
+@pytest.mark.parametrize("tasks", [3, 4, 5, 6])
+def test_rank_roadmaps_matches_the_reference_on_generated_models(tasks, quantities):
+    compared = 0
+    for seed in range(10):
+        spec = ModelGenSpec(seed=seed, tasks=tasks, include_quantities=quantities)
+        enum = enumerate_configurations(generate_database(spec), max_atoms=64)
+        for max_len in (1, 2, 3):
+            roadmaps = build_roadmaps(enum.database, enum.configurations, max_len)
+            random.Random(seed).shuffle(roadmaps)
+            for max_diff in (0, 1, 2, 3, 10):
+                for floor in (-math.inf, 2.0, 5.0, 8.5):
+                    rule = RoadmapValueSum("v1", floor, max_diff)
+                    ours = ranking_outcome(rank_roadmaps, enum.database, roadmaps, rule)
+                    assert ours == ranking_outcome(
+                        reference_rank_roadmaps, enum.database, roadmaps, rule
+                    ), (seed, max_len, max_diff, floor)
+                    compared += isinstance(ours, RoadmapRanking) and bool(roadmaps)
+    assert compared or not quantities
+
+
+def test_rank_roadmaps_raises_the_reference_error_first():
+    # s2 has no value of v; s3 and s4 each have two, named in their message.
+    db = parse_ok("t a: v = 1. t b: v = 2. t c. t d: v = 3. t e: v = 4.")
+    configs = [
+        cfg("s1", {"a"}),
+        cfg("s2", {"c"}),
+        cfg("s3", {"d", "e"}),
+        cfg("s4", {"b", "e"}),
+    ]
+    roadmaps = build_roadmaps(db, configs, 2)
+    seen = set()
+    for seed in range(20):
+        random.Random(seed).shuffle(roadmaps)
+        # At floor 1.5, s1 falls below the floor before s2 shows it has no value.
+        for floor in (0.0, 1.5):
+            rule = RoadmapValueSum("v", floor, 10)
+            ours = ranking_outcome(rank_roadmaps, db, roadmaps, rule)
+            assert ours == ranking_outcome(reference_rank_roadmaps, db, roadmaps, rule)
+            seen.add(ours)
+    assert seen == {
+        (MissingValueError, "variable 'v' obtains no value in a configuration"),
+        (
+            NonSingletonValError,
+            "variable 'v' obtains several values [3.0, 4.0]; "
+            "expand value conflicts before ranking",
+        ),
+        (
+            NonSingletonValError,
+            "variable 'v' obtains several values [2.0, 4.0]; "
+            "expand value conflicts before ranking",
+        ),
+    }
 
 
 # --- pairwise satisfaction preference ----------------------------------------------------------
