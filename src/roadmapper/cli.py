@@ -266,6 +266,13 @@ def _load(path: str) -> tuple[ParseResult | None, int]:
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
         return None, EXIT_IO
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        print(
+            f"error: cannot read {path}: not UTF-8 (byte 0x{byte:02x} at offset {exc.start})",
+            file=sys.stderr,
+        )
+        return None, EXIT_IO
 
 
 def _load_database(path: str) -> tuple[RequirementsDatabase | None, int]:

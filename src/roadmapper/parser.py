@@ -24,20 +24,32 @@ comments run from `//` to end of line. The grammar:
     factor    := primary ("^" factor)?
     primary   := NUMBER | IDENT | "(" numexpr ")" | "-" NUMBER
 
-Numeric literals accept the unit suffixes `sec`, `min`, and `hrs`, normalized
-to seconds at parse time. A numeric expression nests at most `MAX_EXPR_DEPTH`
-levels of operators and parentheses; a parenthesised negative literal such as
-`(-2)` is no level. An atom declaration's identifier doubles as its
-propositional variable when the declaration has no condition body. `false`
-appears only as an implication consequent and turns the relation into a
-conflict. Files are UTF-8 and newline-agnostic.
+Lexical rules. Spaces, tabs, line breaks and `//` comments separate tokens.
+IDENT is a letter (`str.isalpha`), `_` or `@`, then any run of `str.isalnum`
+characters, `_` and `@`. NUMBER is decimal digits with an optional fraction
+(`2`, `2.5`, `.5`), an optional exponent (`1e3`, `1E-2`) and an optional run
+of letters as unit suffix: `sec`, `min` or `hrs`, normalized to seconds at
+parse time; a literal whose value, unit applied, is not a finite float is an
+error. STRING is double-quoted and may span lines; `\\"` and `\\\\` escape a
+quote and a backslash, and any other backslash stands for itself.
+
+A numeric expression nests at most `MAX_EXPR_DEPTH` levels of operators and
+parentheses; a parenthesised negative literal such as `(-2)` is no level. An
+atom declaration's identifier doubles as its propositional variable when the
+declaration has no condition body. `false` appears only as an implication
+consequent and turns the relation into a conflict. Files are UTF-8 and
+newline-agnostic.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import takewhile
+from typing import NamedTuple
 
 from .errors import RoadmapperError
 from .model import (
@@ -135,130 +147,93 @@ _PUNCT = (
     ".", ":", "!", "?", "~", "&", ">", "<", "=",
     "(", ")", ",", "+", "-", "*", "/", "^",
 )
-# Whitespace and comments between tokens.
-_BLANK = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
+# One token after optional blanks. When no token group matches, only `blank`
+# does, and the character after it starts no token. `re` counts numerals such
+# as `½` as letters; `_lex` rejects them where `str.isalpha` would.
+_TOKEN = re.compile(
+    r"""
+    (?P<blank>(?:[ \t\r\n]+|//[^\n]*)*)
+    (?:
+        (?P<string>"(?:[^"\\]|\\["\\]|\\(?!["\\]))*")
+      | (?P<number>(?P<numeral>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)(?P<unit>[^\W\d_]*))
+      | (?P<ident>(?:[^\W\d]|@)[\w@]*)
+      | (?P<punct>"""
+    + "|".join(map(re.escape, _PUNCT))
+    + r""")
+      | (?P<eof>\Z)
+    )?
+    """,
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "number" | "string" | punctuation | "eof"
     value: object
-    span: SourceSpan
+    offset: int
 
 
-class _LexError(Exception):
-    def __init__(self, span: SourceSpan, message: str):
+class _SourceError(Exception):
+    def __init__(self, offset: int, message: str):
         super().__init__(message)
-        self.span = span
+        self.offset = offset
         self.message = message
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch in "_@"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_@"
-
-
-def _lex(text: str, filename: str) -> list[_Token]:
+def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    # Line, and offset where it starts, as of offset `last`: each span counts
-    # only the newlines since the previous one, so lexing stays linear.
-    line, line_start, last = 1, 0, 0
-
-    def span() -> SourceSpan:
-        nonlocal line, line_start, last
-        breaks = text.count("\n", last, i)
-        if breaks:
-            line += breaks
-            line_start = text.rfind("\n", last, i) + 1
-        last = i
-        return SourceSpan(filename, line, i - line_start + 1)
-
-    while True:
-        i = _BLANK.match(text, i).end()
-        if i >= n:
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        offset = match.end("blank")
+        if kind == "punct":
+            kind = value = match["punct"]
+        elif kind == "ident":
+            value = match["ident"]
+            if not value[0].isalpha() and value[0] not in "_@":
+                raise _SourceError(offset, f"unexpected character {value[0]!r}")
+        elif kind == "number":
+            value = _number(match, offset)
+        elif kind == "string":
+            value = match["string"][1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        elif kind == "eof":
             break
-        ch = text[i]
-        start = span()
-        if ch == '"':
-            i += 1
-            chars: list[str] = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n and text[i + 1] in ('"', "\\"):
-                    chars.append(text[i + 1])
-                    i += 2
-                else:
-                    chars.append(text[i])
-                    i += 1
-            if i >= n:
-                raise _LexError(start, "unterminated string literal")
-            i += 1
-            tokens.append(_Token("string", "".join(chars), start))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            value = float(text[i:j])
-            i = j
-            if i < n and text[i].isalpha():
-                k = i
-                while k < n and text[k].isalpha():
-                    k += 1
-                suffix = text[i:k]
-                if suffix not in _UNITS:
-                    raise _LexError(start, f"unknown unit suffix {suffix!r}")
-                value *= _UNITS[suffix]
-                i = k
-            tokens.append(_Token("number", value, start))
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], start))
-            i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(_Token(punct, punct, start))
-                i += len(punct)
-                break
+        elif text[offset] == '"':
+            raise _SourceError(offset, "unterminated string literal")
         else:
-            raise _LexError(start, f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", None, span()))
+            raise _SourceError(offset, f"unexpected character {text[offset]!r}")
+        tokens.append(_Token(kind, value, offset))
+    tokens.append(_Token("eof", None, len(text)))
     return tokens
+
+
+def _number(match: re.Match, offset: int) -> float:
+    value = float(match["numeral"])
+    unit = match["unit"]
+    # The suffix is the letters after the numeral; `re` also counts numerals
+    # such as `½` as letters, and one of those starts no token.
+    suffix = "".join(takewhile(str.isalpha, unit)) if unit else ""
+    if suffix:
+        if suffix not in _UNITS:
+            raise _SourceError(offset, f"unknown unit suffix {suffix!r}")
+        value *= _UNITS[suffix]
+    if not math.isfinite(value):
+        literal = match["numeral"] + suffix
+        raise _SourceError(offset, f"number literal {literal!r} is out of range")
+    if suffix != unit:
+        where = match.start("unit") + len(suffix)
+        raise _SourceError(where, f"unexpected character {unit[len(suffix)]!r}")
+    return value
 
 
 # --- parser ---------------------------------------------------------------------
 
-class _ParseError(Exception):
-    def __init__(self, span: SourceSpan, message: str):
-        super().__init__(message)
-        self.span = span
-        self.message = message
-
-
 @dataclass
 class _Decl:
     kind: str  # "requirement" | "preference" | "satfn"
-    span: SourceSpan
+    offset: int
     requirement: Requirement | None = None
     preference: Preference | None = None
     satfn: tuple[str, SatisfactionFn] | None = None
@@ -282,7 +257,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         token = self.peek()
         if token.kind != kind:
-            raise _ParseError(token.span, f"expected {what}, got {self._describe(token)}")
+            raise _SourceError(token.offset, f"expected {what}, got {self._describe(token)}")
         return self.next()
 
     @staticmethod
@@ -307,25 +282,27 @@ class _Parser:
         self.nesting = 0
         token = self.peek()
         if token.kind != "ident":
-            raise _ParseError(token.span, f"expected a declaration, got {self._describe(token)}")
+            raise _SourceError(
+                token.offset, f"expected a declaration, got {self._describe(token)}"
+            )
         if token.value == "pref":
             return self.pref_decl()
         if token.value == "satfn":
             return self.satfn_decl()
         if token.value in _SORTS:
             return self.requirement_decl()
-        raise _ParseError(
-            token.span,
+        raise _SourceError(
+            token.offset,
             f"expected sort letter (k/g/q/s/t), 'pref', or 'satfn', got {token.value!r}",
         )
 
     def pref_decl(self) -> _Decl:
-        start = self.next().span  # 'pref'
+        start = self.next().offset  # 'pref'
         self.expect(":", "':'")
         left = self.expect("ident", "requirement id").value
         op = self.peek()
         if op.kind not in (">", ">=", "~="):
-            raise _ParseError(op.span, f"expected '>', '>=' or '~=', got {self._describe(op)}")
+            raise _SourceError(op.offset, f"expected '>', '>=' or '~=', got {self._describe(op)}")
         self.next()
         kinds = {">": PreferenceKind.STRICT, ">=": PreferenceKind.WEAK, "~=": PreferenceKind.INDIFFERENT}
         right = self.expect("ident", "requirement id").value
@@ -333,7 +310,7 @@ class _Parser:
         return _Decl("preference", start, preference=Preference(kinds[op.kind], left, right))
 
     def satfn_decl(self) -> _Decl:
-        start = self.next().span  # 'satfn'
+        start = self.next().offset  # 'satfn'
         var = self.expect("ident", "variable name").value
         self.expect("=", "'='")
         head = self.expect("ident", "'exp', 'plateau', or 'pwl'")
@@ -356,7 +333,7 @@ class _Parser:
                 points.append(self.pair())
             fn = PiecewiseLinear(tuple(points))
         else:
-            raise _ParseError(head.span, f"unknown satisfaction function {head.value!r}")
+            raise _SourceError(head.offset, f"unknown satisfaction function {head.value!r}")
         self.expect(")", "')'")
         self.expect(".", "'.'")
         return _Decl("satfn", start, satfn=(var, fn))
@@ -383,29 +360,31 @@ class _Parser:
         ident_token = self.expect("ident", "requirement id")
         ident = ident_token.value
         if ident == "false":
-            raise _ParseError(ident_token.span, "'false' is reserved")
+            raise _SourceError(ident_token.offset, "'false' is reserved")
         modality = Modality.PLAIN
         if self.peek().kind in _MODS:
             modality = _MODS[self.next().kind]
         body = None
         if self.peek().kind == ":":
             self.next()
-            body = self.body(sort, ident, sort_token.span)
+            body = self.body(sort, ident, sort_token.offset)
         description = None
         if self.peek().kind == "string":
             description = self.next().value
         self.expect(".", "'.'")
-        requirement = self.build_requirement(sort, ident, modality, body, description, sort_token.span)
-        return _Decl("requirement", sort_token.span, requirement=requirement)
+        requirement = self.build_requirement(
+            sort, ident, modality, body, description, sort_token.offset
+        )
+        return _Decl("requirement", sort_token.offset, requirement=requirement)
 
-    def body(self, sort: Sort, ident: str, span: SourceSpan):
+    def body(self, sort: Sort, ident: str, offset: int):
         token = self.peek()
         if token.kind == "~":
             self.next()
             content = self.expect("string", "softgoal content string").value
             return ("content", content)
         if self.relation_ahead():
-            return self.relation_body(sort, span)
+            return self.relation_body(sort, offset)
         return ("condition", self.condition())
 
     def relation_ahead(self) -> bool:
@@ -418,10 +397,10 @@ class _Parser:
                 return True
             offset += 1
 
-    def relation_body(self, sort: Sort, span: SourceSpan):
+    def relation_body(self, sort: Sort, offset: int):
         if sort is not K:
-            raise _ParseError(
-                span, "only domain assumptions (k) may relate requirements"
+            raise _SourceError(
+                offset, "only domain assumptions (k) may relate requirements"
             )
         antecedents = [self.expect("ident", "requirement id").value]
         while self.peek().kind == "&":
@@ -448,7 +427,7 @@ class _Parser:
             self.next()  # '~'
             head = self.expect("ident", "distribution name")
             if head.value != "Normal":
-                raise _ParseError(head.span, f"unknown distribution {head.value!r}")
+                raise _SourceError(head.offset, f"unknown distribution {head.value!r}")
             self.expect("(", "'('")
             mean = self.number()
             self.expect(",", "','")
@@ -466,20 +445,20 @@ class _Parser:
         var = self.expect("ident", "variable name")
         inner = self.comparison_op()
         if inner not in PROB_INNER_OPS:
-            raise _ParseError(var.span, f"invalid operator {inner!r} inside P(...)")
+            raise _SourceError(var.offset, f"invalid operator {inner!r} inside P(...)")
         bound = self.numexpr()
         self.expect(")", "')'")
         outer_token = self.peek()
         outer = self.comparison_op()
         if outer not in PROB_OUTER_OPS:
-            raise _ParseError(outer_token.span, f"invalid operator {outer!r} after P(...)")
+            raise _SourceError(outer_token.offset, f"invalid operator {outer!r} after P(...)")
         level = self.numexpr()
         return ProbCompare(QuantVar(var.value), inner, bound, outer, level)
 
     def comparison_op(self) -> str:
         token = self.peek()
         if token.kind not in COMPARE_OPS:
-            raise _ParseError(token.span, f"expected a comparison operator, got {self._describe(token)}")
+            raise _SourceError(token.offset, f"expected a comparison operator, got {self._describe(token)}")
         return self.next().kind
 
     def numexpr(self) -> NumExpr:
@@ -537,22 +516,22 @@ class _Parser:
             self.nesting -= 1
             self.expect(")", "')'")
             return expr
-        raise _ParseError(token.span, f"expected a number, variable, or '(', got {self._describe(token)}")
+        raise _SourceError(token.offset, f"expected a number, variable, or '(', got {self._describe(token)}")
 
     def enter(self, token: _Token) -> None:
         self.nesting += 1
         if self.nesting > MAX_EXPR_DEPTH:
-            raise _ParseError(token.span, _TOO_DEEP)
+            raise _SourceError(token.offset, _TOO_DEEP)
 
     def binop(
         self, op: _Token, left: NumExpr, right: NumExpr, height: int
     ) -> tuple[NumExpr, int]:
         if height >= MAX_EXPR_DEPTH:
-            raise _ParseError(op.span, _TOO_DEEP)
+            raise _SourceError(op.offset, _TOO_DEEP)
         try:
             return BinOp(op.kind, left, right), height + 1
         except RoadmapperError as exc:
-            raise _ParseError(op.span, str(exc)) from None
+            raise _SourceError(op.offset, str(exc)) from None
 
     def build_requirement(
         self,
@@ -561,12 +540,12 @@ class _Parser:
         modality: Modality,
         body,
         description: str | None,
-        span: SourceSpan,
+        offset: int,
     ) -> Requirement:
         try:
             if body is None:
                 if sort is Q:
-                    raise _ParseError(span, "quality constraints need a condition body")
+                    raise _SourceError(offset, "quality constraints need a condition body")
                 if sort is S:
                     content = description or ident
                     return Requirement(ident, Softgoal(VagueProp(content)), modality, description)
@@ -574,14 +553,14 @@ class _Parser:
             tag = body[0]
             if tag == "content":
                 if sort is not S:
-                    raise _ParseError(span, "only softgoals (s) carry content strings")
+                    raise _SourceError(offset, "only softgoals (s) carry content strings")
                 return Requirement(ident, Softgoal(VagueProp(body[1])), modality, description)
             if tag == "condition":
                 if sort is S:
-                    raise _ParseError(span, "softgoals cannot carry numeric conditions")
+                    raise _SourceError(offset, "softgoals cannot carry numeric conditions")
                 if sort is G:
-                    raise _ParseError(
-                        span, "goals are propositional; use a quality constraint (q) for conditions"
+                    raise _SourceError(
+                        offset, "goals are propositional; use a quality constraint (q) for conditions"
                     )
                 return Requirement(ident, SimpleQuant(sort, body[1]), modality, description)
             if tag == "implication":
@@ -591,51 +570,48 @@ class _Parser:
                 )
             _, antecedents = body
             if len(set(antecedents)) < 2:
-                raise _ParseError(span, "a conflict needs at least two distinct antecedents")
+                raise _SourceError(offset, "a conflict needs at least two distinct antecedents")
             return Requirement(ident, Conflict(frozenset(antecedents)), modality, description)
         except (ValueError, RoadmapperError) as exc:
-            raise _ParseError(span, str(exc)) from None
+            raise _SourceError(offset, str(exc)) from None
 
 
 def parse(text: str, filename: str = "<input>") -> ParseResult:
     """Parse a `.req` document; error diagnostics imply no database.
     Diagnostics are listed by line and column."""
-    diagnostics: list[ParseDiagnostic] = []
+    # (offset, severity, message) of each diagnostic.
+    found: list[tuple[int, Severity, str]] = []
     try:
-        tokens = _lex(text, filename)
-    except _LexError as exc:
-        diagnostics.append(ParseDiagnostic(Severity.ERROR, exc.span, exc.message))
-        return ParseResult(None, diagnostics)
+        tokens = _lex(text)
+    except _SourceError as exc:
+        found.append((exc.offset, Severity.ERROR, exc.message))
+        return ParseResult(None, _diagnostics(text, filename, found))
 
     parser = _Parser(tokens)
     decls: list[_Decl] = []
     while not parser.at_end():
         try:
             decls.append(parser.declaration())
-        except _ParseError as exc:
-            diagnostics.append(ParseDiagnostic(Severity.ERROR, exc.span, exc.message))
+        except _SourceError as exc:
+            found.append((exc.offset, Severity.ERROR, exc.message))
             parser.skip_to_next_decl()
 
     requirements: dict[str, Requirement] = {}
     preferences: list[Preference] = []
     sat_fns: dict[str, SatisfactionFn] = {}
-    # The declaration of each requirement id and preference, for problem spans.
-    spans: dict[str | Preference, SourceSpan] = {}
+    # The declaration of each requirement id and preference, for problem offsets.
+    offsets: dict[str | Preference, int] = {}
     for decl in decls:
         if decl.kind == "requirement":
             req = decl.requirement
             if req.id in requirements:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        Severity.ERROR, decl.span, f"duplicate requirement id {req.id!r}"
-                    )
-                )
+                found.append((decl.offset, Severity.ERROR, f"duplicate requirement id {req.id!r}"))
                 continue
             requirements[req.id] = req
-            spans[req.id] = decl.span
+            offsets[req.id] = decl.offset
         elif decl.kind == "preference":
             preferences.append(decl.preference)
-            spans.setdefault(decl.preference, decl.span)
+            offsets.setdefault(decl.preference, decl.offset)
         else:
             var, fn = decl.satfn
             sat_fns[var] = fn
@@ -648,25 +624,37 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
                 if ref in requirements and isinstance(requirements[ref].body, Softgoal)
             ]
             if vague:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        Severity.WARNING,
-                        spans[req.id],
-                        f"conflict {req.id!r} involves softgoal(s) {vague}; "
-                        "softgoal conflicts have no worked interpretation",
-                    )
-                )
+                found.append((
+                    offsets[req.id],
+                    Severity.WARNING,
+                    f"conflict {req.id!r} involves softgoal(s) {vague}; "
+                    "softgoal conflicts have no worked interpretation",
+                ))
 
     db = RequirementsDatabase(requirements, frozenset(preferences), sat_fns)
     for problem in validity_problems(db):
-        diagnostics.append(
-            ParseDiagnostic(Severity.ERROR, spans[problem.subject], problem.message)
-        )
-    # By position; a stable sort keeps the phase order within one span.
-    diagnostics.sort(key=lambda d: (d.span.line, d.span.column))
+        found.append((offsets[problem.subject], Severity.ERROR, problem.message))
+    diagnostics = _diagnostics(text, filename, found)
     if any(d.severity is Severity.ERROR for d in diagnostics):
         return ParseResult(None, diagnostics)
     return ParseResult(db, diagnostics)
+
+
+def _diagnostics(
+    text: str, filename: str, found: list[tuple[int, Severity, str]]
+) -> list[ParseDiagnostic]:
+    """`found` by position, each offset of `text` turned into its line and
+    column; a stable sort keeps the phase order within one offset."""
+    if not found:
+        return []
+    found.sort(key=lambda item: item[0])
+    line_starts = [0, *(match.end() for match in re.finditer("\n", text))]
+    diagnostics = []
+    for offset, severity, message in found:
+        line = bisect_right(line_starts, offset)
+        span = SourceSpan(filename, line, offset - line_starts[line - 1] + 1)
+        diagnostics.append(ParseDiagnostic(severity, span, message))
+    return diagnostics
 
 
 def load_file(path) -> ParseResult:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 import roadmapper.cli
 from roadmapper.cli import _write_json, main
-from roadmapper.parser import parse
-from roadmapper.testkit import parse_dot
+from roadmapper.parser import parse, serialize
+from roadmapper.testkit import generate_database, parse_dot
 
 from conftest import LAS_PATH, REPO_ROOT, SCHEMA_PATH, implication_chain
 
@@ -424,6 +425,68 @@ def test_internal_error_is_one_line_and_exit_1(capsys, tmp_path, text):
     assert line.startswith("error: internal: ")
 
 
+
+# --- front-end corpus -----------------------------------------------------------
+
+# What `check` must end in on inputs that stress the lexer and parser: the file's
+# bytes (None: the `model_io_3000` fixture's), the exit code, the diagnostic
+# (or, for exit 2, the stderr) it names, and a wall bound in seconds. A None
+# message means a valid model without diagnostics.
+FRONT_END_CORPUS = {
+    "model-io-3000": (None, 0, None, 5.0),
+    "depth-100": (
+        ("t a: y = " + " + ".join(["x"] * 101) + ".\n").encode(), 0, None, 1.0
+    ),
+    "depth-101": (
+        ("t a: y = " + " + ".join(["x"] * 102) + ".\n").encode(),
+        1, "expression nested more than 100 levels deep", 1.0,
+    ),
+    "crlf-only": (b"\r\n" * 1000, 0, None, 1.0),
+    "overflow": (b"k a: x = 1e999.\n", 1, "number literal '1e999' is out of range", 1.0),
+    "unit-overflow": (
+        b"k a: x = 1e305hrs.\n", 1, "number literal '1e305hrs' is out of range", 1.0
+    ),
+    "superscript": ("k a: x = \u00b21.\n".encode(), 1, "unexpected character '\u00b2'", 1.0),
+    "not-utf-8": (
+        b"t a.\nt \xffb.\n",
+        2, "error: cannot read {path}: not UTF-8 (byte 0xff at offset 7)", 1.0,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def model_io_3000():
+    """The text of the benchmark's 3,000-task `model-io` model at seed 1:
+    about 117 KB and 37,000 tokens."""
+    workloads = perfbench_workloads()
+    for attempt in range(64):  # the benchmark's draw: the first model with q1
+        db = generate_database(workloads.io_spec(1, 3000, 0, attempt))
+        if "q1" in db.requirements:
+            return serialize(db).encode()
+    raise AssertionError("no 3,000-task model with q1")
+
+
+@pytest.mark.parametrize("name", FRONT_END_CORPUS)
+def test_front_end_corpus_ends_in_its_exit_code(capsys, schema, tmp_path, request, name):
+    data, expect_code, message, bound = FRONT_END_CORPUS[name]
+    if data is None:
+        data = request.getfixturevalue("model_io_3000")
+    path = tmp_path / "corpus.req"
+    path.write_bytes(data)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == expect_code and "error: internal" not in err
+    assert elapsed < bound, f"{name}: {elapsed:.2f} s"
+    if code == 2:
+        assert out == "" and err == message.format(path=path) + "\n"
+        return
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema)
+    messages = [d["message"] for d in payload["diagnostics"]]
+    assert messages == ([] if message is None else [message])
+
+
 # --- the JSON writer ------------------------------------------------------------
 
 def dumped(value) -> str:
@@ -537,9 +600,9 @@ class RecordingStdout:
         pass
 
 
-@pytest.fixture(scope="module")
-def las_invocations():
-    """Every distinct LAS invocation of the benchmark, by key."""
+def perfbench_workloads():
+    """The benchmark's workload module, loaded from its file without
+    importing the `perfbench` directory as a package."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py"
     )
@@ -549,7 +612,13 @@ def las_invocations():
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
-    return {inv.key: inv for inv in workloads.las(0, None)}
+    return workloads
+
+
+@pytest.fixture(scope="module")
+def las_invocations():
+    """Every distinct LAS invocation of the benchmark, by key."""
+    return {inv.key: inv for inv in perfbench_workloads().las(0, None)}
 
 
 @pytest.fixture(scope="module")

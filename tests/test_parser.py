@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+import re
+from dataclasses import dataclass
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from roadmapper.model import (
@@ -17,7 +21,18 @@ from roadmapper.model import (
     ProbCompare,
     Softgoal,
 )
-from roadmapper.parser import _PUNCT, MAX_EXPR_DEPTH, Severity, _lex, parse, serialize
+from roadmapper.parser import (
+    _PUNCT,
+    _UNITS,
+    MAX_EXPR_DEPTH,
+    Severity,
+    SourceSpan,
+    _diagnostics,
+    _lex,
+    _SourceError,
+    parse,
+    serialize,
+)
 from roadmapper.quanteval import eval_expr
 from roadmapper.testkit import ModelGenSpec, generate_database
 
@@ -269,6 +284,12 @@ def _offsets(text: str) -> dict[tuple[int, int], int]:
     return where
 
 
+def _spans(text: str, offsets) -> list[tuple[int, int]]:
+    """The line and column that `parse` reports for each of `offsets`."""
+    found = [(offset, Severity.ERROR, "") for offset in offsets]
+    return [(d.span.line, d.span.column) for d in _diagnostics(text, "f.req", found)]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -282,8 +303,10 @@ def _offsets(text: str) -> dict[tuple[int, int], int]:
 )
 def test_token_spans_match_a_per_character_count(text):
     where = _offsets(text)
-    tokens = _lex(text, "f.req")
-    offsets = [where[token.span.line, token.span.column] for token in tokens]
+    spans = _spans(text, range(len(text) + 1))
+    assert {span: offset for offset, span in enumerate(spans)} == where
+    tokens = _lex(text)
+    offsets = [token.offset for token in tokens]
     assert offsets == sorted(set(offsets))
     assert tokens[-1].kind == "eof" and offsets[-1] == len(text)
     for token, offset in zip(tokens[:-1], offsets):
@@ -306,6 +329,14 @@ def test_unknown_unit_suffix():
     result = parse("k e: v = 3days.")
     assert not result.ok
     assert any("unit" in d.message for d in result.diagnostics)
+
+
+@pytest.mark.parametrize("literal", ["1e999", "1e305hrs"])
+def test_number_literals_that_are_not_finite_are_errors(literal):
+    [error] = parse(f"t a.\nk b: x = {literal}.").errors()
+    assert error.message == f"number literal {literal!r} is out of range"
+    assert (error.span.line, error.span.column) == (2, 10)
+    assert parse(f"k b: x = {literal[:4]}.").ok
 
 
 def test_round_trip_empty_database():
@@ -369,6 +400,8 @@ _TOKENS = (
     "0", "2", "2.5", ".5", "1e3", "3min", "4hrs", "7xyz",
     '"text"', '"esc\\"', '"open',
     "// note\n", "#", "\u00e9", "\t",
+    # Numerals that are digits, letters or neither to `str` and `re`.
+    "\u00b2", "\u00bd", "\u0663", "\u216b",
     *_PUNCT,
 )
 
@@ -384,6 +417,188 @@ def test_random_token_streams_give_diagnostics_never_exceptions(stream):
     result = parse("".join(token + gap for token, gap in stream))
     assert result.ok != bool(result.errors())
     assert all(isinstance(d.span.line, int) for d in result.diagnostics)
+
+
+# --- the lexer before it was one regex, kept as the oracle for `_lex` ---------
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "ident" | "number" | "string" | punctuation | "eof"
+    value: object
+    span: SourceSpan
+
+
+class _LexError(Exception):
+    def __init__(self, span: SourceSpan, message: str):
+        super().__init__(message)
+        self.span = span
+        self.message = message
+
+
+# Whitespace and comments between tokens.
+_BLANK = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
+
+
+def _is_ident_start(ch: str) -> bool:
+    return ch.isalpha() or ch in "_@"
+
+
+def _is_ident_char(ch: str) -> bool:
+    return ch.isalnum() or ch in "_@"
+
+
+def reference_lex(text: str, filename: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i = 0
+    n = len(text)
+    # Line, and offset where it starts, as of offset `last`: each span counts
+    # only the newlines since the previous one, so lexing stays linear.
+    line, line_start, last = 1, 0, 0
+
+    def span() -> SourceSpan:
+        nonlocal line, line_start, last
+        breaks = text.count("\n", last, i)
+        if breaks:
+            line += breaks
+            line_start = text.rfind("\n", last, i) + 1
+        last = i
+        return SourceSpan(filename, line, i - line_start + 1)
+
+    while True:
+        i = _BLANK.match(text, i).end()
+        if i >= n:
+            break
+        ch = text[i]
+        start = span()
+        if ch == '"':
+            i += 1
+            chars: list[str] = []
+            while i < n and text[i] != '"':
+                if text[i] == "\\" and i + 1 < n and text[i + 1] in ('"', "\\"):
+                    chars.append(text[i + 1])
+                    i += 2
+                else:
+                    chars.append(text[i])
+                    i += 1
+            if i >= n:
+                raise _LexError(start, "unterminated string literal")
+            i += 1
+            tokens.append(_Token("string", "".join(chars), start))
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            value = float(text[i:j])
+            i = j
+            if i < n and text[i].isalpha():
+                k = i
+                while k < n and text[k].isalpha():
+                    k += 1
+                suffix = text[i:k]
+                if suffix not in _UNITS:
+                    raise _LexError(start, f"unknown unit suffix {suffix!r}")
+                value *= _UNITS[suffix]
+                i = k
+            tokens.append(_Token("number", value, start))
+            continue
+        if _is_ident_start(ch):
+            j = i
+            while j < n and _is_ident_char(text[j]):
+                j += 1
+            tokens.append(_Token("ident", text[i:j], start))
+            i = j
+            continue
+        for punct in _PUNCT:
+            if text.startswith(punct, i):
+                tokens.append(_Token(punct, punct, start))
+                i += len(punct)
+                break
+        else:
+            raise _LexError(start, f"unexpected character {ch!r}")
+    tokens.append(_Token("eof", None, span()))
+    return tokens
+
+
+def _overflows(tokens) -> bool:
+    return any(t.kind == "number" and not math.isfinite(t.value) for t in tokens)
+
+
+def _check_against_reference(text: str) -> bool:
+    """Assert that `_lex` gives the tokens and spans, or the error and its
+    span, of `reference_lex` on `text`. False, with nothing checked, where
+    the reference fails on a numeral or yields a number that is not finite:
+    `_lex` reports both as errors."""
+    try:
+        expected = reference_lex(text, "f.req")
+    except _LexError as exc:
+        # The tokens before the error, which the same text starts with.
+        where = _offsets(text)[exc.span.line, exc.span.column]
+        if _overflows(reference_lex(text[:where], "f.req")):
+            return False
+        with pytest.raises(_SourceError) as raised:
+            _lex(text)
+        assert raised.value.message == exc.message
+        assert _spans(text, [raised.value.offset]) == [(exc.span.line, exc.span.column)]
+        return True
+    except ValueError:  # `float` refuses a numeral such as `²` that `isdigit` accepts
+        return False
+    if _overflows(expected):
+        return False
+    tokens = _lex(text)
+    assert [(t.kind, t.value) for t in tokens] == [(t.kind, t.value) for t in expected]
+    assert _spans(text, [t.offset for t in tokens]) == [
+        (t.span.line, t.span.column) for t in expected
+    ]
+    return True
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        't a "quote \\" backslash \\\\ other \\d line \\\n end" "\\\\".',
+        't a "open \\',
+        "k a: x = 2\u00bd.",
+        "k a: x = 3min\u00bd.",
+        "k a: x = 5mi\u216b.",
+        "k a: x = 4hrs\u216b.",
+        "t \u00bda.",
+        "t a\u216b\u00bd\u00b2 @w@1 _v.",
+        "k a: x = \u0663\u0663.\u0663e\u0663 + 1.e5 + .5.5 + x.5.",
+        "k a: x = 1e+ 2.",
+        "k a: x = 5_x + 5min3.",
+        "\r\n\t// only a comment",
+        "t a. // c\r\n#",
+        "",
+    ],
+)
+def test_the_lexer_matches_the_reference_lexer_on_edge_cases(text):
+    assert _check_against_reference(text)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from((*_TOKENS, "\\")), st.sampled_from(("", " ", "\n", "\r\n"))
+        ),
+        max_size=40,
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_the_lexer_matches_the_reference_lexer(stream):
+    assume(_check_against_reference("".join(token + gap for token, gap in stream)))
 
 
 @given(
