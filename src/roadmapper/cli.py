@@ -698,7 +698,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(p)
     limits(p)
     p.add_argument("--var", required=True, help="summed variable")
-    p.add_argument("--floor", type=float, default=float("-inf"))
+    p.add_argument("--floor", type=_finite_float, default=float("-inf"))
     p.add_argument("--maxdiff", type=_non_negative_int, default=10**6)
     p.add_argument("--maxlen", type=_positive_int, default=2)
     p.set_defaults(func=cmd_roadmaps)

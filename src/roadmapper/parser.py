@@ -246,7 +246,9 @@ class _Parser:
         self.nesting = 0  # open parentheses and '^' operands being parsed
 
     def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        # Look-ahead past the current token happens only while that token is
+        # not "eof", and `next` never moves past "eof", so this stays in range.
+        return self.tokens[self.pos + offset]
 
     def next(self) -> _Token:
         token = self.peek()
@@ -505,7 +507,7 @@ class _Parser:
             return Var(QuantVar(token.value)), 0
         if token.kind == "(":
             self.next()
-            if [self.peek(i).kind for i in range(3)] == ["-", "number", ")"]:
+            if [t.kind for t in self.tokens[self.pos : self.pos + 3]] == ["-", "number", ")"]:
                 # `serialize` writes a negative operand as `(-2)`: no new level.
                 self.next()
                 value = -self.next().value

@@ -7,13 +7,15 @@ absolute floor of 1e-12 near zero. Inequalities are exact.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     DivisionByZeroError,
+    MissingValueError,
     MissingVariableError,
     NoDistributionError,
     NonFiniteResultError,
+    NonSingletonValError,
     NonPositiveSdError,
     RefinementCycleError,
     UnresolvedReferenceError,
@@ -277,3 +279,19 @@ def val(
                 raise UnresolvedReferenceError(f"cannot resolve requirement id {item!r}")
             reqs.append(db[item])
     return propagate_values(reqs).get(_name(var), frozenset())
+
+
+def unique_val(
+    x_set: Iterable[Requirement | str], var: str | QuantVar,
+    db: RequirementsDatabase | None = None, *,
+    missing: str, several: Callable[[list[float]], str],
+) -> float:
+    """The one constant `var` obtains from `x_set` (see `val`). When there is
+    none, raises MissingValueError(missing); when there are more, raises
+    NonSingletonValError(several(the sorted values))."""
+    values = val(x_set, var, db)
+    if not values:
+        raise MissingValueError(missing)
+    if len(values) > 1:
+        raise NonSingletonValError(several(sorted(values)))
+    return next(iter(values))

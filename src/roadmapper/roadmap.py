@@ -16,8 +16,6 @@ from typing import Iterable, Sequence
 from .configuration import Configuration, check_configuration
 from .errors import (
     IdenticalConfigurationsError,
-    MissingValueError,
-    NonSingletonValError,
     NoSatisfactionFnError,
     NotApplicableError,
     RamificationFailureError,
@@ -25,20 +23,16 @@ from .errors import (
     TriggerNotInSourceError,
 )
 from .model import (
-    Compare,
-    Const,
-    K,
     Modality,
     Preference,
     PreferenceKind,
     QuantVar,
     Requirement,
     RequirementsDatabase,
-    SimpleQuant,
-    Var,
 )
 from .operationalization import satisfaction_closure
-from .quanteval import nearly_equal, sat_value, val
+from .quanteval import unique_val
+from .transforms import value_assumption, value_preference
 
 DEFAULT_ROADMAP_LIMIT = 20000
 
@@ -254,24 +248,19 @@ def build_roadmaps(
 def _unique_value(
     db: RequirementsDatabase, members: frozenset[str], var: str
 ) -> float:
-    values = val(sorted(members), var, db)
-    if not values:
-        raise MissingValueError(f"variable {var!r} obtains no value in a configuration")
-    if len(values) > 1:
-        raise NonSingletonValError(
-            f"variable {var!r} obtains several values {sorted(values)}; "
-            "expand value conflicts before ranking"
-        )
-    return next(iter(values))
+    return unique_val(
+        sorted(members), var, db,
+        missing=f"variable {var!r} obtains no value in a configuration",
+        several=lambda xs: f"variable {var!r} obtains several values {xs}; "
+        "expand value conflicts before ranking",
+    )
 
 
 def _preference_score(db: RequirementsDatabase, members: frozenset[str]) -> int:
     """Satisfied optional requirements plus satisfied preferred sides."""
     satisfied = satisfaction_closure(members, db).satisfied
     optional_hits = sum(
-        1
-        for req in sorted(db, key=lambda r: r.id)
-        if req.modality is Modality.OPTIONAL and req.id in satisfied
+        1 for req in db if req.modality is Modality.OPTIONAL and req.id in satisfied
     )
     preferred_hits = sum(
         1
@@ -400,33 +389,17 @@ def pairwise_value_preference(
     fn = db.sat_fn(name)
     if fn is None:
         raise NoSatisfactionFnError(f"no satisfaction function registered for {name!r}")
-    values = []
-    for config in (s1, s2):
-        obtained = val(sorted(config.members), name, db)
-        if not obtained:
-            raise MissingValueError(f"{name!r} obtains no value in {config.id}")
-        if len(obtained) > 1:
-            raise NonSingletonValError(
-                f"{name!r} obtains several values in {config.id}; "
-                "expand value conflicts first"
-            )
-        values.append(next(iter(obtained)))
-    x1, x2 = values
+    x1, x2 = (
+        unique_val(
+            sorted(c.members), name, db,
+            missing=f"{name!r} obtains no value in {c.id}",
+            several=lambda _: f"{name!r} obtains several values in {c.id}; "
+            "expand value conflicts first",
+        )
+        for c in (s1, s2)
+    )
     if x1 == x2:
         return None
-    from .transforms import MACRO_PREFIX, _value_id_part
-
-    def assumption(x: float) -> Requirement:
-        body = SimpleQuant(K, Compare(Var(QuantVar(name)), "=", Const(float(x))))
-        req_id = f"{MACRO_PREFIX}k_{name}_{_value_id_part(x)}"
-        return Requirement(req_id, body)
-
-    a1, a2 = assumption(x1), assumption(x2)
-    mu1, mu2 = sat_value(fn, x1), sat_value(fn, x2)
-    if nearly_equal(mu1, mu2):
-        return PairwisePreference(
-            a1, a2, Preference(PreferenceKind.INDIFFERENT, a1.id, a2.id)
-        )
-    if mu1 > mu2:
-        return PairwisePreference(a1, a2, Preference(PreferenceKind.STRICT, a1.id, a2.id))
-    return PairwisePreference(a2, a1, Preference(PreferenceKind.STRICT, a2.id, a1.id))
+    kind, left, right = value_preference(fn, x1, x2)
+    a, b = value_assumption(name, left), value_assumption(name, right)
+    return PairwisePreference(a, b, Preference(kind, a.id, b.id))

@@ -4,18 +4,23 @@ expansion, probabilistic and fuzzy relaxation, and softgoal refinement.
 Rewrites are functional: they take a database and return a new one together
 with a report of what changed. Synthesized requirements get ids under the
 reserved "@macro_" prefix so user ids never collide.
+
+A rewrite that needs a requirement with some body reuses the one of the input
+database with that body and the lowest id; a mandatory request (the conflicts
+between pinned values) accepts only a mandatory one. A body not found is added
+under its macro id, or id_2, id_3, ... when that is taken. What the same pass
+added is not looked up, only avoided as an id.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import (
     DanglingReferenceError,
     InvalidLevelError,
-    MissingValueError,
-    NonSingletonValError,
     NoSatisfactionFnError,
     NotAComparisonError,
     MultiVariableConditionError,
@@ -50,7 +55,7 @@ from .model import (
     build_database,
     condition_variables,
 )
-from .quanteval import nearly_equal, sat_value, val
+from .quanteval import nearly_equal, propagate_values, sat_value, unique_val, val
 
 MACRO_PREFIX = "@macro_"
 
@@ -95,26 +100,71 @@ def _value_id_part(x: float) -> str:
     )
 
 
-def _find_by_body(
-    db: RequirementsDatabase, body: Body, modality: Modality | None = None
-) -> str | None:
-    for req in sorted(db, key=lambda r: r.id):
-        if req.body == body and (modality is None or req.modality is modality):
-            return req.id
-    return None
+class _Additions:
+    """The requirements and preferences one pass of a rewrite adds to `db`.
 
+    `ensure` reuses a body found in the input database under its lowest id; a
+    plain request accepts any modality, a mandatory request only a mandatory
+    requirement. What this pass added is not looked up, only avoided as an id,
+    so asking twice for one new body adds it twice.
+    """
 
-def _fresh_id(db: RequirementsDatabase, base: str, taken: set[str]) -> str:
-    candidate = base
-    n = 1
-    while candidate in db or candidate in taken:
-        n += 1
-        candidate = f"{base}_{n}"
-    return candidate
+    def __init__(self, db: RequirementsDatabase):
+        self.db = db
+        self.new: list[Requirement] = []
+        self.prefs: list[Preference] = []
+        self._taken: set[str] = set()
+        self._by_body: dict[Body, list[Requirement]] | None = None
+
+    def add(
+        self, base: str, body: Body, modality=Modality.PLAIN, description: str | None = None
+    ) -> str:
+        """Add a requirement under the first of base, base_2, base_3, ...
+        that neither the input database nor this pass uses."""
+        new_id, n = base, 1
+        while new_id in self.db or new_id in self._taken:
+            n += 1
+            new_id = f"{base}_{n}"
+        self._taken.add(new_id)
+        self.new.append(Requirement(new_id, body, modality, description))
+        return new_id
+
+    def ensure(self, base: str, body: Body, modality=Modality.PLAIN) -> str:
+        """Id of a requirement with this body: found under the reuse rule (a
+        mandatory `modality` makes a mandatory request), or else added."""
+        if self._by_body is None:
+            self._by_body = {}
+            for req in sorted(self.db, key=lambda r: r.id):
+                self._by_body.setdefault(req.body, []).append(req)
+        mandatory = modality is Modality.MANDATORY
+        for req in self._by_body.get(body, ()):
+            if not mandatory or req.modality is Modality.MANDATORY:
+                return req.id
+        return self.add(base, body, modality)
 
 
 def _value_constraint(var: str, x: float, sort) -> Body:
     return SimpleQuant(sort, Compare(Var(QuantVar(var)), "=", Const(float(x))))
+
+
+def value_assumption(var: str, x: float) -> Requirement:
+    """The assumption pinning `var` to `x`, under its macro id."""
+    return Requirement(
+        f"{MACRO_PREFIX}k_{var}_{_value_id_part(x)}", _value_constraint(var, x, K)
+    )
+
+
+def value_preference(
+    fn: SatisfactionFn, x1: float, x2: float
+) -> tuple[PreferenceKind, float, float]:
+    """How two values of a variable compare under its satisfaction function:
+    indifferent when their levels are nearly equal, in the given order; else
+    strict, the more satisfying value first."""
+    mu1, mu2 = sat_value(fn, x1), sat_value(fn, x2)
+    if nearly_equal(mu1, mu2):
+        return PreferenceKind.INDIFFERENT, x1, x2
+    hi, lo = (x1, x2) if mu1 > mu2 else (x2, x1)
+    return PreferenceKind.STRICT, hi, lo
 
 
 def _rebuild(
@@ -122,7 +172,7 @@ def _rebuild(
     *,
     add: Iterable[Requirement] = (),
     remove: Iterable[str] = (),
-    add_preferences: Iterable[Preference] = (),
+    preferences: Iterable[Preference] | None = None,
     sat_fns: dict | None = None,
 ) -> RequirementsDatabase:
     removed = set(remove)
@@ -130,13 +180,32 @@ def _rebuild(
     reqs.extend(add)
     return build_database(
         reqs,
-        set(db.preferences) | set(add_preferences),
+        db.preferences if preferences is None else preferences,
         sat_fns if sat_fns is not None else dict(db.sat_fns),
     )
 
 
-def _member_requirements(db: RequirementsDatabase) -> list[Requirement]:
-    return db.of_sort(*MEMBER_SORTS)
+def _until_unchanged(
+    db: RequirementsDatabase, one_pass: Callable[[_Additions], None]
+) -> tuple[RequirementsDatabase, RewriteReport]:
+    """Apply passes of a rewrite until one adds nothing."""
+    added: list[str] = []
+    added_prefs: list[Preference] = []
+    iterations = 0
+    while True:
+        iterations += 1
+        adds = _Additions(db)
+        one_pass(adds)
+        if not adds.new and not adds.prefs:
+            break
+        db = _rebuild(db, add=adds.new, preferences=db.preferences.union(adds.prefs))
+        added.extend(r.id for r in adds.new)
+        added_prefs.extend(adds.prefs)
+    return db, RewriteReport(
+        added_requirements=tuple(sorted(added)),
+        added_preferences=tuple(added_prefs),
+        iterations=iterations,
+    )
 
 
 def expand_value_conflicts(
@@ -148,56 +217,23 @@ def expand_value_conflicts(
     quality constraint pinning it, and every unordered value pair gets a
     mandatory conflict, so no configuration can assign both. Idempotent.
     """
-    added: list[str] = []
-    iterations = 0
-    while True:
-        iterations += 1
-        new_reqs: list[Requirement] = []
-        taken: set[str] = set()
-        variables = sorted(
-            {
-                cond.lhs.var.name
-                for req in _member_requirements(db)
-                if isinstance(req.body, SimpleQuant)
-                for cond in (req.body.cond,)
-                if isinstance(cond, Compare) and cond.op == "=" and isinstance(cond.lhs, Var)
-            }
-        )
-        for var in variables:
-            values = sorted(val(_member_requirements(db), var))
+
+    def one_pass(adds: _Additions) -> None:
+        values_of = propagate_values(adds.db.of_sort(*MEMBER_SORTS))
+        for var in sorted(values_of):
+            values = sorted(values_of[var])
             if len(values) < 2:
                 continue
-            constraint_ids = {}
+            pinned = {}
             for x in values:
-                body = _value_constraint(var, x, Q)
-                existing = _find_by_body(db, body)
-                if existing is None:
-                    new_id = _fresh_id(db, f"{MACRO_PREFIX}q_{var}_{_value_id_part(x)}", taken)
-                    taken.add(new_id)
-                    new_reqs.append(Requirement(new_id, body))
-                    constraint_ids[x] = new_id
-                else:
-                    constraint_ids[x] = existing
-            for i, x1 in enumerate(values):
-                for x2 in values[i + 1 :]:
-                    pair = frozenset({constraint_ids[x1], constraint_ids[x2]})
-                    body = Conflict(pair)
-                    if _find_by_body(db, body, Modality.MANDATORY) is None:
-                        new_id = _fresh_id(
-                            db,
-                            f"{MACRO_PREFIX}confl_{var}_"
-                            f"{_value_id_part(x1)}_{_value_id_part(x2)}",
-                            taken,
-                        )
-                        taken.add(new_id)
-                        new_reqs.append(Requirement(new_id, body, Modality.MANDATORY))
-        if not new_reqs:
-            break
-        db = _rebuild(db, add=new_reqs)
-        added.extend(r.id for r in new_reqs)
-    return db, RewriteReport(
-        added_requirements=tuple(sorted(added)), iterations=iterations
-    )
+                base = f"{MACRO_PREFIX}q_{var}_{_value_id_part(x)}"
+                pinned[x] = adds.ensure(base, _value_constraint(var, x, Q))
+            for x1, x2 in itertools.combinations(values, 2):
+                base = f"{MACRO_PREFIX}confl_{var}_{_value_id_part(x1)}_{_value_id_part(x2)}"
+                pair = Conflict(frozenset({pinned[x1], pinned[x2]}))
+                adds.ensure(base, pair, Modality.MANDATORY)
+
+    return _until_unchanged(db, one_pass)
 
 
 def expand_value_preferences(
@@ -214,71 +250,34 @@ def expand_value_preferences(
     fn = db.sat_fn(name)
     if fn is None:
         raise NoSatisfactionFnError(f"no satisfaction function registered for {name!r}")
-    added_reqs: list[str] = []
-    added_prefs: list[Preference] = []
-    iterations = 0
-    while True:
-        iterations += 1
-        new_reqs: list[Requirement] = []
-        new_prefs: list[Preference] = []
-        taken: set[str] = set()
-        assumption_ids: dict[float, str] = {}
+
+    def one_pass(adds: _Additions) -> None:
+        assumptions: dict[float, str] = {}
 
         def assumption(x: float) -> str:
-            if x in assumption_ids:
-                return assumption_ids[x]
-            body = _value_constraint(name, x, K)
-            existing = _find_by_body(db, body)
-            if existing is None:
-                new_id = _fresh_id(db, f"{MACRO_PREFIX}k_{name}_{_value_id_part(x)}", taken)
-                taken.add(new_id)
-                new_reqs.append(Requirement(new_id, body))
-                assumption_ids[x] = new_id
-            else:
-                assumption_ids[x] = existing
-            return assumption_ids[x]
+            if x not in assumptions:
+                req = value_assumption(name, x)
+                assumptions[x] = adds.ensure(req.id, req.body)
+            return assumptions[x]
 
-        values = sorted(val(_member_requirements(db), name))
-        for i, x1 in enumerate(values):
-            for x2 in values[i + 1 :]:
-                mu1, mu2 = sat_value(fn, x1), sat_value(fn, x2)
-                if nearly_equal(mu1, mu2):
-                    left, right = assumption(x1), assumption(x2)
-                    pref = Preference(PreferenceKind.INDIFFERENT, left, right)
-                    if pref not in db.preferences:
-                        new_prefs.append(pref)
-                else:
-                    hi, lo = (x1, x2) if mu1 > mu2 else (x2, x1)
-                    left, right = assumption(hi), assumption(lo)
-                    conflict = Conflict(frozenset({left, right}))
-                    if _find_by_body(db, conflict) is None:
-                        new_id = _fresh_id(
-                            db,
-                            f"{MACRO_PREFIX}kconfl_{name}_"
-                            f"{_value_id_part(min(x1, x2))}_{_value_id_part(max(x1, x2))}",
-                            taken,
-                        )
-                        taken.add(new_id)
-                        new_reqs.append(Requirement(new_id, conflict))
-                    pref = Preference(PreferenceKind.STRICT, left, right)
-                    if pref not in db.preferences:
-                        new_prefs.append(pref)
-        if not new_reqs and not new_prefs:
-            break
-        db = _rebuild(db, add=new_reqs, add_preferences=new_prefs)
-        added_reqs.extend(r.id for r in new_reqs)
-        added_prefs.extend(new_prefs)
-    return db, RewriteReport(
-        added_requirements=tuple(sorted(added_reqs)),
-        added_preferences=tuple(added_prefs),
-        iterations=iterations,
-    )
+        values = sorted(val(adds.db.of_sort(*MEMBER_SORTS), name))
+        for x1, x2 in itertools.combinations(values, 2):
+            kind, hi, lo = value_preference(fn, x1, x2)
+            pref = Preference(kind, assumption(hi), assumption(lo))
+            if kind is PreferenceKind.STRICT:
+                base = f"{MACRO_PREFIX}kconfl_{name}_{_value_id_part(x1)}_{_value_id_part(x2)}"
+                adds.ensure(base, Conflict(frozenset({pref.left, pref.right})))
+            if pref not in adds.db.preferences:
+                adds.prefs.append(pref)
+
+    return _until_unchanged(db, one_pass)
 
 
 def _rewrite_references(
     db: RequirementsDatabase, old: str, new: str
-) -> tuple[list[Requirement], set[Preference], set[Preference]]:
-    """Requirements and preferences updated to mention `new` instead of `old`."""
+) -> tuple[list[Requirement], set[Preference]]:
+    """Requirements that mention `old`, and all preferences, updated to
+    mention `new` instead."""
 
     def sub(ref: str) -> str:
         return new if ref == old else ref
@@ -294,11 +293,8 @@ def _rewrite_references(
         else:
             body = Conflict(frozenset(sub(a) for a in req.body.antecedents))
         updated.append(Requirement(req.id, body, req.modality, req.description))
-    dropped = {p for p in db.preferences if old in (p.left, p.right)}
-    replaced = {
-        Preference(p.kind, sub(p.left), sub(p.right)) for p in dropped
-    }
-    return updated, dropped, replaced
+    prefs = {Preference(p.kind, sub(p.left), sub(p.right)) for p in db.preferences}
+    return updated, prefs
 
 
 def relax_probabilistic(
@@ -331,31 +327,17 @@ def relax_probabilistic(
     if outer_op not in _PROB_OUTER:
         raise ValueError(f"invalid outer operator {outer_op!r}")
     variable = cond.lhs.var
-    taken: set[str] = set()
-    new_reqs: list[Requirement] = []
-    dist_body: Body = SimpleQuant(K, Distributed(variable, dist))
-    dist_id = _find_by_body(db, dist_body)
-    if dist_id is None:
-        dist_id = _fresh_id(db, f"{MACRO_PREFIX}dist_{variable.name}", taken)
-        taken.add(dist_id)
-        new_reqs.append(Requirement(dist_id, dist_body))
-    prob_body: Body = SimpleQuant(
-        Q, ProbCompare(variable, cond.op, cond.rhs, outer_op, Const(float(level)))
+    adds = _Additions(db)
+    adds.ensure(f"{MACRO_PREFIX}dist_{variable.name}", SimpleQuant(K, Distributed(variable, dist)))
+    prob = ProbCompare(variable, cond.op, cond.rhs, outer_op, Const(float(level)))
+    prob_id = adds.add(
+        f"{MACRO_PREFIX}prob_{constraint}", SimpleQuant(Q, prob), req.modality, req.description
     )
-    prob_id = _fresh_id(db, f"{MACRO_PREFIX}prob_{constraint}", taken)
-    new_reqs.append(Requirement(prob_id, prob_body, req.modality, req.description))
-    updated, dropped_prefs, replaced_prefs = _rewrite_references(db, constraint, prob_id)
-    reqs = [
-        r
-        for r in sorted(db, key=lambda r: r.id)
-        if r.id != constraint and r.id not in {u.id for u in updated}
-    ]
-    reqs.extend(updated)
-    reqs.extend(new_reqs)
-    prefs = (set(db.preferences) - dropped_prefs) | replaced_prefs
-    out = build_database(reqs, prefs, dict(db.sat_fns))
+    updated, prefs = _rewrite_references(db, constraint, prob_id)
+    removed = {constraint, *(u.id for u in updated)}
+    out = _rebuild(db, add=updated + adds.new, remove=removed, preferences=prefs)
     return out, RewriteReport(
-        added_requirements=tuple(sorted(r.id for r in new_reqs)),
+        added_requirements=tuple(sorted(r.id for r in adds.new)),
         removed_requirements=(constraint,),
     )
 
@@ -422,46 +404,25 @@ def add_satisfaction_product(
     """Bind `out_var` to the product of the current satisfaction levels of two
     variables, through auxiliary assumptions for each factor."""
     names = [v.name if isinstance(v, QuantVar) else v for v in (var1, var2, out_var)]
+    adds = _Additions(db)
+    members = db.of_sort(*MEMBER_SORTS)
     factors = []
-    members = _member_requirements(db)
     for name in names[:2]:
         fn = db.sat_fn(name)
         if fn is None:
             raise NoSatisfactionFnError(f"no satisfaction function registered for {name!r}")
-        values = val(members, name)
-        if not values:
-            raise MissingValueError(f"variable {name!r} obtains no value")
-        if len(values) > 1:
-            raise NonSingletonValError(
-                f"variable {name!r} obtains several values: {sorted(values)}"
-            )
-        factors.append(sat_value(fn, next(iter(values))))
-    taken: set[str] = set()
-    new_reqs: list[Requirement] = []
-    aux_ids = []
-    for name, mu in zip(names[:2], factors):
-        body = _value_constraint(f"{MACRO_PREFIX}mu_{name}", mu, K)
-        existing = _find_by_body(db, body)
-        if existing is None:
-            new_id = _fresh_id(db, f"{MACRO_PREFIX}kmu_{name}", taken)
-            taken.add(new_id)
-            new_reqs.append(Requirement(new_id, body))
-            aux_ids.append(new_id)
-        else:
-            aux_ids.append(existing)
-    product = BinOp(
-        "*",
-        Var(QuantVar(f"{MACRO_PREFIX}mu_{names[0]}")),
-        Var(QuantVar(f"{MACRO_PREFIX}mu_{names[1]}")),
-    )
-    body = SimpleQuant(K, Compare(Var(QuantVar(names[2])), "=", product))
-    if _find_by_body(db, body) is None:
-        new_id = _fresh_id(db, f"{MACRO_PREFIX}prod_{names[2]}", taken)
-        new_reqs.append(Requirement(new_id, body))
-    out = _rebuild(db, add=new_reqs)
-    return out, RewriteReport(
-        added_requirements=tuple(sorted(r.id for r in new_reqs))
-    )
+        x = unique_val(
+            members, name,
+            missing=f"variable {name!r} obtains no value",
+            several=lambda xs: f"variable {name!r} obtains several values: {xs}",
+        )
+        factor = f"{MACRO_PREFIX}mu_{name}"
+        adds.ensure(f"{MACRO_PREFIX}kmu_{name}", _value_constraint(factor, sat_value(fn, x), K))
+        factors.append(Var(QuantVar(factor)))
+    body = SimpleQuant(K, Compare(Var(QuantVar(names[2])), "=", BinOp("*", *factors)))
+    adds.ensure(f"{MACRO_PREFIX}prod_{names[2]}", body)
+    out = _rebuild(db, add=adds.new)
+    return out, RewriteReport(added_requirements=tuple(sorted(r.id for r in adds.new)))
 
 
 def refine_softgoal(
@@ -479,9 +440,10 @@ def refine_softgoal(
             f"{refining!r} must be a quality constraint or goal, "
             f"got sort {db[refining].sort.value!r}"
         )
-    body: Body = Implication(frozenset({refining}), softgoal)
-    if _find_by_body(db, body) is not None:
-        return db, RewriteReport(iterations=1)
-    new_id = _fresh_id(db, f"{MACRO_PREFIX}ref_{refining}__{softgoal}", set())
-    out = _rebuild(db, add=[Requirement(new_id, body)])
-    return out, RewriteReport(added_requirements=(new_id,))
+    adds = _Additions(db)
+    body = Implication(frozenset({refining}), softgoal)
+    adds.ensure(f"{MACRO_PREFIX}ref_{refining}__{softgoal}", body)
+    if not adds.new:
+        return db, RewriteReport()
+    out = _rebuild(db, add=adds.new)
+    return out, RewriteReport(added_requirements=(adds.new[0].id,))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import roadmapper.cli
 from roadmapper.cli import _write_json, main
 from roadmapper.parser import parse, serialize
-from roadmapper.testkit import generate_database, parse_dot
+from roadmapper.testkit import ModelGenSpec, generate_database, parse_dot
 
 from conftest import LAS_PATH, REPO_ROOT, SCHEMA_PATH, implication_chain
 
@@ -147,6 +147,50 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
         assert proc.returncode == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# Runs `cli.main` in-process on each model file named on the command line and
+# prints, per call, the exit code and a digest of what it wrote.
+_DIGEST_CALLS = """
+import contextlib, hashlib, io, sys
+from roadmapper.cli import main
+for path in sys.argv[1:]:
+    for argv in (
+        ["configs", path],
+        ["rank", path, "--rule", "r3", "--var", "v1"],
+        ["roadmaps", path, "--var", "v1"],
+        ["relax", path, "--prob", "--target", "q1", "--mean", "10", "--variance", "4"],
+        ["relax", path, "--fuzzy", "--target", "q1", "--mu", "exp:0.5"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        text = out.getvalue() + err.getvalue()
+        print(argv[0], code, hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_generated_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    paths = []
+    for seed in range(20):
+        spec = ModelGenSpec(seed=seed, tasks=4 + seed % 5, include_quantities=True)
+        path = tmp_path / f"gen{seed}.req"
+        path.write_text(serialize(generate_database(spec)))
+        paths.append(str(path))
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    outputs = []
+    for seed in (1, 2):
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGEST_CALLS, *paths],
+            env={**env, "PYTHONHASHSEED": str(seed)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 5 * len(paths)
 
 
 def test_check_missing_file(capsys):
@@ -377,8 +421,10 @@ def test_relax_bad_arguments_are_usage_errors(capsys, tmp_path, flags):
         ["roadmaps", "--var", "v", "--maxlen", "0"],
         ["roadmaps", "--var", "v", "--maxdiff", "-1"],
         ["configs", "--max-results", "-1"],
+        ["roadmaps", "--var", "v", "--floor", "nan"],
+        ["roadmaps", "--var", "v", "--floor", "inf"],
     ],
-    ids=["maxlen", "maxdiff", "max-results"],
+    ids=["maxlen", "maxdiff", "max-results", "floor-nan", "floor-inf"],
 )
 def test_bad_limits_are_usage_errors(capsys, toy_file, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
 import pytest
 
+from roadmapper.configuration import Configuration
 from roadmapper.errors import (
     DanglingReferenceError,
     InvalidLevelError,
@@ -23,10 +25,14 @@ from roadmapper.model import (
     PlateauThenDecay,
     PreferenceKind,
     ProbCompare,
+    QuantVar,
     SimpleQuant,
+    condition_variables,
 )
 from roadmapper.operationalization import qualitative_operationalizations
+from roadmapper.parser import load_file, serialize
 from roadmapper.quanteval import sat_value, val
+from roadmapper.roadmap import pairwise_value_preference
 from roadmapper.testkit import ModelGenSpec, generate_database
 from roadmapper.transforms import (
     add_satisfaction_product,
@@ -38,7 +44,7 @@ from roadmapper.transforms import (
     relax_probabilistic,
 )
 
-from conftest import parse_ok
+from conftest import LAS_PATH, parse_ok
 
 
 def members(db):
@@ -329,3 +335,150 @@ def test_refine_softgoal_idempotent():
     twice, second = refine_softgoal(once, "sg", "qc")
     assert not second.changed
     assert twice == once
+
+
+# --- pinned rewrite behaviour ------------------------------------------------------------------
+
+# Small models for the reuse rule: a body already present under a user id, two
+# ids with one body, a conflict whose modality a mandatory request refuses, an
+# existing distribution, and existing assumptions and preferences.
+EDGE_MODELS = {
+    "edge-reuse": (
+        "t a: v = 3. k b: v = 7. q c2: v = 3. q c1: v = 3. k d ?: v = 7. "
+        "q qd: v = 7. k e ?: c1 & qd -> false. k kd: w ~ Normal(5, 4). "
+        "q qw: w <= 7. q qw2 !: w >= 2. s sg: ~ \"fast\". k r: qw -> sg."
+    ),
+    "edge-prefs": (
+        "t a: v = 1. t b: v = 3. t c: v = 5. k ka: v = 1. k kb: v = 3. "
+        "k kc: ka & kb -> false. pref: ka > kb. satfn v = exp(0.5). "
+        "t x: u = 2. satfn u = pwl((0.0, 0.6), (100.0, 0.6))."
+    ),
+    "edge-chain": (
+        "k k1: v1 = 2. k k2: v2 = v1 * 3. t a: v3 = 4. t b: v3 = 4.5. "
+        "q qv: v2 <= 10. satfn v1 = exp(0.5). satfn v2 = exp(0.25)."
+    ),
+}
+
+
+def _rewrite_transcript(db) -> str:
+    """Every public rewrite over a spread of arguments, success and error
+    alike: the serialized result and report fields, or `type: message`."""
+    lines: list[str] = []
+
+    def run(label, fn, *args):
+        try:
+            result = fn(*args)
+        except Exception as exc:  # every error is part of the pinned behaviour
+            lines.append(f"{label} -> {type(exc).__name__}: {exc}")
+            return None
+        if isinstance(result, tuple):
+            out, report = result
+            prefs = [(p.kind.value, p.left, p.right) for p in report.added_preferences]
+            lines.append(
+                f"{label} -> {report.added_requirements} {report.removed_requirements} "
+                f"{prefs} {report.added_sat_fns} {report.iterations}"
+            )
+            lines.append(serialize(out))
+            return out
+        lines.append(f"{label} -> {result!r}")
+        return result
+
+    ids = db.ids() + ["nope"]
+    quantities = [r.body.cond for r in db if isinstance(r.body, SimpleQuant)]
+    variables = sorted({v for c in quantities for v in condition_variables(c)} | set(db.sat_fns))
+    member_reqs = members(db)
+    expanded = run("conflicts", expand_value_conflicts, db)
+    if expanded is not None:
+        run("conflicts again", expand_value_conflicts, expanded)
+    fuzzy = db
+    for var in variables:
+        values = sorted(val(member_reqs, var))
+        run(f"prefs {var}", expand_value_preferences, db, var)
+        bound = values[0] if values else 1.0
+        upper = run(f"upper {var}", relax_fuzzy_upper_bound, expanded or db, var, bound)
+        once = run(f"prefs upper {var}", expand_value_preferences, upper, var)
+        if once is not None:
+            run(f"prefs upper {var} again", expand_value_preferences, once, var)
+        if var not in fuzzy.sat_fns:
+            fuzzy, _ = relax_fuzzy_upper_bound(fuzzy, var, values[-1] if values else 1.0)
+    outer_ops = (">=", ">", "=", "<=", "<")
+    for i, req_id in enumerate(ids):
+        dist = Normal(5.0, 4.0) if i % 2 else Normal(50.0, 100.0)
+        run(f"prob {req_id}", relax_probabilistic, db, req_id, dist, 0.9, outer_ops[i % 5])
+        run(f"fuzzy {req_id}", relax_fuzzy, db, req_id, ExpDecay(0.5))
+    bound = next((r.id for r in db if r.sort.value == "q"), ids[0])
+    run("prob level", relax_probabilistic, db, bound, Normal(5.0, 4.0), 0.0)
+    run("prob outer", relax_probabilistic, db, bound, Normal(5.0, 4.0), 0.5, "!=")
+    run("product bare", add_satisfaction_product, db, "v1", "v2", "out")
+    for a in variables:
+        for b in variables:
+            out = run(f"product {a} {b}", add_satisfaction_product, fuzzy, a, QuantVar(b), a)
+            if out is not None:
+                run(f"product {a} {b} again", add_satisfaction_product, out, a, b, a)
+    softgoals = [r.id for r in db if r.sort.value == "s"] + ids[:1]
+    for sg in softgoals:
+        for req_id in ids:
+            out = run(f"refine {sg} {req_id}", refine_softgoal, db, sg, req_id)
+            if out is not None:
+                run(f"refine {sg} {req_id} again", refine_softgoal, out, sg, req_id)
+    for var in variables:
+        carriers = [r.id for r in member_reqs if val([r], var)][:4]
+        sets = [frozenset({c}) for c in carriers] + [frozenset(carriers), frozenset()]
+        for i, s1 in enumerate(sets):
+            for s2 in sets[i + 1 :]:
+                run(
+                    f"pairwise {var} {sorted(s1)} {sorted(s2)}",
+                    pairwise_value_preference,
+                    fuzzy,
+                    Configuration("s1", s1),
+                    Configuration("s2", s2),
+                    var,
+                )
+    return "\n".join(lines)
+
+
+def _pinned_models():
+    yield "las", load_file(LAS_PATH).database
+    for name, text in EDGE_MODELS.items():
+        yield name, parse_ok(text)
+    for seed in range(20):
+        spec = ModelGenSpec(seed=seed, tasks=4 + seed % 4, include_quantities=seed % 5 != 4)
+        yield f"gen-{seed}", generate_database(spec)
+
+
+# The first 16 hex digits of the sha256 of each model's transcript: a change to
+# any id, byte, error or report field a rewrite produces changes one of them.
+REWRITE_DIGESTS = {
+    "las": "bf1d413e7b89667c",
+    "edge-reuse": "cf664248e5536689",
+    "edge-prefs": "b5effefa286a0526",
+    "edge-chain": "468c03a492762722",
+    "gen-0": "7ef0c42652c1f19e",
+    "gen-1": "ef208b22a542ffea",
+    "gen-2": "99b12621c47a5abf",
+    "gen-3": "2add98dc70cffb31",
+    "gen-4": "d6bf54173347b048",
+    "gen-5": "203b03601fc4ae18",
+    "gen-6": "c1a7ae3c0455dadd",
+    "gen-7": "947b91b422920d0c",
+    "gen-8": "abff840931550d31",
+    "gen-9": "56434dded1822764",
+    "gen-10": "bd7b0e4e147982c7",
+    "gen-11": "9298712e243c7de3",
+    "gen-12": "544de879d5c286f3",
+    "gen-13": "9df17333a174545e",
+    "gen-14": "15140c90e7aa55f4",
+    "gen-15": "957adc00c2b2b18f",
+    "gen-16": "1c4876875742e127",
+    "gen-17": "b718c7800f4284bb",
+    "gen-18": "ad95b553bd5736c6",
+    "gen-19": "99714f2c82787339",
+}
+
+
+def test_rewrites_match_pinned_digests():
+    digests = {
+        name: hashlib.sha256(_rewrite_transcript(db).encode()).hexdigest()[:16]
+        for name, db in _pinned_models()
+    }
+    assert digests == REWRITE_DIGESTS
