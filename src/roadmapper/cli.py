@@ -661,7 +661,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def limits(p):
         p.add_argument(
             "--max-atoms",
-            type=int,
+            type=_non_negative_int,
             default=_default_max_atoms(),
             help=f"k/t requirement cap for enumeration (default {DEFAULT_MAX_ATOMS}; "
             f"env {ATOM_LIMIT_ENV})",
@@ -732,9 +732,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random model (test data)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tasks", type=int, default=5)
-    p.add_argument("--assumptions", type=int, default=2)
-    p.add_argument("--goals", type=int, default=3)
+    p.add_argument("--tasks", type=_non_negative_int, default=5)
+    p.add_argument("--assumptions", type=_non_negative_int, default=2)
+    p.add_argument("--goals", type=_non_negative_int, default=3)
     p.add_argument("--quantities", action="store_true")
     p.set_defaults(func=cmd_gen)
 

@@ -280,7 +280,7 @@ def _relevant_plains(
     for req in index.conflicts.values():
         antecedent_options = {}
         for ant in sorted(req.body.antecedents):
-            options, _ = search.options(ant, frozenset())
+            options = search.options(ant)
             antecedent_options[ant] = [members for members, _route in options]
         optional_involved = req.modality is Modality.OPTIONAL or any(
             members & optional_ids

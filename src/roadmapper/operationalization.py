@@ -7,17 +7,17 @@ acyclic refinement equations, or through derived assignments) make the
 condition true, using declared distributions for probability bounds.
 Implications and conflicts fire only when they are members themselves.
 
-Minimal supports are enumerated recursively over the three satisfaction
-routes (membership, implication, numeric discharge), then verified and
-minimalized against the closure. Every support includes the full mandatory
-k/t set; minimality is judged modulo that set.
+Minimal supports are enumerated over the three satisfaction routes
+(membership, implication, numeric discharge) on one explicit stack, then
+verified and minimalized against the closure. Every support includes the
+full mandatory k/t set; minimality is judged modulo that set.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Literal, Mapping
+from typing import Container, Generator, Iterable, Literal, Mapping
 
 from .errors import (
     RefinementCycleError,
@@ -59,6 +59,7 @@ DEFAULT_SEARCH_LIMIT = 2 ** 20
 _COMBO_LIMIT = 4096
 
 Route = Literal["member", "inferred", "numeric"]
+_Key = tuple[str, str]  # a support-search request: ("req", id) or ("var", name)
 
 
 @dataclass(frozen=True)
@@ -399,11 +400,12 @@ def _minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
 
 
 class _SupportSearch:
-    """Recursive enumeration of minimal satisfaction options per requirement.
+    """Minimal satisfaction options per requirement, on one explicit stack.
 
-    Recursion follows well-founded derivations only: a requirement or variable
-    already on the path contributes nothing to its own support. Results
-    computed without hitting such a guard are memoized.
+    Each frame is a generator over one key, `("req", id)` or `("var", name)`:
+    it yields the keys it needs and is sent their results. A key already on
+    the stack is sent `()`, so only well-founded derivations count, and a
+    frame is memoized only if no such guard was hit while it ran.
     """
 
     def __init__(self, db: RequirementsDatabase, budget: _Budget, phase: str):
@@ -411,29 +413,51 @@ class _SupportSearch:
         self.index = db.closure_index
         self.budget = budget
         self.phase = phase
-        self.req_memo: dict[str, tuple[tuple[frozenset[str], Route], ...]] = {}
-        self.unit_memo: dict[str, tuple[tuple[frozenset[str], float], ...]] = {}
+        self.memo: dict[_Key, tuple] = {}
 
-    def options(
-        self, req_id: str, stack: frozenset
-    ) -> tuple[tuple[tuple[frozenset[str], Route], ...], bool]:
+    def options(self, req_id: str) -> tuple[tuple[frozenset[str], Route], ...]:
         """Minimal member sets satisfying `req_id`, tagged with their route."""
-        if req_id in self.req_memo:
-            return self.req_memo[req_id], False
-        key = ("req", req_id)
-        if key in stack:
-            return (), True
-        stack = stack | {key}
+        memo = self.memo
+        stack: list[tuple[_Key, Generator[_Key, tuple, tuple], int]] = []
+        on_stack: set[_Key] = set()
+        hits = 0  # guards hit so far
+        request = ("req", req_id)
+        while True:
+            if request in memo:
+                reply = memo[request]
+            elif request in on_stack:
+                hits += 1
+                reply = ()
+            else:
+                kind, name = request
+                frame = self._req_frame(name) if kind == "req" else self._var_frame(name)
+                stack.append((request, frame, hits))
+                on_stack.add(request)
+                reply = None
+            # Resume frames until one makes a request or the stack empties.
+            while stack:
+                key, frame, hits_at_push = stack[-1]
+                try:
+                    request = frame.send(reply)
+                    break
+                except StopIteration as done:
+                    reply = done.value
+                stack.pop()
+                on_stack.remove(key)
+                if hits == hits_at_push:
+                    memo[key] = reply
+            else:
+                return reply
+
+    def _req_frame(self, req_id: str) -> Generator[_Key, tuple, tuple]:
         req = self.db[req_id]
-        tainted = False
         collected: list[tuple[frozenset[str], Route]] = []
         if req.sort in MEMBER_SORTS:
             collected.append((frozenset({req_id}), "member"))
         for imp in self.index.by_consequent.get(req_id, ()):
             combos: list[frozenset[str]] = [frozenset({imp.id})]
             for ant in sorted(imp.body.antecedents):
-                ant_options, t = self.options(ant, stack)
-                tainted = tainted or t
+                ant_options = yield ("req", ant)
                 sets = _minimal_sets([members for members, _ in ant_options])
                 if not sets:
                     combos = []
@@ -442,32 +466,25 @@ class _SupportSearch:
                 combos = _minimal_sets([c | s for c in combos for s in sets])
             collected.extend((c, "inferred") for c in combos)
         if req_id in self.index.quantitative:
-            numeric, t = self._numeric_options(req.body.cond, stack)
-            tainted = tainted or t
+            numeric = yield from self._numeric_options(req.body.cond)
             collected.extend((members, "numeric") for members in numeric)
         result: list[tuple[frozenset[str], Route]] = []
         for route in ("member", "inferred", "numeric"):
             for members in _minimal_sets([m for m, r in collected if r == route]):
                 result.append((members, route))
-        out = tuple(result)
-        if not tainted:
-            self.req_memo[req_id] = out
-        return out, tainted
+        return tuple(result)
 
-    def _numeric_options(
-        self, cond, stack: frozenset
-    ) -> tuple[list[frozenset[str]], bool]:
+    def _numeric_options(self, cond) -> Generator[_Key, tuple, list[frozenset[str]]]:
         needed = _needed_variables(cond)
         if needed is None:
-            return [], False
-        combos, tainted = self._value_combos(needed, stack)
+            return []
+        combos = yield from self._value_combos(needed)
         governing: list[tuple[frozenset[str], DistributionSpec | None]] = []
         if isinstance(cond, Compare):
             governing.append((frozenset(), None))
         else:
             for dist_id, dist in self.index.dists_by_var.get(cond.var.name, ()):
-                dist_options, t = self.options(dist_id, stack)
-                tainted = tainted or t
+                dist_options = yield ("req", dist_id)
                 governing.extend((members, dist) for members, _ in dist_options)
         found = [
             dist_members | members
@@ -475,46 +492,34 @@ class _SupportSearch:
             for members, env in combos
             if _holds(cond, env, dist)
         ]
-        return _minimal_sets(found), tainted
+        return _minimal_sets(found)
 
     def _value_combos(
-        self, variables: list[str], stack: frozenset
-    ) -> tuple[list[tuple[frozenset[str], dict[str, float]]], bool]:
+        self, variables: list[str]
+    ) -> Generator[_Key, tuple, list[tuple[frozenset[str], dict[str, float]]]]:
         """All ways to give each variable one value, with the members used."""
         combos: list[tuple[frozenset[str], dict[str, float]]] = [(frozenset(), {})]
-        tainted = False
         for var in variables:
-            units, t = self.units(var, stack)
-            tainted = tainted or t
+            units = yield ("var", var)
             if not units:
-                return [], tainted
+                return []
             self.budget.tick(self.phase, len(combos) * len(units))
             combos = [
                 (members | unit_members, {**env, var: value})
                 for members, env in combos
                 for unit_members, value in units
             ]
-        return combos, tainted
+        return combos
 
-    def units(
-        self, var: str, stack: frozenset
-    ) -> tuple[tuple[tuple[frozenset[str], float], ...], bool]:
-        """Minimal member sets that give `var` a specific value."""
-        if var in self.unit_memo:
-            return self.unit_memo[var], False
-        key = ("var", var)
-        if key in stack:
-            return (), True
-        stack = stack | {key}
-        tainted = False
-        found: list[tuple[frozenset[str], float]] = []
+    def _var_frame(self, var: str) -> Generator[_Key, tuple, tuple]:
+        """Minimal member sets that give `var` a specific value, in value order."""
+        found: dict[float, list[frozenset[str]]] = {}
         for req_id, rhs, rhs_vars in self.index.assignments_by_var.get(var, ()):
             if var in rhs_vars:
                 raise RefinementCycleError(
                     f"variable {var!r} is defined in terms of itself"
                 )
-            sat_options, t = self.options(req_id, stack)
-            tainted = tainted or t
+            sat_options = yield ("req", req_id)
             if not sat_options:
                 continue
             carriers = _minimal_sets([m for m, _ in sat_options])
@@ -523,35 +528,23 @@ class _SupportSearch:
                     value = _eval(rhs, {})
                 except RoadmapperError:
                     continue
-                found.extend((c, value) for c in carriers)
+                found.setdefault(value, []).extend(carriers)
                 continue
-            combos, t = self._value_combos(sorted(rhs_vars), stack)
-            tainted = tainted or t
+            combos = yield from self._value_combos(sorted(rhs_vars))
             for members, env in combos:
                 try:
                     value = _eval(rhs, env)
                 except RoadmapperError:
                     continue
                 self.budget.tick(self.phase, len(carriers))
-                found.extend((c | members, value) for c in carriers)
-        result = self._dedupe_units(found)
-        if not tainted:
-            self.unit_memo[var] = result
-        return result, tainted
-
-    @staticmethod
-    def _dedupe_units(
-        units: list[tuple[frozenset[str], float]]
-    ) -> tuple[tuple[frozenset[str], float], ...]:
-        buckets: dict[float, list[frozenset[str]]] = {}
-        for members, value in units:
-            buckets.setdefault(value, []).append(members)
-        if len(buckets) > MAX_VALUES_PER_VARIABLE:
+                found.setdefault(value, []).extend(c | members for c in carriers)
+        if len(found) > MAX_VALUES_PER_VARIABLE:
             raise ValOverflowError("assigned-value cap exceeded during support search")
-        out: list[tuple[frozenset[str], float]] = []
-        for value in sorted(buckets):
-            out.extend((members, value) for members in _minimal_sets(buckets[value]))
-        return tuple(out)
+        return tuple(
+            (members, value)
+            for value in sorted(found)
+            for members in _minimal_sets(found[value])
+        )
 
 
 def _minimal_supports(
@@ -562,7 +555,7 @@ def _minimal_supports(
 ) -> list[frozenset[str]]:
     mandatory = frozenset(db.closure_index.mandatory_members)
     search = _SupportSearch(db, budget, f"threshold-support search for {target_id!r}")
-    options, _ = search.options(target_id, frozenset())
+    options = search.options(target_id)
     parts = _minimal_sets(
         [members - mandatory for members, route in options if route in routes]
     )

@@ -423,12 +423,20 @@ def test_relax_bad_arguments_are_usage_errors(capsys, tmp_path, flags):
         ["configs", "--max-results", "-1"],
         ["roadmaps", "--var", "v", "--floor", "nan"],
         ["roadmaps", "--var", "v", "--floor", "inf"],
+        ["configs", "--max-atoms", "-3"],
+        ["gen", "--tasks", "-1"],
+        ["gen", "--assumptions", "-1"],
+        ["gen", "--goals", "-1"],
     ],
-    ids=["maxlen", "maxdiff", "max-results", "floor-nan", "floor-inf"],
+    ids=[
+        "maxlen", "maxdiff", "max-results", "floor-nan", "floor-inf", "max-atoms",
+        "gen-tasks", "gen-assumptions", "gen-goals",
+    ],
 )
 def test_bad_limits_are_usage_errors(capsys, toy_file, argv):
+    files = [] if argv[0] == "gen" else [toy_file]
     with pytest.raises(SystemExit) as exc:
-        main([argv[0], toy_file, *argv[1:]])
+        main([argv[0], *files, *argv[1:]])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and argv[-2] in err
@@ -454,21 +462,15 @@ def test_gen_is_deterministic_and_parses(capsys):
 
 # --- internal errors ------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        implication_chain(1500).replace("g a1500.", "g a1500 !."),
-    ],
-    ids=["implication-chain"],
-)
-def test_internal_error_is_one_line_and_exit_1(capsys, tmp_path, text):
-    path = tmp_path / "big.req"
-    path.write_text(text)
-    code, out, err = run(capsys, "configs", str(path), "--max-atoms", "4000")
+def test_internal_error_is_one_line_and_exit_1(capsys, monkeypatch, toy_file):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(roadmapper.cli, "enumerate_configurations", crash)
+    code, out, err = run(capsys, "configs", toy_file)
     assert code == 1 and out == ""
     assert "Traceback" not in err
-    [line] = err.splitlines()
-    assert line.startswith("error: internal: ")
+    assert err.splitlines() == ["error: internal: RuntimeError: boom"]
 
 
 
@@ -531,6 +533,58 @@ def test_front_end_corpus_ends_in_its_exit_code(capsys, schema, tmp_path, reques
     jsonschema.validate(payload, schema)
     messages = [d["message"] for d in payload["diagnostics"]]
     assert messages == ([] if message is None else [message])
+
+
+# --- adversarial corpus -----------------------------------------------------------
+
+def refinement_chain(n: int) -> str:
+    """`t a0: x0 = 1.`, one task `r{i}: x{i} = x{i-1} + 1.` per link, and a
+    mandatory quality constraint on the last variable."""
+    links = "".join(f"t r{i}: x{i} = x{i - 1} + 1.\n" for i in range(1, n + 1))
+    return f"t a0: x0 = 1.\n{links}q goal !: x{n} >= 0.\n"
+
+
+LAS_ROADMAPS = ["--var", "rt", "--floor", "40", "--maxdiff", "10", "--max-atoms", "64"]
+
+# What the enumerating commands must end in on inputs that stress the search:
+# the model's text (None: the `model_io_3000` fixture's; "las": the LAS
+# model), the command and its flags, the exit code, and a wall bound in
+# seconds. Both chains are longer than Python's recursion limit allows a
+# recursive search to follow.
+ADVERSARIAL_CORPUS = {
+    "implication-chain-1200": (
+        implication_chain(1200).replace("g a1200.", "g a1200 !."),
+        ["configs", "--max-atoms", "4000"], 0, 10.0,
+    ),
+    "refinement-chain-500": (refinement_chain(500), ["configs", "--max-atoms", "4000"], 0, 8.0),
+    "las-roadmaps-maxlen-3": ("las", ["roadmaps", *LAS_ROADMAPS, "--maxlen", "3"], 3, 2.0),
+    "model-io-3000-configs": (None, ["configs", "--max-atoms", "64"], 3, 5.0),
+    "model-io-3000-rank": (
+        None, ["rank", "--rule", "r3", "--var", "v1", "--max-atoms", "64"], 3, 5.0
+    ),
+    "model-io-3000-roadmaps": (
+        None, ["roadmaps", "--var", "v1", "--maxlen", "2", "--max-atoms", "64"], 3, 5.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL_CORPUS)
+def test_adversarial_corpus_ends_in_its_exit_code(capsys, tmp_path, request, name):
+    text, argv, expect_code, bound = ADVERSARIAL_CORPUS[name]
+    path = tmp_path / "corpus.req"
+    if text is None:
+        path.write_bytes(request.getfixturevalue("model_io_3000"))
+    else:
+        path.write_text(LAS_PATH.read_text() if text == "las" else text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    elapsed = time.perf_counter() - start
+    assert code == expect_code, err
+    assert elapsed < bound, f"{name}: {elapsed:.2f} s"
+    if code == 0:
+        assert len(json.loads(out)["configurations"]) == 1
+    else:
+        assert out == "" and err.startswith("error: ")
 
 
 # --- the JSON writer ------------------------------------------------------------

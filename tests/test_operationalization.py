@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from roadmapper.configuration import enumerate_configurations
 from roadmapper.errors import (
     DivisionByZeroError,
     RefinementCycleError,
@@ -13,14 +15,16 @@ from roadmapper.errors import (
     WrongSortError,
 )
 from roadmapper.inference import closure as symbolic_closure
-from roadmapper.model import RequirementsDatabase
+from roadmapper.model import G, Q, S, RequirementsDatabase, SimpleQuant
 from roadmapper.operationalization import (
     _MEMO_LIMIT,
+    DEFAULT_SEARCH_LIMIT,
     is_admissible,
     qualitative_operationalizations,
     quantitative_operationalizations,
     satisfaction_closure,
 )
+from roadmapper.parser import parse
 from roadmapper.quanteval import eval_condition, val
 from roadmapper.testkit import (
     ModelGenSpec,
@@ -337,3 +341,137 @@ def test_search_limit_raises_resource_error():
         "the limit keyword of qualitative_operationalizations raises it "
         "(the CLI has no option for it)"
     )
+
+
+# --- pinned support-search behaviour ----------------------------------------------------------
+
+def numeric_cycle_text(seed: int) -> str:
+    """A small model whose assignments, quality constraints and implications
+    depend on one another: 2-5 variables, 2-8 k- or t-sorted assignments (a
+    constant, or `x_j op c` over a lower-numbered variable), 1-3 quality
+    constraints, goals implied by assignments, 0-2 implications whose
+    consequent is an assignment, and sometimes a conflict. Some draws close
+    an implication cycle and do not parse."""
+    rng = random.Random(seed)
+    variables = rng.randint(2, 5)
+    lines, assignments = [], []
+    for i in range(rng.randint(2, 8)):
+        var = rng.randrange(variables)
+        if var and rng.random() < 0.5:
+            rhs = f"x{rng.randrange(var)} {rng.choice('+-*')} {rng.randint(1, 3)}"
+        else:
+            rhs = str(rng.randint(0, 5))
+        modality = rng.choice(["", "", " ?", " !"])
+        lines.append(f"{rng.choice('kt')} a{i}{modality}: x{var} = {rhs}.")
+        assignments.append(f"a{i}")
+    qualities = [f"q{i}" for i in range(rng.randint(1, 3))]
+    for q in qualities:
+        op = rng.choice(["<=", ">=", "=", "<", ">"])
+        lines.append(
+            f"q {q}{rng.choice(['', ' !'])}: x{rng.randrange(variables)} {op} {rng.randint(0, 10)}."
+        )
+    for i in range(rng.randint(0, 2)):
+        lines.append(f"g g{i}{rng.choice(['', ' !'])}.")
+        lines.append(f"k i{i}: {rng.choice(assignments)} -> g{i}.")
+    for i in range(rng.randint(0, 2)):
+        antecedents = rng.sample(qualities + assignments, rng.randint(1, 2))
+        lines.append(f"k j{i}: {' & '.join(antecedents)} -> {rng.choice(assignments)}.")
+    if rng.random() < 0.3:
+        lines.append(f"k c0: {' & '.join(rng.sample(qualities + assignments, 2))} -> false.")
+    return "\n".join(lines) + "\n"
+
+
+def support_transcript(db) -> str:
+    """Both public operationalization functions on every eligible id, and
+    `enumerate_configurations` at search limits 3, 30, 300 and the default:
+    the supports or configurations found, or the type and message of the
+    error."""
+    lines = []
+
+    def run(label, fn):
+        try:
+            lines.append(f"{label} -> {fn()}")
+        except Exception as exc:  # every error is part of the pinned behaviour
+            lines.append(f"{label} -> {type(exc).__name__}: {exc}")
+
+    for req in sorted(db, key=lambda r: r.id):
+        if req.sort in (G, Q, S):
+            run(f"qual {req.id}", lambda: [
+                sorted(op.support) for op in qualitative_operationalizations(req.id, db)
+            ])
+        if isinstance(req.body, SimpleQuant):
+            run(f"quant {req.id}", lambda: [
+                sorted(op.support) for op in quantitative_operationalizations(req.id, db)
+            ])
+    def configurations(limit):
+        enum = enumerate_configurations(db, max_atoms=64, search_limit=limit)
+        return [sorted(c.members) for c in enum], enum.truncated
+
+    for limit in (3, 30, 300, DEFAULT_SEARCH_LIMIT):
+        run(f"configs {limit}", lambda: configurations(limit))
+    return "\n".join(lines)
+
+
+def _support_models(las_db):
+    yield "las", las_db
+    for seed in range(20):
+        spec = ModelGenSpec(seed=seed, tasks=3 + seed % 5, include_quantities=seed % 4 != 3)
+        yield f"gen-{seed}", generate_database(spec)
+    parsed = (parse(numeric_cycle_text(seed)) for seed in itertools.count())
+    valid = (result.database for result in parsed if result.ok)
+    for i, db in enumerate(itertools.islice(valid, 20)):
+        yield f"cycle-{i}", db
+
+
+# The first 16 hex digits of the sha256 of each model's support transcript.
+SUPPORT_DIGESTS = {
+    "las": "562d45ba5b3aef00",
+    "gen-0": "6fabd0c3ffd9cbc4",
+    "gen-1": "05c84902a695b77d",
+    "gen-2": "8cd8eda59c4deead",
+    "gen-3": "0a286c3da41ad84f",
+    "gen-4": "c7dceb0632559232",
+    "gen-5": "2a63c728a67d3dad",
+    "gen-6": "d995bdcafcdd16f1",
+    "gen-7": "40b1fa22b51d7bb8",
+    "gen-8": "5114e763ca27220e",
+    "gen-9": "5dae71454e378a3a",
+    "gen-10": "1ca1019448cd0b99",
+    "gen-11": "ea6b1dd7289d37d9",
+    "gen-12": "78bdef3a2e53333d",
+    "gen-13": "d1c552ff692e031d",
+    "gen-14": "320aa01f29db0065",
+    "gen-15": "3d20ad006e1f6eb9",
+    "gen-16": "e5f119f980dd8dab",
+    "gen-17": "a065197b0fe0eb7c",
+    "gen-18": "d12f3d9600d5f2ec",
+    "gen-19": "a102f0e7525039c9",
+    "cycle-0": "f8f2ed01af7a5d23",
+    "cycle-1": "cee869e33a75ac4d",
+    "cycle-2": "665c3e8fa74338e6",
+    "cycle-3": "798858e73a5dd512",
+    "cycle-4": "e522775430d81406",
+    "cycle-5": "0030d18dd4a311f4",
+    "cycle-6": "6f37a71306cf58eb",
+    "cycle-7": "df173ba652c3d8f7",
+    "cycle-8": "9d636293a157e7df",
+    "cycle-9": "8e5efecb1c961add",
+    "cycle-10": "d1f7d93a63a4723a",
+    "cycle-11": "972300ffabb84a8a",
+    "cycle-12": "15a72a3042d2d7d6",
+    "cycle-13": "7661a52c1939999a",
+    "cycle-14": "03e1ecb03721a48a",
+    "cycle-15": "bac9a810f4631af3",
+    "cycle-16": "8aeb085bad3527d2",
+    "cycle-17": "0967f7601f30caae",
+    "cycle-18": "424e9a184a3630de",
+    "cycle-19": "bfc750a6658d7f7e",
+}
+
+
+def test_support_search_matches_pinned_digests(las_db):
+    digests = {
+        name: hashlib.sha256(support_transcript(db).encode()).hexdigest()[:16]
+        for name, db in _support_models(las_db)
+    }
+    assert digests == SUPPORT_DIGESTS
