@@ -87,14 +87,17 @@ _SEMANTIC_ERRORS = (
 ATOM_LIMIT_ENV = "ROADMAPPER_LIMIT_ATOMS"
 
 
-def _default_max_atoms() -> int:
+def _default_max_atoms(parser: argparse.ArgumentParser) -> int:
+    """The atom cap when `--max-atoms` is not given: the environment
+    variable's value, held to the option's check, or the default. A bad
+    value is a usage error."""
     value = os.environ.get(ATOM_LIMIT_ENV)
-    if value:
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    return DEFAULT_MAX_ATOMS
+    if not value:
+        return DEFAULT_MAX_ATOMS
+    try:
+        return _non_negative_int(value)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"{ATOM_LIMIT_ENV}: {exc}")
 
 
 # Characters of text one `_write_json` call keeps for dicts it may meet again;
@@ -662,7 +665,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-atoms",
             type=_non_negative_int,
-            default=_default_max_atoms(),
+            default=None,
             help=f"k/t requirement cap for enumeration (default {DEFAULT_MAX_ATOMS}; "
             f"env {ATOM_LIMIT_ENV})",
         )
@@ -742,7 +745,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
+    if "max_atoms" in vars(args) and args.max_atoms is None:
+        args.max_atoms = _default_max_atoms(parser)
     try:
         code = args.func(args)
         sys.stdout.flush()

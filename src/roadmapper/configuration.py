@@ -4,32 +4,47 @@ A configuration is a set of domain-assumption and task requirements that is
 consistent, operationalizes every mandatory goal/softgoal and every mandatory
 quality constraint, includes all mandatory k/t requirements, is maximal with
 respect to optional k/t requirements, and is minimal beyond that.
+
+The search works on int bitmasks of the database's `ClosureIndex`: of its `n`
+requirement ids in id order, the `i`-th has the bit `1 << (n - 1 - i)`.
+Member sets, threshold coverages, `needed` and the verdict cache's keys are
+masks; frozensets appear only where `Configuration`s and `PropertyReport`s
+are built. A verdict (`ClosureIndex.verdict`) is one mask too: the fired
+member conflicts and the unmet mandatory targets. It comes from
+`ClosureIndex.satisfied_mask`, which runs the rounds of
+`operationalization.satisfaction_closure`, the reference that records
+origins: one implication pass in id order, then the numeric layer against
+the values of the satisfied set as it stood when the round began. That order
+is kept, not replaced by one fixpoint, because numeric propagation is not
+monotone, and because it decides which error, if any, is raised.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError, UnresolvedReferenceError, WrongSortError
 from .model import MEMBER_SORTS, Modality, RequirementsDatabase
 from .operationalization import (
     DEFAULT_SEARCH_LIMIT,
     _Budget,
-    _minimal_sets,
     _minimal_supports,
     _SupportSearch,
-    satisfaction_closure,
 )
 
 DEFAULT_MAX_ATOMS = 24
 
-# Member ids held as keys of one verdict cache; a cache that would hold more
-# is emptied. Repeat lookups mostly follow soon after the first, so emptying
-# costs few recomputations: on a 54-atom generated model this limit computes
-# 1% more closures than 2 ** 21 ids would, and peaks at 85 MB RSS instead of
-# 147 MB. LAS and the benchmark's generated models hold at most 161,153 ids.
-_VERDICT_LIMIT = 2 ** 20
+# Entries of one verdict cache; a full cache is emptied. Repeat lookups mostly
+# follow soon after the first, so emptying costs few recomputations: on the
+# 54-atom generated model (tasks=14, seed 0) this limit computes 9% more
+# verdicts than an unbounded cache (711,576 against 651,520), at 25 MB peak
+# RSS instead of 70 MB. LAS and the benchmark's generated models ask for at
+# most 8,462 verdicts, so their caches are never emptied.
+_VERDICT_LIMIT = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -121,22 +136,10 @@ def _member_ids(db: RequirementsDatabase, s: Configuration | Iterable[str]) -> f
     return members
 
 
-class _Verdict(NamedTuple):
-    """What the enumerator reads of a member set's satisfaction closure."""
-
-    witness: frozenset[str]  # the fired conflicts; empty when consistent
-    missing_qual: tuple[str, ...]  # unmet mandatory qualitative targets
-    missing_quant: tuple[str, ...]  # unmet mandatory quantitative targets
-
-
-# Shared by every consistent verdict: each closure builds its own empty witness.
-_CONSISTENT = frozenset()
-
-
 class _Search:
     """The state of one search over a database: its closure index, the
     verdict cache and the node budget every phase draws on. A check walks
-    nothing, so it has no budget."""
+    nothing, so it has no budget. Member sets are masks of the index."""
 
     def __init__(
         self, db: RequirementsDatabase, budget: _Budget | None, verdicts: dict
@@ -145,82 +148,78 @@ class _Search:
         self.index = db.closure_index
         self.budget = budget
         self.verdicts = verdicts
-        self.held = sum(map(len, verdicts))  # member ids held as keys
 
-    def verdict(self, members: frozenset[str]) -> _Verdict:
-        """The verdict on `members`, from the cache or from a satisfaction
-        closure that is dropped once the verdict is taken."""
+    def verdict(self, members: int) -> int:
+        """`ClosureIndex.verdict` on `members`, from the cache or computed."""
         verdict = self.verdicts.get(members)
         if verdict is None:
-            closure = satisfaction_closure(members, self.db)
-            verdict = _Verdict(
-                closure.bottom_witness or _CONSISTENT,
-                tuple(t for t in self.index.qual_targets if t not in closure.satisfied),
-                tuple(t for t in self.index.quant_targets if t not in closure.satisfied),
-            )
-            if self.held + len(members) > _VERDICT_LIMIT:
+            verdict = self.index.verdict(members)
+            if len(self.verdicts) >= _VERDICT_LIMIT:
                 self.verdicts.clear()
-                self.held = 0
             self.verdicts[members] = verdict
-            self.held += len(members)
         return verdict
 
-    def addable(self, members: frozenset[str]) -> list[str]:
-        """Optional k/t requirements that could still be added; empty means dominant."""
-        return [
-            opt
-            for opt in self.index.optional_members
-            if opt not in members and not self.verdict(members | {opt}).witness
-        ]
+    def consistent(self, members: int) -> bool:
+        return not self.verdict(members) & self.index.conflict_mask
 
-    def satisfies_1_to_5(self, members: frozenset[str]) -> bool:
-        witness, missing_qual, missing_quant = self.verdict(members)
+    def addable(self, members: int) -> int:
+        """The optional k/t requirements that could still be added; zero
+        means dominant."""
+        found = 0
+        for opt in self.index.optional_bits:
+            if not members & opt and self.consistent(members | opt):
+                found |= opt
+        return found
+
+    def satisfies_1_to_5(self, members: int) -> bool:
+        mandatory = self.index.mandatory_mask
         return (
-            not (witness or missing_qual or missing_quant)
-            and members.issuperset(self.index.mandatory_members)
+            not self.verdict(members)
+            and members & mandatory == mandatory
             and not self.addable(members)
         )
 
-    def check(self, members: frozenset[str], needed: frozenset[str]) -> PropertyReport:
-        """`check_configuration` of validated `members`; dropping a member of
-        `needed` is known to fail properties 1-4, so minimality skips it."""
-        witness, missing_qual, missing_quant = self.verdict(members)
-        consistency = PropertyCheck(not witness, tuple(sorted(witness)))
-        qual = PropertyCheck(not missing_qual, missing_qual)
-        quant = PropertyCheck(not missing_quant, missing_quant)
+    def check(self, members: int, needed: int) -> PropertyReport:
+        """`check_configuration` of `members`; dropping a member of `needed`
+        is known to fail properties 1-4, so minimality skips it."""
+        index = self.index
+        verdict = self.verdict(members)
+        missing_mandatory = index.mandatory_mask & ~members
+        base_ok = not (verdict or missing_mandatory)
+        addable = self.addable(members) if base_ok else 0
+        removable = 0
+        if base_ok and not addable:
+            for req_id in index.ids_of(members & ~(index.mandatory_mask | needed)):
+                if self.satisfies_1_to_5(members ^ index.bit[req_id]):
+                    removable |= index.bit[req_id]
+            if not removable:
+                return _PASSED
 
-        mandatory = self.index.mandatory_members
-        missing_mandatory = tuple(m for m in mandatory if m not in members)
-        conformity = PropertyCheck(not missing_mandatory, missing_mandatory)
+        def listed(witness: int) -> PropertyCheck:
+            """The property holds when its witness mask is empty."""
+            ids = tuple(index.ids_of(witness))
+            return PropertyCheck(not ids, ids)
 
-        base_ok = all(c.ok for c in (consistency, qual, quant, conformity))
-        if base_ok:
-            addable = self.addable(members)
-            dominance = PropertyCheck(not addable, tuple(addable))
-        else:
-            dominance = PropertyCheck(False, ("properties 1-4 not satisfied",))
+        return PropertyReport(
+            listed(verdict & index.conflict_mask),
+            listed(verdict & index.qual_mask),
+            listed(verdict & index.quant_mask),
+            listed(missing_mandatory),
+            listed(addable)
+            if base_ok
+            else PropertyCheck(False, ("properties 1-4 not satisfied",)),
+            listed(removable)
+            if base_ok and not addable
+            else PropertyCheck(False, ("properties 1-5 not satisfied",)),
+        )
 
-        if base_ok and dominance.ok:
-            removable = tuple(
-                req_id
-                for req_id in sorted(members.difference(mandatory, needed))
-                if self.satisfies_1_to_5(members - {req_id})
-            )
-            minimality = PropertyCheck(not removable, removable)
-        else:
-            minimality = PropertyCheck(False, ("properties 1-5 not satisfied",))
-
-        return PropertyReport(consistency, qual, quant, conformity, dominance, minimality)
-
-    def walk(
-        self, base: frozenset[str], candidates: Iterable[str], phase: str
-    ) -> Iterator[frozenset[str]]:
-        """Every consistent set of `base` plus some `candidates`, from an
+    def walk(self, base: int, candidates: Iterable[int], phase: str) -> Iterator[int]:
+        """Every consistent set of `base` plus some `candidates` bits, from an
         include/exclude walk: an inconsistent set cannot become consistent
         again, so it prunes its subtree. Each set visited is one node."""
-        if self.verdict(base).witness:
+        if not self.consistent(base):
             return
-        candidates = [c for c in candidates if c not in base]
+        candidates = [c for c in candidates if not base & c]
         stack = [(base, 0)]
         while stack:
             current, i = stack.pop()
@@ -229,8 +228,8 @@ class _Search:
                 yield current
                 continue
             stack.append((current, i + 1))
-            grown = current | {candidates[i]}
-            if not self.verdict(grown).witness:
+            grown = current | candidates[i]
+            if self.consistent(grown):
                 stack.append((grown, i + 1))
 
 
@@ -241,17 +240,32 @@ def check_configuration(
 ) -> PropertyReport:
     """Evaluate the six configuration properties, with witnesses for failures.
 
-    `cache` holds verdicts on member sets, not closures; pass one dict to
-    several checks of the same database to share them.
+    `cache` holds verdicts on member sets, not closures, and is opaque: its
+    keys are bitmasks of `db`'s own closure index. Pass one dict to several
+    checks of the same database to share them, and never to checks of
+    another database.
     """
     members = _member_ids(db, s)
-    return _Search(db, None, {} if cache is None else cache).check(members, frozenset())
+    search = _Search(db, None, {} if cache is None else cache)
+    return search.check(db.closure_index.mask(members), 0)
+
+
+def _minimal_masks(masks: Iterable[int], order_key) -> list[int]:
+    """Distinct masks with strict supersets removed, in canonical order."""
+    unique = sorted(set(masks), key=lambda m: (m.bit_count(), order_key(m)))
+    kept: list[int] = []
+    # Distinct masks of one size hold no strict subsets of each other, so
+    # each is tested only against the smaller ones kept before its size.
+    for _size, same_size in itertools.groupby(unique, key=int.bit_count):
+        kept += [c for c in same_size if not any(p & c == p for p in kept)]
+    return kept
 
 
 def _relevant_plains(
     db: RequirementsDatabase, budget: _Budget
-) -> tuple[list[frozenset[str]], list[str]]:
-    """Minimal threshold coverages and the plain members worth adding to them.
+) -> tuple[list[int], list[int]]:
+    """Minimal threshold coverages and the plain members worth adding to
+    them, as masks and bits of the closure index.
 
     Beyond threshold support (captured by the coverages), a plain member can
     earn its place in a configuration only by blocking an optional addition
@@ -259,7 +273,7 @@ def _relevant_plains(
     antecedents of conflicts that some optional requirement could help fire.
     """
     index = db.closure_index
-    coverages = [frozenset(index.mandatory_members)]
+    coverages = [index.mandatory_mask]
     for target in index.qual_targets + index.quant_targets:
         routes = (
             frozenset({"inferred"})
@@ -270,8 +284,9 @@ def _relevant_plains(
         if not supports:
             return [], []
         budget.tick("threshold-support combination", len(coverages) * len(supports))
-        coverages = _minimal_sets(
-            [base | support for base in coverages for support in supports]
+        coverages = _minimal_masks(
+            [base | support for base in coverages for support in supports],
+            index.order_key,
         )
 
     optional_ids = set(index.optional_members)
@@ -293,9 +308,11 @@ def _relevant_plains(
         for options in antecedent_options.values():
             for members in options:
                 pool.update(members)
-    plains = sorted(
-        req_id for req_id in pool if db[req_id].modality is Modality.PLAIN
-    )
+    plains = [
+        index.bit[req_id]
+        for req_id in sorted(pool)
+        if db[req_id].modality is Modality.PLAIN
+    ]
     return coverages, plains
 
 
@@ -323,6 +340,7 @@ def enumerate_configurations(
     search = _Search(
         db, _Budget(search_limit, "search_limit", "enumerate_configurations"), {}
     )
+    index = search.index
     coverages, plains = _relevant_plains(db, search.budget)
     # Grow each minimal coverage with every useful subset of the remaining
     # plain candidates, then each grown base with its maximal sets of
@@ -334,15 +352,15 @@ def enumerate_configurations(
     }
     candidates = {
         extended
-        for base in sorted(bases, key=sorted)
+        for base in sorted(bases, key=index.order_key)
         for extended in search.walk(
-            base, search.index.optional_members, "optional extension of a base"
+            base, index.optional_bits, "optional extension of a base"
         )
         if not search.addable(extended)
     }
 
     found = []
-    for members in sorted(candidates, key=sorted):
+    for members in sorted(candidates, key=index.order_key):
         # Minimality is tested only on a set that passed properties 1-5, so a
         # consistent one. Dropping a non-mandatory member of every coverage
         # inside it leaves a set that is still consistent, because bottom is
@@ -350,8 +368,8 @@ def enumerate_configurations(
         # A consistent set that holds the mandatory members and meets every
         # mandatory target holds a coverage, so that set misses a target.
         # Both properties are tested exhaustively on generated models.
-        inside = [c for c in coverages if c <= members]
-        needed = frozenset.intersection(*inside) if inside else frozenset()
+        inside = [c for c in coverages if c & members == c]
+        needed = functools.reduce(operator.and_, inside) if inside else 0
         if search.check(members, needed).is_configuration:
             found.append(members)
 
@@ -359,7 +377,8 @@ def enumerate_configurations(
     if truncated:
         found = found[:max_results]
     labeled = tuple(
-        Configuration(f"S{i}", members) for i, members in enumerate(found, start=1)
+        Configuration(f"S{i}", frozenset(index.ids_of(members)))
+        for i, members in enumerate(found, start=1)
     )
     # Every report that passes all six properties equals _PASSED.
     return EnumerationResult(db, labeled, truncated, (_PASSED,) * len(labeled))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Container, Generator, Iterable, Literal, Mapping
+from typing import Generator, Iterable, Literal, Mapping
 
 from .errors import (
     RefinementCycleError,
@@ -115,14 +115,22 @@ class ClosureIndex:
     `RequirementsDatabase.closure_index`; rewrites return new databases,
     which build their own.
 
+    Member sets are also read as int bitmasks. Of the database's `n`
+    requirement ids in id order, the `i`-th has the bit `1 << (n - 1 - i)`,
+    so the set bits of a mask, from the highest, list its ids in id order
+    (`ids_of`), and `order_key` sorts masks as their sorted id lists sort.
+    Implications are compiled as `(member bit, antecedent mask, consequent
+    bit)` and conflicts as `(member bit, antecedent mask)`, both in id order,
+    and `satisfied_mask` runs the rounds of `satisfaction_closure` on them.
+
     The index also memoises the closure's numeric layer, a pure function of
-    the satisfied ids: propagated values keyed by the id-ordered tuple of
-    satisfied assignment ids, distribution environments keyed by the tuple of
-    satisfied distribution assumptions, and each quantitative requirement's
-    condition outcome keyed by both. A table that reaches `_MEMO_LIMIT`
-    entries is emptied. An input that raised is not stored, so it raises
-    again. Closures share the memoised `values` and `distributions`
-    mappings: treat them as read-only."""
+    the satisfied ids: propagated values keyed by the mask of satisfied
+    assignments, distribution environments keyed by the mask of satisfied
+    distribution assumptions, and quantitative requirements' condition
+    outcomes keyed by both. A table that reaches `_MEMO_LIMIT` entries is
+    emptied. An input that raised is not stored, so it raises again. Closures
+    share the memoised `values` and `distributions` mappings: treat them as
+    read-only."""
 
     def __init__(self, db: RequirementsDatabase):
         reqs = sorted(db, key=lambda r: r.id)
@@ -170,52 +178,145 @@ class ClosureIndex:
             self.refinement_acyclic = True
         except RefinementCycleError:
             self.refinement_acyclic = False
-        self._values: dict[tuple[str, ...], dict[str, frozenset[float]]] = {}
-        self._dists: dict[tuple[str, ...], dict[str, tuple[DistributionSpec, ...]]] = {}
-        self._outcomes: dict[tuple[tuple[str, ...], tuple[str, ...]], dict[str, bool]] = {}
 
-    def values_of(self, key: tuple[str, ...]) -> dict[str, frozenset[float]]:
-        """`propagate_values` of the assignments `key` names, in id order."""
+        self.ids = [r.id for r in reqs]
+        top = len(self.ids) - 1
+        self.bit = {req_id: 1 << (top - i) for i, req_id in enumerate(self.ids)}
+        mask = self.mask
+        self.implication_bits = [
+            (self.bit[i], mask(r.body.antecedents), self.bit[r.body.consequent])
+            for i, r in self.implications.items()
+        ]
+        self.conflict_bits = [
+            (self.bit[i], mask(r.body.antecedents)) for i, r in self.conflicts.items()
+        ]
+        self.conflict_mask = mask(self.conflicts)
+        self.quantitative_mask = mask(self.quantitative)
+        self.assignment_mask = mask(self.assignments)
+        self.distribution_mask = mask(self.distributions)
+        self.mandatory_mask = mask(self.mandatory_members)
+        self.qual_mask = mask(self.qual_targets)
+        self.quant_mask = mask(self.quant_targets)
+        self.optional_bits = [self.bit[i] for i in self.optional_members]
+        self._values: dict[int, dict[str, frozenset[float]]] = {}
+        self._dists: dict[int, dict[str, tuple[DistributionSpec, ...]]] = {}
+        # Per (values key, distributions key): the mask of quantitative
+        # requirements tested so far and the mask of those found possible.
+        self._outcomes: dict[tuple[int, int], list[int]] = {}
+
+    def mask(self, ids: Iterable[str]) -> int:
+        """The bitmask of `ids`, each an id of the database."""
+        bit = self.bit
+        mask = 0
+        for req_id in ids:
+            mask |= bit[req_id]
+        return mask
+
+    def ids_of(self, mask: int) -> list[str]:
+        """The ids whose bits `mask` sets, in id order."""
+        ids = self.ids
+        n = len(ids)
+        found = []
+        while mask:
+            length = mask.bit_length()
+            found.append(ids[n - length])
+            mask ^= 1 << (length - 1)
+        return found
+
+    def order_key(self, mask: int) -> int:
+        """A sort key that orders masks as their sorted id lists order.
+
+        In that order the nonempty sets run through a preorder walk of the
+        tree whose children of a set add one id above its last. A nonempty
+        set's rank there is its size, plus `2 ** n`, minus the mask, minus
+        the bit of its last id (telescoping the sizes of the subtrees it
+        passes), so the key drops the constant and puts the empty set first.
+        """
+        if not mask:
+            return -(1 << len(self.ids))
+        return mask.bit_count() - mask - (mask & -mask)
+
+    def values_of(self, key: int) -> dict[str, frozenset[float]]:
+        """`propagate_values` of the assignments `key` masks, in id order."""
         values = self._values.get(key)
         if values is None:
-            shapes = [self.assignments[i] for i in key]
+            shapes = [self.assignments[i] for i in self.ids_of(key)]
             if not self.refinement_acyclic:
                 check_refinement_acyclic((var, rhs) for var, rhs, needed in shapes if needed)
             values = _remember(self._values, key, _propagate(shapes))
         return values
 
-    def dists_of(self, key: tuple[str, ...]) -> dict[str, tuple[DistributionSpec, ...]]:
-        """The distribution environment of the assumptions `key` names."""
+    def dists_of(self, key: int) -> dict[str, tuple[DistributionSpec, ...]]:
+        """The distribution environment of the assumptions `key` masks."""
         dists = self._dists.get(key)
         if dists is None:
-            fresh = _distribution_env(self.distributions[i] for i in key)
+            fresh = _distribution_env(self.distributions[i] for i in self.ids_of(key))
             dists = _remember(self._dists, key, fresh)
         return dists
 
     def conditions_met(
         self,
-        keys: tuple[tuple[str, ...], tuple[str, ...]],
+        keys: tuple[int, int],
         values: Mapping[str, frozenset[float]],
         dists: Mapping[str, tuple[DistributionSpec, ...]],
-        satisfied: Container[str],
-    ) -> list[str]:
-        """Ids of the quantitative requirements outside `satisfied` whose
-        condition some combination of `values` and `dists` makes true, in id
-        order. `keys` names those values and distributions in the memo."""
+        open_mask: int,
+    ) -> int:
+        """The mask of the quantitative requirements in `open_mask` whose
+        condition some combination of `values` and `dists` makes true; each is
+        tested in id order. `keys` names those values and distributions in
+        the memo."""
         outcomes = self._outcomes.get(keys)
         if outcomes is None:
-            outcomes = _remember(self._outcomes, keys, {})
-        met = []
-        for req in self.quantitative.values():
-            if req.id in satisfied:
-                continue
-            possible = outcomes.get(req.id)
-            if possible is None:
-                possible = _condition_possible(req.body.cond, values, dists)
-                outcomes[req.id] = possible
-            if possible:
-                met.append(req.id)
-        return met
+            outcomes = _remember(self._outcomes, keys, [0, 0])
+        for req_id in self.ids_of(open_mask & ~outcomes[0]):
+            if _condition_possible(self.quantitative[req_id].body.cond, values, dists):
+                outcomes[1] |= self.bit[req_id]
+            outcomes[0] |= self.bit[req_id]
+        return open_mask & outcomes[1]
+
+    def satisfied_mask(self, members: int) -> int:
+        """What the member set `members` satisfies, as `satisfaction_closure`
+        finds it, without origins: the same rounds, on masks, raising the
+        same errors at the same points."""
+        implications = [
+            (ant, con) for bit, ant, con in self.implication_bits if members & bit
+        ]
+        satisfied = members
+        keys = None
+        while True:
+            round_keys = (satisfied & self.assignment_mask, satisfied & self.distribution_mask)
+            # A round whose keys did not change reads the same memo entries.
+            if round_keys != keys:
+                keys = round_keys
+                values = self.values_of(keys[0])
+                dists = self.dists_of(keys[1])
+            start = satisfied
+            for ant, con in implications:
+                if ant & satisfied == ant:
+                    satisfied |= con
+            open_mask = self.quantitative_mask & ~satisfied
+            if open_mask:
+                satisfied |= self.conditions_met(keys, values, dists, open_mask)
+            if satisfied == start:
+                return satisfied
+
+    def fired_mask(self, members: int, satisfied: int) -> int:
+        """The member conflicts whose antecedents are all in `satisfied`."""
+        fired = 0
+        for bit, ant in self.conflict_bits:
+            if members & bit and ant & satisfied == ant:
+                fired |= bit
+        return fired
+
+    def verdict(self, members: int) -> int:
+        """The fired member conflicts and unmet mandatory targets of the
+        member set `members`, as one mask: zero when it is consistent and
+        operationalizes every mandatory target. Conflicts are k-sorted and
+        targets g-, s- or q-sorted, so the two parts never share a bit."""
+        satisfied = self.satisfied_mask(members)
+        return self.fired_mask(members, satisfied) | (
+            (self.qual_mask | self.quant_mask) & ~satisfied
+        )
 
 
 def satisfaction_closure(
@@ -238,6 +339,9 @@ def satisfaction_closure(
     which error, if any, is raised. Each round looks values, distributions
     and condition outcomes up in the index's memo, which holds only what a
     computation on the same input returned.
+
+    This is the reference for `ClosureIndex.satisfied_mask`, which runs the
+    same rounds on bitmasks without recording origins.
     """
     ids = _resolve_ids(members, db)
     index = db.closure_index
@@ -247,13 +351,14 @@ def satisfaction_closure(
     member_implications = [index.implications[i] for i in order if i in index.implications]
     while True:
         keys = (
-            tuple(sorted(index.assignments.keys() & satisfied)),
-            tuple(sorted(index.distributions.keys() & satisfied)),
+            index.mask(index.assignments.keys() & satisfied),
+            index.mask(index.distributions.keys() & satisfied),
         )
         values = index.values_of(keys[0])
         dists = index.dists_of(keys[1])
         inferred = fire(member_implications, origin, "inferred")
-        met = index.conditions_met(keys, values, dists, satisfied)
+        open_mask = index.mask(index.quantitative.keys() - satisfied)
+        met = index.ids_of(index.conditions_met(keys, values, dists, open_mask))
         for req_id in met:
             origin[req_id] = "numeric"
         if not (inferred or met):
@@ -552,30 +657,36 @@ def _minimal_supports(
     db: RequirementsDatabase,
     routes: frozenset[str],
     budget: _Budget,
-) -> list[frozenset[str]]:
-    mandatory = frozenset(db.closure_index.mandatory_members)
+) -> list[int]:
+    """The masks of the minimal member sets that satisfy `target_id` by one
+    of `routes`, each holding every mandatory member, in canonical order."""
+    index = db.closure_index
+    mandatory = frozenset(index.mandatory_members)
     search = _SupportSearch(db, budget, f"threshold-support search for {target_id!r}")
     options = search.options(target_id)
     parts = _minimal_sets(
         [members - mandatory for members, route in options if route in routes]
     )
-    meets: dict[frozenset[str], bool] = {}
+    target = index.bit[target_id]
+    meets: dict[int, bool] = {}
 
-    def supported(members: frozenset[str]) -> bool:
+    def supported(members: int) -> bool:
         if members not in meets:
-            closure = satisfaction_closure(members, db)
-            meets[members] = not closure.bottom and target_id in closure.satisfied
+            satisfied = index.satisfied_mask(members)
+            meets[members] = bool(satisfied & target) and not index.fired_mask(
+                members, satisfied
+            )
         return meets[members]
 
     supports = []
     for part in parts:
-        candidate = mandatory | part
+        candidate = index.mandatory_mask | index.mask(part)
         # Minimality modulo the mandatory set, judged by the closure itself.
         if supported(candidate) and not any(
-            supported(candidate - {removed}) for removed in sorted(part)
+            supported(candidate ^ index.bit[removed]) for removed in sorted(part)
         ):
             supports.append(candidate)
-    return sorted(supports, key=lambda s: tuple(sorted(s)))
+    return sorted(supports, key=index.order_key)
 
 
 def qualitative_operationalizations(
@@ -597,8 +708,10 @@ def qualitative_operationalizations(
         target_id, db, frozenset({"inferred"}),
         _Budget(limit, "limit", "qualitative_operationalizations"),
     )
+    ids_of = db.closure_index.ids_of
     return tuple(
-        Operationalization(target_id, support, "qualitative") for support in supports
+        Operationalization(target_id, frozenset(ids_of(support)), "qualitative")
+        for support in supports
     )
 
 
@@ -619,6 +732,8 @@ def quantitative_operationalizations(
         target_id, db, frozenset({"member", "inferred", "numeric"}),
         _Budget(limit, "limit", "quantitative_operationalizations"),
     )
+    ids_of = db.closure_index.ids_of
     return tuple(
-        Operationalization(target_id, support, "quantitative") for support in supports
+        Operationalization(target_id, frozenset(ids_of(support)), "quantitative")
+        for support in supports
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .configuration import Configuration, check_configuration
 from .errors import (
@@ -30,7 +30,7 @@ from .model import (
     Requirement,
     RequirementsDatabase,
 )
-from .operationalization import satisfaction_closure
+from .operationalization import _resolve_ids
 from .quanteval import unique_val
 from .transforms import value_assumption, value_preference
 
@@ -256,19 +256,24 @@ def _unique_value(
     )
 
 
-def _preference_score(db: RequirementsDatabase, members: frozenset[str]) -> int:
-    """Satisfied optional requirements plus satisfied preferred sides."""
-    satisfied = satisfaction_closure(members, db).satisfied
-    optional_hits = sum(
-        1 for req in db if req.modality is Modality.OPTIONAL and req.id in satisfied
-    )
-    preferred_hits = sum(
-        1
+def _preference_score(db: RequirementsDatabase) -> Callable[[frozenset[str]], int]:
+    """The score of a member set: its satisfied optional requirements plus
+    its satisfied preferred sides, read from the closure index's masks."""
+    index = db.closure_index
+    optional = index.mask(req.id for req in db if req.modality is Modality.OPTIONAL)
+    preferred = [
+        index.bit.get(pref.left, 0)
         for pref in db.preferences
         if pref.kind in (PreferenceKind.STRICT, PreferenceKind.WEAK)
-        and pref.left in satisfied
-    )
-    return optional_hits + preferred_hits
+    ]
+
+    def score(members: frozenset[str]) -> int:
+        satisfied = index.satisfied_mask(index.mask(_resolve_ids(members, db)))
+        return (satisfied & optional).bit_count() + sum(
+            1 for bit in preferred if bit & satisfied
+        )
+
+    return score
 
 
 def rank_configurations(
@@ -281,14 +286,13 @@ def rank_configurations(
     Ties always break on the canonical member listing, so the ranking is
     deterministic and invariant under permutation of the input.
     """
+    score = (
+        _preference_score(db) if isinstance(rule, MaximizeValueThenPreferences) else None
+    )
     entries = []
     for config in configs:
         value = _unique_value(db, config.members, rule.var)
-        count = (
-            _preference_score(db, config.members)
-            if isinstance(rule, MaximizeValueThenPreferences)
-            else None
-        )
+        count = score(config.members) if score else None
         entries.append((config, value, count))
 
     if isinstance(rule, MinimizeValue):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roadmapper.cli
-from roadmapper.cli import _write_json, main
+from roadmapper.cli import ATOM_LIMIT_ENV, _write_json, main
 from roadmapper.parser import parse, serialize
 from roadmapper.testkit import ModelGenSpec, generate_database, parse_dot
 
@@ -416,30 +416,37 @@ def test_relax_bad_arguments_are_usage_errors(capsys, tmp_path, flags):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, env",
     [
-        ["roadmaps", "--var", "v", "--maxlen", "0"],
-        ["roadmaps", "--var", "v", "--maxdiff", "-1"],
-        ["configs", "--max-results", "-1"],
-        ["roadmaps", "--var", "v", "--floor", "nan"],
-        ["roadmaps", "--var", "v", "--floor", "inf"],
-        ["configs", "--max-atoms", "-3"],
-        ["gen", "--tasks", "-1"],
-        ["gen", "--assumptions", "-1"],
-        ["gen", "--goals", "-1"],
+        (["roadmaps", "--var", "v", "--maxlen", "0"], None),
+        (["roadmaps", "--var", "v", "--maxdiff", "-1"], None),
+        (["configs", "--max-results", "-1"], None),
+        (["roadmaps", "--var", "v", "--floor", "nan"], None),
+        (["roadmaps", "--var", "v", "--floor", "inf"], None),
+        (["configs", "--max-atoms", "-3"], None),
+        (["configs"], "-3"),
+        (["configs"], "abc"),
+        (["gen", "--tasks", "-1"], None),
+        (["gen", "--assumptions", "-1"], None),
+        (["gen", "--goals", "-1"], None),
     ],
     ids=[
         "maxlen", "maxdiff", "max-results", "floor-nan", "floor-inf", "max-atoms",
-        "gen-tasks", "gen-assumptions", "gen-goals",
+        "env-negative", "env-not-a-number", "gen-tasks", "gen-assumptions", "gen-goals",
     ],
 )
-def test_bad_limits_are_usage_errors(capsys, toy_file, argv):
+def test_bad_limits_are_usage_errors(capsys, monkeypatch, toy_file, argv, env):
     files = [] if argv[0] == "gen" else [toy_file]
+    if env is None:
+        named = argv[-2]  # the option at fault
+    else:
+        monkeypatch.setenv(ATOM_LIMIT_ENV, env)
+        named = f"{ATOM_LIMIT_ENV}: "
     with pytest.raises(SystemExit) as exc:
         main([argv[0], *files, *argv[1:]])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "usage:" in err and argv[-2] in err
+    assert "usage:" in err and named in err
 
 
 # --- determinism ----------------------------------------------------------------------

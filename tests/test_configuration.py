@@ -16,7 +16,12 @@ from roadmapper.configuration import (
     check_configuration,
     enumerate_configurations,
 )
-from roadmapper.errors import ResourceLimitError, UnresolvedReferenceError, WrongSortError
+from roadmapper.errors import (
+    ResourceLimitError,
+    RoadmapperError,
+    UnresolvedReferenceError,
+    WrongSortError,
+)
 from roadmapper.model import (
     Compare,
     Const,
@@ -29,6 +34,7 @@ from roadmapper.model import (
 )
 from roadmapper.operationalization import (
     DEFAULT_SEARCH_LIMIT,
+    ClosureIndex,
     _Budget,
     satisfaction_closure,
 )
@@ -36,6 +42,14 @@ from roadmapper.testkit import ModelGenSpec, brute_configurations, generate_data
 from roadmapper.transforms import expand_value_conflicts
 
 from conftest import parse_ok
+from test_operationalization import (
+    CYCLIC,
+    DIVIDING,
+    PROBABILISTIC,
+    _all_subsets,
+    _fresh,
+    _support_models,
+)
 
 
 def test_las_first_configuration_passes_all_six(las_enumeration):
@@ -286,9 +300,10 @@ def test_target_meeting_consistent_sets_hold_a_coverage(seed, tasks, quantities)
         )
     )
     index = db.closure_index
-    coverages, _ = configuration._relevant_plains(
+    masks, _ = configuration._relevant_plains(
         db, _Budget(DEFAULT_SEARCH_LIMIT, "search_limit", "enumerate_configurations")
     )
+    coverages = [frozenset(index.ids_of(mask)) for mask in masks]
     mandatory = frozenset(index.mandatory_members)
     rest = sorted(set(db.member_ids()) - mandatory)
     targets = index.qual_targets + index.quant_targets
@@ -396,14 +411,14 @@ def test_a_tiny_verdict_cache_changes_no_result(monkeypatch, las_db, las_enumera
         enumerate_configurations(generate_database(spec), max_atoms=64)
         for spec in _CACHE_BOUND_SPECS
     ]
-    limit = 64  # member ids; a LAS configuration has up to 47
+    limit = 64  # entries; a LAS enumeration asks for thousands of verdicts
     monkeypatch.setattr(configuration, "_VERDICT_LIMIT", limit)
     held = []
     verdict = configuration._Search.verdict
 
     def recorded(search, members):
         found = verdict(search, members)
-        held.append(sum(map(len, search.verdicts)))
+        held.append(len(search.verdicts))
         return found
 
     monkeypatch.setattr(configuration._Search, "verdict", recorded)
@@ -422,19 +437,89 @@ def test_a_tiny_verdict_cache_changes_no_result(monkeypatch, las_db, las_enumera
     for config in las_enumeration.configurations[:16]:
         for members in [config.members] + [config.members - {m} for m in sorted(config.members)]:
             assert check_configuration(db, members, shared) == check_configuration(db, members)
-            assert sum(map(len, shared)) <= limit
+            assert len(shared) <= limit
+
+
+def _kernel_verdict(index, mask):
+    """The kernel's verdict on `mask`, read back as ids, or its error."""
+    try:
+        verdict = index.verdict(mask)
+    except RoadmapperError as exc:
+        return type(exc), str(exc)
+    return (
+        frozenset(index.ids_of(verdict & index.conflict_mask)),
+        tuple(index.ids_of(verdict & index.qual_mask)),
+        tuple(index.ids_of(verdict & index.quant_mask)),
+    )
+
+
+def _closure_verdict(db, members):
+    """The same three facts from `satisfaction_closure`, or its error."""
+    try:
+        closure = satisfaction_closure(members, db)
+    except RoadmapperError as exc:
+        return type(exc), str(exc)
+    index = db.closure_index
+    return (
+        closure.bottom_witness,
+        tuple(t for t in index.qual_targets if t not in closure.satisfied),
+        tuple(t for t in index.quant_targets if t not in closure.satisfied),
+    )
+
+
+# Round order matters here: with {a, r, s, i}, q0 is met in the first round,
+# against the values before i fires b; once b gives x a second value, y has
+# none, so values taken after the implication pass would leave q0 unmet.
+ROUND_ORDER = "t a: x = 1. k b: x = 2. k r: y = x + 1. q q0 !: y >= 2. t s. k i: s -> b."
+
+
+def test_kernel_verdicts_match_satisfaction_closures(monkeypatch, las_db):
+    # Every set the enumerator asks about on LAS, 20 generated models and 20
+    # numeric-cycle models, and every member subset of three models whose
+    # closures raise, so that the error points are compared too, and of one
+    # model whose verdicts depend on the round order.
+    asked = {}  # id of each enumerated database -> (it, every mask asked about)
+    verdict = configuration._Search.verdict
+
+    def recorded(search, members):
+        asked.setdefault(id(search.db), (search.db, set()))[1].add(members)
+        return verdict(search, members)
+
+    monkeypatch.setattr(configuration._Search, "verdict", recorded)
+    for _, db in _support_models(las_db):
+        try:
+            enumerate_configurations(db, max_atoms=64)
+        except RoadmapperError:
+            pass  # a set is recorded before its verdict can raise
+    monkeypatch.undo()
+    for text in (CYCLIC, DIVIDING, PROBABILISTIC, ROUND_ORDER):
+        db = parse_ok(text)
+        asked[id(db)] = (db, {db.closure_index.mask(s) for s in _all_subsets(db)})
+
+    outcomes = []
+    for db, masks in asked.values():
+        # Each side gets an index of its own, so they share no memo.
+        kernel = _fresh(db).closure_index
+        oracle = _fresh(db)
+        for mask in sorted(masks):
+            expected = _closure_verdict(oracle, frozenset(kernel.ids_of(mask)))
+            assert _kernel_verdict(kernel, mask) == expected, kernel.ids_of(mask)
+            outcomes.append(expected)
+    raised = sum(isinstance(o[0], type) for o in outcomes)
+    inconsistent = sum(not isinstance(o[0], type) and bool(o[0]) for o in outcomes)
+    assert len(outcomes) > 1000 and raised and inconsistent
 
 
 def test_las_minimality_is_mostly_decided_without_closures(monkeypatch, las_db):
     computed = 0
-    closure = configuration.satisfaction_closure
+    verdict = ClosureIndex.verdict
 
     def counted(*args, **kwargs):
         nonlocal computed
         computed += 1
-        return closure(*args, **kwargs)
+        return verdict(*args, **kwargs)
 
-    monkeypatch.setattr(configuration, "satisfaction_closure", counted)
+    monkeypatch.setattr(ClosureIndex, "verdict", counted)
     enumerate_configurations(las_db, max_atoms=64)
     # 2,112 when every single removal from each of the 128 configurations
     # runs the full check.

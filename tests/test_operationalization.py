@@ -310,6 +310,24 @@ def test_memo_never_stores_an_error(text, members, error):
             satisfaction_closure(frozenset(members), db)
 
 
+def test_order_key_sorts_masks_as_sorted_id_lists_sort():
+    index = generate_database(ModelGenSpec(seed=1, tasks=3)).closure_index
+    rng = random.Random(7)
+    # Every subset of the first seven ids (prefixes of each other included),
+    # and random subsets of all of them.
+    masks = [
+        index.mask(subset)
+        for size in range(8)
+        for subset in itertools.combinations(index.ids[:7], size)
+    ]
+    masks += [
+        index.mask(rng.sample(index.ids, rng.randint(1, len(index.ids))))
+        for _ in range(500)
+    ]
+    rng.shuffle(masks)
+    assert sorted(masks, key=index.order_key) == sorted(masks, key=index.ids_of)
+
+
 def test_memo_stays_within_its_cap():
     assignments = 11
     text = " ".join(f"t a{i}: v{i} = {i}." for i in range(assignments))
