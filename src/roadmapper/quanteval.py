@@ -289,7 +289,13 @@ def unique_val(
     """The one constant `var` obtains from `x_set` (see `val`). When there is
     none, raises MissingValueError(missing); when there are more, raises
     NonSingletonValError(several(the sorted values))."""
-    values = val(x_set, var, db)
+    return one_value(val(x_set, var, db), missing=missing, several=several)
+
+
+def one_value(
+    values: frozenset[float], *, missing: str, several: Callable[[list[float]], str],
+) -> float:
+    """The member of `values`, checked as `unique_val` checks it."""
     if not values:
         raise MissingValueError(missing)
     if len(values) > 1:

@@ -21,6 +21,7 @@ from .errors import (
     RamificationFailureError,
     ResourceLimitError,
     TriggerNotInSourceError,
+    UnresolvedReferenceError,
 )
 from .model import (
     Modality,
@@ -31,7 +32,7 @@ from .model import (
     RequirementsDatabase,
 )
 from .operationalization import _resolve_ids
-from .quanteval import unique_val
+from .quanteval import one_value, unique_val
 from .transforms import value_assumption, value_preference
 
 DEFAULT_ROADMAP_LIMIT = 20000
@@ -57,7 +58,7 @@ class AdaptationRequirement:
         return (self.trigger | self.delete) <= members and not (self.add & members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Roadmap:
     configurations: tuple[Configuration, ...]
     adaptations: frozenset[AdaptationRequirement]
@@ -120,13 +121,13 @@ class RankedConfiguration:
     pareto: bool | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedRoadmap:
     roadmap: Roadmap
     total: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExcludedRoadmap:
     roadmap: Roadmap
     reason: str  # "floor" or "diff"
@@ -248,8 +249,16 @@ def build_roadmaps(
 def _unique_value(
     db: RequirementsDatabase, members: frozenset[str], var: str
 ) -> float:
-    return unique_val(
-        sorted(members), var, db,
+    """The one value `var` obtains in the member set, as `unique_val` over
+    the sorted members finds it, read from the closure index's memo of
+    propagated values (which enumeration fills, and which checks for
+    refinement cycles as `propagate_values` does)."""
+    unknown = members - db.requirements.keys()
+    if unknown:
+        raise UnresolvedReferenceError(f"cannot resolve requirement id {min(unknown)!r}")
+    index = db.closure_index
+    return one_value(
+        index.values_of(index.mask(members) & index.assignment_mask).get(var, frozenset()),
         missing=f"variable {var!r} obtains no value in a configuration",
         several=lambda xs: f"variable {var!r} obtains several values {xs}; "
         "expand value conflicts before ranking",

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -584,14 +587,88 @@ def test_adversarial_corpus_ends_in_its_exit_code(capsys, tmp_path, request, nam
     else:
         path.write_text(LAS_PATH.read_text() if text == "las" else text)
     start = time.perf_counter()
-    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    (code, out, err), garbage = garbage_after(
+        lambda: run(capsys, argv[0], str(path), *argv[1:])
+    )
     elapsed = time.perf_counter() - start
     assert code == expect_code, err
     assert elapsed < bound, f"{name}: {elapsed:.2f} s"
+    assert garbage <= check_garbage(), name
     if code == 0:
         assert len(json.loads(out)["configurations"]) == 1
     else:
         assert out == "" and err.startswith("error: ")
+
+
+# --- the garbage collector --------------------------------------------------------
+
+def garbage_after(call):
+    """What `call()` returns, and the objects `gc.collect()` finds after it,
+    with the collector paused from a collected heap to that count."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        result = call()
+        return result, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def check_garbage() -> int:
+    """The objects `gc.collect()` finds after `check models/las.req`: the
+    argument parser's graph, which every command leaves behind. A command
+    that leaves more makes cyclic garbage, which a paused collector keeps
+    until the command returns."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, garbage = garbage_after(lambda: main(["check", str(LAS_PATH)]))
+    assert code == 0
+    return garbage
+
+
+GC_CASES = {
+    "ok": (["check", str(LAS_PATH)], 0),
+    "usage": (["rank", str(LAS_PATH), "--var", "rt"], SystemExit),
+    "model": (["check", "BAD"], 1),
+    "io": (["check", "/nonexistent/nowhere.req"], 2),
+    "resource": (["configs", str(LAS_PATH), "--max-atoms", "1"], 3),
+    "semantic": (["rank", "TOY", "--rule", "r1", "--var", "ghost"], 4),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", GC_CASES)
+def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path, toy_file, case, enabled):
+    argv, expected = GC_CASES[case]
+    bad = tmp_path / "bad.req"
+    bad.write_text("g p1.\nk i1: ghost -> p1.\n")
+    argv = [{"BAD": str(bad), "TOY": toy_file}.get(arg, arg) for arg in argv]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if expected is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == expected, capsys.readouterr().err
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_las_commands_leave_no_more_garbage_than_check(las_invocations, capsys):
+    baseline = check_garbage()
+    cwd = os.getcwd()
+    try:
+        os.chdir(REPO_ROOT)
+        for key, inv in las_invocations.items():
+            code, garbage = garbage_after(lambda: main(inv.argv))
+            assert code == inv.expect_rc, key
+            assert garbage <= baseline, key
+    finally:
+        os.chdir(cwd)
+    capsys.readouterr()
 
 
 # --- the JSON writer ------------------------------------------------------------
@@ -777,6 +854,27 @@ def test_las_text_outputs_are_unchanged(las_invocations, capsys):
             assert main([*las_invocations[key].argv, "--format", "text"]) == 0
             data = capsys.readouterr().out.encode()
             assert hashlib.sha256(data).hexdigest() == sha256, key
+    finally:
+        os.chdir(cwd)
+
+
+# sha256 of LAS `rank --rule r1` and `--rule r2` JSON, recorded before ranking
+# read values from the closure index's memo.
+LAS_RANK_JSON_SHA256 = {
+    "r1": "6fbc22f1ce8d65a984fdc7ac82c48b5028957852d2755eff4501d9b6a2589360",
+    "r2": "8acd7b221408ad16984b7c58c58be6abce9bf1fcc600e6b8697dd8e533067ced",
+}
+
+
+def test_las_rank_r1_and_r2_json_is_unchanged(capsys):
+    cwd = os.getcwd()
+    try:
+        os.chdir(REPO_ROOT)
+        for rule, sha256 in LAS_RANK_JSON_SHA256.items():
+            argv = ["rank", "models/las.req", "--rule", rule, "--var", "rt", "--max-atoms", "64"]
+            assert main(argv) == 0
+            data = capsys.readouterr().out.encode()
+            assert hashlib.sha256(data).hexdigest() == sha256, rule
     finally:
         os.chdir(cwd)
 

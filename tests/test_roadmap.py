@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -8,15 +10,18 @@ import pytest
 from roadmapper import roadmap
 from roadmapper.configuration import Configuration, enumerate_configurations
 from roadmapper.errors import (
+    DivisionByZeroError,
     IdenticalConfigurationsError,
     MissingValueError,
     NonSingletonValError,
     NoSatisfactionFnError,
     NotApplicableError,
     RamificationFailureError,
+    RefinementCycleError,
     ResourceLimitError,
     RoadmapperError,
     TriggerNotInSourceError,
+    UnresolvedReferenceError,
 )
 from roadmapper.model import PreferenceKind
 from roadmapper.roadmap import (
@@ -37,9 +42,18 @@ from roadmapper.roadmap import (
     rank_configurations,
     rank_roadmaps,
 )
+from roadmapper.quanteval import unique_val
 from roadmapper.testkit import ModelGenSpec, generate_database
 
 from conftest import parse_ok
+from test_configuration import ROUND_ORDER
+from test_operationalization import (
+    CYCLIC,
+    DIVIDING,
+    PROBABILISTIC,
+    _all_subsets,
+    _support_models,
+)
 
 
 def cfg(label, members):
@@ -210,6 +224,28 @@ def test_roadmap_limit_counts_every_roadmap():
     message = r"^more than 8 roadmaps; raise the limit or lower max_len$"
     with pytest.raises(ResourceLimitError, match=message):
         build_roadmaps(parse_ok(""), configs, 2, limit=8)
+
+
+# --- roadmap records ----------------------------------------------------------------
+
+def test_roadmap_records_are_frozen_slotted_values(las_enumeration):
+    db, configs = las_enumeration.database, las_enumeration.configurations[:12]
+    rule = RoadmapValueSum("rt", 45.0, 4)
+    first, second = (build_roadmaps(db, configs, 2) for _ in range(2))
+    ranking = rank_roadmaps(db, first, rule)
+    again = rank_roadmaps(db, second, rule)
+    assert ranking.ranked and ranking.excluded
+    assert first == second and list(map(hash, first)) == list(map(hash, second))
+    assert ranking == again and hash(ranking) == hash(again)
+    records = [first[-1], ranking.ranked[0], ranking.excluded[0]]
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, getattr(record, field.name))
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+        assert type(copy) is type(record)
 
 
 # --- rank_configurations ----------------------------------------------------------------
@@ -474,6 +510,67 @@ def test_rank_roadmaps_raises_the_reference_error_first():
             "variable 'v' obtains several values [2.0, 4.0]; "
             "expand value conflicts before ranking",
         ),
+    }
+
+
+VALUE_MISSING = "variable {!r} obtains no value in a configuration"
+VALUE_SEVERAL = "variable {!r} obtains several values {}; expand value conflicts before ranking"
+
+
+def _value_outcome(value_of, db, members, var):
+    """The value, by its repr, or the type and message of the error."""
+    try:
+        return repr(value_of(db, members, var))
+    except RoadmapperError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_value(db, members, var):
+    return unique_val(
+        sorted(members), var, db,
+        missing=VALUE_MISSING.format(var),
+        several=lambda xs: VALUE_SEVERAL.format(var, xs),
+    )
+
+
+def _value_cases(las_db):
+    """(database, member sets) pairs. For each model of the support search's
+    set, the first 16 configurations, each with its single removals and one
+    with one and two ids the database lacks, read after enumeration filled the
+    memo; and every member subset of four small models whose values raise or
+    are several."""
+    for _, db in _support_models(las_db):
+        try:
+            enum = enumerate_configurations(db, max_atoms=64)
+        except RoadmapperError:
+            continue
+        sets = []
+        for config in enum.configurations[:16]:
+            sets.append(config.members)
+            sets += [config.members - {m} for m in sorted(config.members)]
+        if sets:
+            sets.append(sets[0] | {"@ghost"})
+            sets.append(sets[0] | {"@ghost", "~ghost"})
+        yield enum.database, sets
+    for text in (CYCLIC, DIVIDING, PROBABILISTIC, ROUND_ORDER):
+        db = parse_ok(text)
+        yield db, _all_subsets(db)
+
+
+def test_unique_value_from_the_memo_matches_unique_val(las_db):
+    outcomes = []
+    for db, sets in _value_cases(las_db):
+        for var in [*sorted(db.closure_index.assignments_by_var), "unassigned"]:
+            for members in sets:
+                expected = _value_outcome(_reference_value, db, members, var)
+                assert _value_outcome(_unique_value, db, members, var) == expected, (
+                    sorted(members), var
+                )
+                outcomes.append(expected)
+    kinds = {o[0] if isinstance(o, tuple) else float for o in outcomes}
+    assert kinds == {
+        float, MissingValueError, NonSingletonValError, RefinementCycleError,
+        DivisionByZeroError, UnresolvedReferenceError,
     }
 
 
