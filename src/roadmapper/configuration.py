@@ -7,10 +7,10 @@ respect to optional k/t requirements, and is minimal beyond that.
 
 The search works on int bitmasks of the database's `ClosureIndex`: of its `n`
 requirement ids in id order, the `i`-th has the bit `1 << (n - 1 - i)`.
-Member sets, threshold coverages, `needed` and the verdict cache's keys are
-masks; frozensets appear only where `Configuration`s and `PropertyReport`s
-are built. A verdict (`ClosureIndex.verdict`) is one mask too: the fired
-member conflicts and the unmet mandatory targets. It comes from
+Member sets, support options, threshold coverages, `needed` and the verdict
+cache's keys are masks; frozensets appear only where `Configuration`s and
+`PropertyReport`s are built. A verdict (`ClosureIndex.verdict`) is one mask
+too: the fired member conflicts and the unmet mandatory targets. It comes from
 `ClosureIndex.satisfied_mask`, which runs the rounds of
 `operationalization.satisfaction_closure`, the reference that records
 origins: one implication pass in id order, then the numeric layer against
@@ -22,7 +22,6 @@ monotone, and because it decides which error, if any, is raised.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
@@ -32,6 +31,7 @@ from .model import MEMBER_SORTS, Modality, RequirementsDatabase
 from .operationalization import (
     DEFAULT_SEARCH_LIMIT,
     _Budget,
+    _minimal_masks,
     _minimal_supports,
     _SupportSearch,
 )
@@ -250,17 +250,6 @@ def check_configuration(
     return search.check(db.closure_index.mask(members), 0)
 
 
-def _minimal_masks(masks: Iterable[int], order_key) -> list[int]:
-    """Distinct masks with strict supersets removed, in canonical order."""
-    unique = sorted(set(masks), key=lambda m: (m.bit_count(), order_key(m)))
-    kept: list[int] = []
-    # Distinct masks of one size hold no strict subsets of each other, so
-    # each is tested only against the smaller ones kept before its size.
-    for _size, same_size in itertools.groupby(unique, key=int.bit_count):
-        kept += [c for c in same_size if not any(p & c == p for p in kept)]
-    return kept
-
-
 def _relevant_plains(
     db: RequirementsDatabase, budget: _Budget
 ) -> tuple[list[int], list[int]]:
@@ -289,31 +278,20 @@ def _relevant_plains(
             index.order_key,
         )
 
-    optional_ids = set(index.optional_members)
+    optional_mask = index.mask(index.optional_members)
     search = _SupportSearch(db, budget, "conflict-pool support search")
-    pool: set[str] = set()
+    pool = 0
     for req in index.conflicts.values():
-        antecedent_options = {}
+        reach = 0  # every member of some option of some antecedent
         for ant in sorted(req.body.antecedents):
-            options = search.options(ant)
-            antecedent_options[ant] = [members for members, _route in options]
-        optional_involved = req.modality is Modality.OPTIONAL or any(
-            members & optional_ids
-            for options in antecedent_options.values()
-            for members in options
-        )
-        if not optional_involved:
-            continue
-        pool.add(req.id)
-        for options in antecedent_options.values():
-            for members in options:
-                pool.update(members)
-    plains = [
-        index.bit[req_id]
-        for req_id in sorted(pool)
-        if db[req_id].modality is Modality.PLAIN
-    ]
-    return coverages, plains
+            for members, _route in search.options(ant):
+                reach |= members
+        if req.modality is Modality.OPTIONAL or reach & optional_mask:
+            pool |= index.bit[req.id] | reach
+    # Conflicts, implications and the member sorts are all k or t, so every
+    # bit of the pool is a member: the plain ones are neither of the others.
+    plains = pool & ~(index.mandatory_mask | optional_mask)
+    return coverages, [index.bit[req_id] for req_id in index.ids_of(plains)]
 
 
 def enumerate_configurations(

@@ -494,23 +494,33 @@ class _Budget:
             )
 
 
-def _minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
-    """Distinct sets with strict supersets removed, in canonical order."""
-    unique = sorted(set(sets), key=lambda s: (len(s), tuple(sorted(s))))
-    kept: list[frozenset] = []
-    for candidate in unique:
-        if not any(prev < candidate for prev in kept):
-            kept.append(candidate)
+def _minimal_masks(masks: Iterable[int], order_key) -> list[int]:
+    """Distinct masks with strict supersets removed, in canonical order."""
+    unique = sorted(set(masks), key=lambda m: (m.bit_count(), order_key(m)))
+    kept: list[int] = []
+    # Distinct masks of one size hold no strict subsets of each other, so
+    # each is tested only against the `smaller` masks kept before its size.
+    size = smaller = 0
+    for mask in unique:
+        if mask.bit_count() != size:
+            size, smaller = mask.bit_count(), len(kept)
+        for i in range(smaller):
+            if kept[i] & mask == kept[i]:
+                break
+        else:
+            kept.append(mask)
     return kept
 
 
 class _SupportSearch:
     """Minimal satisfaction options per requirement, on one explicit stack.
 
-    Each frame is a generator over one key, `("req", id)` or `("var", name)`:
-    it yields the keys it needs and is sent their results. A key already on
-    the stack is sent `()`, so only well-founded derivations count, and a
-    frame is memoized only if no such guard was hit while it ran.
+    An option is a member set, as a mask of the closure index, tagged with
+    the route that satisfies the requirement. Each frame is a generator over
+    one key, `("req", id)` or `("var", name)`: it yields the keys it needs
+    and is sent their results. A key already on the stack is sent `()`, so
+    only well-founded derivations count, and a frame is memoized only if no
+    such guard was hit while it ran.
     """
 
     def __init__(self, db: RequirementsDatabase, budget: _Budget, phase: str):
@@ -520,8 +530,8 @@ class _SupportSearch:
         self.phase = phase
         self.memo: dict[_Key, tuple] = {}
 
-    def options(self, req_id: str) -> tuple[tuple[frozenset[str], Route], ...]:
-        """Minimal member sets satisfying `req_id`, tagged with their route."""
+    def options(self, req_id: str) -> tuple[tuple[int, Route], ...]:
+        """Minimal member masks satisfying `req_id`, tagged with their route."""
         memo = self.memo
         stack: list[tuple[_Key, Generator[_Key, tuple, tuple], int]] = []
         on_stack: set[_Key] = set()
@@ -556,37 +566,39 @@ class _SupportSearch:
 
     def _req_frame(self, req_id: str) -> Generator[_Key, tuple, tuple]:
         req = self.db[req_id]
-        collected: list[tuple[frozenset[str], Route]] = []
+        index = self.index
+        order_key = index.order_key
+        collected: list[tuple[int, Route]] = []
         if req.sort in MEMBER_SORTS:
-            collected.append((frozenset({req_id}), "member"))
-        for imp in self.index.by_consequent.get(req_id, ()):
-            combos: list[frozenset[str]] = [frozenset({imp.id})]
+            collected.append((index.bit[req_id], "member"))
+        for imp in index.by_consequent.get(req_id, ()):
+            combos = [index.bit[imp.id]]
             for ant in sorted(imp.body.antecedents):
                 ant_options = yield ("req", ant)
-                sets = _minimal_sets([members for members, _ in ant_options])
-                if not sets:
+                masks = _minimal_masks([m for m, _ in ant_options], order_key)
+                if not masks:
                     combos = []
                     break
-                self.budget.tick(self.phase, len(combos) * len(sets))
-                combos = _minimal_sets([c | s for c in combos for s in sets])
+                self.budget.tick(self.phase, len(combos) * len(masks))
+                combos = _minimal_masks([c | m for c in combos for m in masks], order_key)
             collected.extend((c, "inferred") for c in combos)
-        if req_id in self.index.quantitative:
+        if req_id in index.quantitative:
             numeric = yield from self._numeric_options(req.body.cond)
             collected.extend((members, "numeric") for members in numeric)
-        result: list[tuple[frozenset[str], Route]] = []
+        result: list[tuple[int, Route]] = []
         for route in ("member", "inferred", "numeric"):
-            for members in _minimal_sets([m for m, r in collected if r == route]):
-                result.append((members, route))
+            same_route = [m for m, r in collected if r == route]
+            result.extend((m, route) for m in _minimal_masks(same_route, order_key))
         return tuple(result)
 
-    def _numeric_options(self, cond) -> Generator[_Key, tuple, list[frozenset[str]]]:
+    def _numeric_options(self, cond) -> Generator[_Key, tuple, list[int]]:
         needed = _needed_variables(cond)
         if needed is None:
             return []
         combos = yield from self._value_combos(needed)
-        governing: list[tuple[frozenset[str], DistributionSpec | None]] = []
+        governing: list[tuple[int, DistributionSpec | None]] = []
         if isinstance(cond, Compare):
-            governing.append((frozenset(), None))
+            governing.append((0, None))
         else:
             for dist_id, dist in self.index.dists_by_var.get(cond.var.name, ()):
                 dist_options = yield ("req", dist_id)
@@ -597,13 +609,13 @@ class _SupportSearch:
             for members, env in combos
             if _holds(cond, env, dist)
         ]
-        return _minimal_sets(found)
+        return _minimal_masks(found, self.index.order_key)
 
     def _value_combos(
         self, variables: list[str]
-    ) -> Generator[_Key, tuple, list[tuple[frozenset[str], dict[str, float]]]]:
+    ) -> Generator[_Key, tuple, list[tuple[int, dict[str, float]]]]:
         """All ways to give each variable one value, with the members used."""
-        combos: list[tuple[frozenset[str], dict[str, float]]] = [(frozenset(), {})]
+        combos: list[tuple[int, dict[str, float]]] = [(0, {})]
         for var in variables:
             units = yield ("var", var)
             if not units:
@@ -617,8 +629,9 @@ class _SupportSearch:
         return combos
 
     def _var_frame(self, var: str) -> Generator[_Key, tuple, tuple]:
-        """Minimal member sets that give `var` a specific value, in value order."""
-        found: dict[float, list[frozenset[str]]] = {}
+        """Minimal member masks that give `var` a specific value, in value order."""
+        order_key = self.index.order_key
+        found: dict[float, list[int]] = {}
         for req_id, rhs, rhs_vars in self.index.assignments_by_var.get(var, ()):
             if var in rhs_vars:
                 raise RefinementCycleError(
@@ -627,7 +640,7 @@ class _SupportSearch:
             sat_options = yield ("req", req_id)
             if not sat_options:
                 continue
-            carriers = _minimal_sets([m for m, _ in sat_options])
+            carriers = _minimal_masks([m for m, _ in sat_options], order_key)
             if not rhs_vars:
                 try:
                     value = _eval(rhs, {})
@@ -648,7 +661,7 @@ class _SupportSearch:
         return tuple(
             (members, value)
             for value in sorted(found)
-            for members in _minimal_sets(found[value])
+            for members in _minimal_masks(found[value], order_key)
         )
 
 
@@ -661,11 +674,11 @@ def _minimal_supports(
     """The masks of the minimal member sets that satisfy `target_id` by one
     of `routes`, each holding every mandatory member, in canonical order."""
     index = db.closure_index
-    mandatory = frozenset(index.mandatory_members)
     search = _SupportSearch(db, budget, f"threshold-support search for {target_id!r}")
     options = search.options(target_id)
-    parts = _minimal_sets(
-        [members - mandatory for members, route in options if route in routes]
+    parts = _minimal_masks(
+        [m & ~index.mandatory_mask for m, route in options if route in routes],
+        index.order_key,
     )
     target = index.bit[target_id]
     meets: dict[int, bool] = {}
@@ -680,10 +693,10 @@ def _minimal_supports(
 
     supports = []
     for part in parts:
-        candidate = index.mandatory_mask | index.mask(part)
+        candidate = index.mandatory_mask | part
         # Minimality modulo the mandatory set, judged by the closure itself.
         if supported(candidate) and not any(
-            supported(candidate ^ index.bit[removed]) for removed in sorted(part)
+            supported(candidate ^ index.bit[removed]) for removed in index.ids_of(part)
         ):
             supports.append(candidate)
     return sorted(supports, key=index.order_key)

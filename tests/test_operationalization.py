@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadmapper.configuration import enumerate_configurations
 from roadmapper.errors import (
@@ -19,6 +21,7 @@ from roadmapper.model import G, Q, S, RequirementsDatabase, SimpleQuant
 from roadmapper.operationalization import (
     _MEMO_LIMIT,
     DEFAULT_SEARCH_LIMIT,
+    _minimal_masks,
     is_admissible,
     qualitative_operationalizations,
     quantitative_operationalizations,
@@ -328,6 +331,37 @@ def test_order_key_sorts_masks_as_sorted_id_lists_sort():
     assert sorted(masks, key=index.order_key) == sorted(masks, key=index.ids_of)
 
 
+@st.composite
+def masks_over_an_index(draw):
+    """A closure index over 1-12 task ids, whose id order is not their
+    numeric order, and masks over it: random ones, repeats of them, the
+    empty mask, and nested chains grown one random mask at a time."""
+    numbers = draw(st.lists(st.integers(0, 150), min_size=1, max_size=12, unique=True))
+    index = parse_ok(" ".join(f"t u{n}." for n in numbers)).closure_index
+    some_mask = st.integers(0, (1 << len(numbers)) - 1)
+    masks = draw(st.lists(some_mask, max_size=16))
+    masks += draw(st.lists(st.sampled_from(masks), max_size=6)) if masks else []
+    for _ in range(draw(st.integers(0, 3))):
+        chain = [draw(some_mask)]
+        for grow in draw(st.lists(some_mask, max_size=5)):
+            chain.append(chain[-1] | grow)
+        masks += chain
+    if draw(st.booleans()):
+        masks.append(0)
+    return index, draw(st.permutations(masks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks_over_an_index())
+def test_minimal_masks_match_the_minimal_sets_of_their_ids(drawn):
+    index, masks = drawn
+    sets = {frozenset(index.ids_of(mask)) for mask in masks}
+    minimal = [s for s in sets if not any(other < s for other in sets)]
+    expected = sorted(minimal, key=lambda s: (len(s), sorted(s)))
+    found = _minimal_masks(masks, index.order_key)
+    assert [frozenset(index.ids_of(mask)) for mask in found] == expected
+
+
 def test_memo_stays_within_its_cap():
     assignments = 11
     text = " ".join(f"t a{i}: v{i} = {i}." for i in range(assignments))
@@ -439,6 +473,22 @@ def _support_models(las_db):
     valid = (result.database for result in parsed if result.ok)
     for i, db in enumerate(itertools.islice(valid, 20)):
         yield f"cycle-{i}", db
+    for name, text in ERROR_MODELS.items():
+        yield name, parse_ok(text)
+
+
+# Paths of the support search that the models above miss: a refinement
+# cycle through two variables and through one (a RefinementCycleError from
+# the closure, and one from `_var_frame`), more than MAX_VALUES_PER_VARIABLE
+# values (ValOverflowError), a division by zero in one value combination,
+# and a probability bound.
+ERROR_MODELS = {
+    "cyclic": "t a: x = y + 1. t b: y = x + 1. t c: x = 2. t d: y = 3. q qc !: x >= 2.",
+    "self": "t a: x = x + 1. t c: x = 2. q qc !: x >= 2.",
+    "overflow": "".join(f"t v{i}: x = {i}. " for i in range(65)) + "q qc !: x >= 2.",
+    "divide": "t a: x = w / (w - 2). t f: w = 2. t g: w = 3. q qc !: x > 0.",
+    "prob": "t a: x ~ Normal(1, 2). t c: y = 1. q qp !: P(x <= y) >= 0.5.",
+}
 
 
 # The first 16 hex digits of the sha256 of each model's support transcript.
@@ -484,6 +534,11 @@ SUPPORT_DIGESTS = {
     "cycle-17": "0967f7601f30caae",
     "cycle-18": "424e9a184a3630de",
     "cycle-19": "bfc750a6658d7f7e",
+    "cyclic": "58436449b8d5ee32",
+    "self": "5df7c3ed4e60972d",
+    "overflow": "cc2bad7cc905e8bd",
+    "divide": "8caf6efe82eea6d4",
+    "prob": "4a1730fd408ae93c",
 }
 
 

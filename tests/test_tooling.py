@@ -19,3 +19,70 @@ def test_sources_parse_at_the_oldest_supported_python():
     assert sources
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(int(major), int(minor)))
+
+
+def _modules() -> dict[str, ast.Module]:
+    sources = sorted((REPO_ROOT / "src" / "roadmapper").glob("*.py"))
+    assert sources
+    return {path.name: ast.parse(path.read_text()) for path in sources}
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """The names `tree` reads: bare names and attribute names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_import_is_used():
+    """A module other than `__init__.py`, which re-exports, binds no
+    imported name that it never reads."""
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        loaded = _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{name}: {bound}")
+    assert not unused
+
+
+def test_every_private_module_name_is_referenced():
+    """Each module-level `_name` defined outside `__init__.py` is read, or
+    imported, somewhere in the package, so a helper left behind by a
+    refactor fails here."""
+    modules = _modules()
+    referenced = set()
+    for tree in modules.values():
+        referenced |= _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    orphans = []
+    for name, tree in modules.items():
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            orphans += [
+                f"{name}: {d}"
+                for d in defined
+                if d.startswith("_") and not d.startswith("__") and d not in referenced
+            ]
+    assert not orphans
