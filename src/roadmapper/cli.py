@@ -7,7 +7,10 @@ output.
 
 JSON is written as it is produced, one member of the top-level containers
 at a time, once the whole payload is built, so a failing command never leaves
-half a document on stdout.
+half a document on stdout. `roadmaps` writes its `ranked` and `excluded`
+rows straight from the index core of `roadmap.py` (`_IndexRoadmaps`), from
+fragments rendered once; it builds none of the library's roadmap records,
+which are unchanged.
 
 Exit codes: 0 success, 1 model error or internal error, 2 I/O or usage error
 (a closed stdout included), 3 resource limit, 4 semantic error.
@@ -57,13 +60,13 @@ from .operationalization import (
 )
 from .parser import ParseResult, load_file, serialize
 from .roadmap import (
+    DEFAULT_ROADMAP_LIMIT,
     MaximizeValue,
     MaximizeValueThenPreferences,
     MinimizeValue,
     RoadmapValueSum,
-    build_roadmaps,
+    _IndexRoadmaps,
     rank_configurations,
-    rank_roadmaps,
 )
 from .testkit import ModelGenSpec, generate_database
 from .transforms import relax_fuzzy, relax_probabilistic
@@ -209,9 +212,34 @@ def _json_text(value, newline: str, memo: _JsonMemo) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+# The newline and indent of an item of an array that is a member of the
+# top-level object.
+_ROW_NEWLINE = "\n    "
+
+
+class _Rows:
+    """An array member of the top-level object whose items the caller has
+    rendered: `texts` yields the text of each item, nested after
+    _ROW_NEWLINE."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, texts):
+        self.texts = texts
+
+
 def _write_members(value, write, newline: str, levels: int, memo: _JsonMemo) -> None:
     """Write `value` nested after `newline`; a non-empty container in the top
-    `levels` levels passes each member to `write` on its own."""
+    `levels` levels passes each member to `write` on its own, as `_Rows`
+    passes each of its items."""
+    inner = newline + "  "
+    if type(value) is _Rows:
+        separator = "[" + inner
+        for text in value.texts:
+            write(separator + text)
+            separator = "," + inner
+        write("[]" if separator[0] == "[" else newline + "]")
+        return
     if not (levels and isinstance(value, (dict, list, tuple)) and value):
         # A streamed member is written once: only the dicts inside it are kept.
         if isinstance(value, dict):
@@ -219,7 +247,6 @@ def _write_members(value, write, newline: str, levels: int, memo: _JsonMemo) -> 
         else:
             write(_json_text(value, newline, memo))
         return
-    inner = newline + "  "
     if isinstance(value, dict):
         opening, closing, members = "{", "}", _object_members(value)
     else:
@@ -384,11 +411,16 @@ def cmd_configs(args) -> int:
             (target, quantitative_operationalizations(target, db))
             for target in db.mandatory_ids(Sort.QUALITY_CONSTRAINT)
         ]
+    # Configurations share report objects (enumeration returns one passing
+    # report for all): one dict per distinct report, which the writer renders once.
+    properties: dict[int, dict] = {}
     for config, report in zip(enum.configurations, enum.reports):
+        if id(report) not in properties:
+            properties[id(report)] = _property_payload(report)
         entry = {
             "id": config.id,
             "members": sorted(config.members),
-            "properties": _property_payload(report),
+            "properties": properties[id(report)],
         }
         if args.explain:
             entry["explanations"] = {
@@ -464,29 +496,52 @@ def cmd_roadmaps(args) -> int:
     if db is None:
         return code
     enum = _enumerate(args, db)
-    roadmaps = build_roadmaps(enum.database, enum.configurations, args.maxlen)
-    rule = RoadmapValueSum(args.var, args.floor, args.maxdiff)
-    ranking = rank_roadmaps(enum.database, roadmaps, rule)
+    # Every limit, operator and value error is raised here, before any write.
+    roadmaps = _IndexRoadmaps(enum.configurations, args.maxlen, DEFAULT_ROADMAP_LIMIT)
+    ranked, excluded = roadmaps.rank(
+        enum.database, RoadmapValueSum(args.var, args.floor, args.maxdiff)
+    )
+    sequences = roadmaps.sequences
+    ids = [c.id for c in roadmaps.configurations]
 
-    # Roadmaps share their operators and operator sets (see build_roadmaps):
-    # render each operator once, and list each set once.
-    rendered: dict = {}
-    listed: dict = {}
+    # Rows are written from fragments rendered once, at a row's fixed depth:
+    # each id as a sequence item, and each operator set's adaptations list.
+    newline, inner = _ROW_NEWLINE, _ROW_NEWLINE + "  "
+    items = [inner + "  " + encode_basestring_ascii(i) for i in ids]
+    memo = _JsonMemo()
+    entries: dict[int, tuple] = {}  # each operator's entry, by its (delete, add) lists
+    lists: dict[frozenset[int], str] = {}  # each operator set's adaptations text
 
-    def _rendered(a):
-        if a not in rendered:
+    def entry(number: int) -> tuple:
+        if number not in entries:
+            a = roadmaps.operators[number]
             add, delete = sorted(a.add), sorted(a.delete)
-            entry = {"trigger": sorted(a.trigger), "add": add, "delete": delete}
-            rendered[a] = ((delete, add), entry)
-        return rendered[a]
+            entries[number] = (
+                (delete, add), {"trigger": sorted(a.trigger), "add": add, "delete": delete}
+            )
+        return entries[number]
 
-    def _adaptations(adaptations):
-        entries = listed.get(adaptations)
-        if entries is None:
-            by_lists = sorted(map(_rendered, adaptations), key=itemgetter(0))
-            entries = listed[adaptations] = [entry for _, entry in by_lists]
-        return entries
+    def adaptations_text(j: int) -> str:
+        numbers = roadmaps.operator_set(sequences[j])
+        text = lists.get(numbers)
+        if text is None:
+            by_lists = sorted(map(entry, numbers), key=itemgetter(0))
+            text = lists[numbers] = _json_text([e for _, e in by_lists], inner, memo)
+        return text
 
+    def sequence_text(j: int) -> str:
+        return "[" + ",".join([items[i] for i in sequences[j]]) + inner + "]"
+
+    ranked_rows = (
+        f'{{{inner}"adaptations": {adaptations_text(j)},{inner}"sequence": '
+        f'{sequence_text(j)},{inner}"total": {_float_text(total)}{newline}}}'
+        for j, total in ranked
+    )
+    excluded_rows = (
+        f'{{{inner}"reason": {encode_basestring_ascii(reason)},{inner}"sequence": '
+        f'{sequence_text(j)},{inner}"witness": {witness}{newline}}}'
+        for j, reason, witness in excluded
+    )
     payload = {
         "command": "roadmaps",
         "file": args.file,
@@ -500,33 +555,18 @@ def cmd_roadmaps(args) -> int:
         "configurations": {
             c.id: sorted(c.members) for c in enum.configurations
         },
-        "ranked": [
-            {
-                "sequence": [c.id for c in item.roadmap.configurations],
-                "total": item.total,
-                "adaptations": _adaptations(item.roadmap.adaptations),
-            }
-            for item in ranking.ranked
-        ],
-        "excluded": [
-            {
-                "sequence": [c.id for c in item.roadmap.configurations],
-                "reason": item.reason,
-                "witness": item.witness,
-            }
-            for item in ranking.excluded
-        ],
+        "ranked": _Rows(ranked_rows),
+        "excluded": _Rows(excluded_rows),
     }
 
     def lines():
-        ranked, excluded = payload["ranked"], payload["excluded"]
         yield f"{len(ranked)} roadmap(s), {len(excluded)} excluded"
-        for entry in ranked:
-            yield f"  {' -> '.join(entry['sequence'])} (total={entry['total']!r})"
-        for entry in excluded:
+        for j, total in ranked:
+            yield f"  {' -> '.join([ids[i] for i in sequences[j]])} (total={total!r})"
+        for j, reason, witness in excluded:
             yield (
-                f"  excluded {' -> '.join(entry['sequence'])} "
-                f"({entry['reason']} at index {entry['witness']})"
+                f"  excluded {' -> '.join([ids[i] for i in sequences[j]])} "
+                f"({reason} at index {witness})"
             )
 
     _emit(payload, args.format, lines())

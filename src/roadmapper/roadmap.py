@@ -9,6 +9,7 @@ are total, deterministic, and independent of input order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -187,10 +188,10 @@ def apply_adaptation(
     return Configuration.from_members(members)
 
 
-def _member_masks(member_sets: Iterable[frozenset[str]]) -> dict[frozenset[str], int]:
-    """An int bitmask for each member set, one bit per member id."""
+def _member_masks(member_sets: Iterable[frozenset[str]]) -> list[int]:
+    """An int bitmask for each member set, in order, one bit per member id."""
     bits: dict[str, int] = {}
-    masks = {}
+    masks = []
     for members in member_sets:
         mask = 0
         for member in members:
@@ -198,8 +199,68 @@ def _member_masks(member_sets: Iterable[frozenset[str]]) -> dict[frozenset[str],
             if bit is None:
                 bit = bits[member] = 1 << len(bits)
             mask |= bit
-        masks[members] = mask
+        masks.append(mask)
     return masks
+
+
+class _IndexRoadmaps:
+    """Every roadmap up to `max_len` over `configs`, as a tuple of indices
+    into `configurations`, the configurations in canonical order: the
+    sequences of each length in turn, each length in permutation order.
+
+    `masks[i]` is the member bitmask of configuration i. The default trigger
+    is the delete list, so an operator is known by its (add, delete) masks;
+    `operators` holds each distinct one, derived once (on LAS at max_len 2,
+    16,256 pairs give 2,186), and `steps[a][b]` is the position there of the
+    operator from configuration a to configuration b.
+
+    Raises as building the roadmaps one by one would: every pair first meets
+    its operator at length 2, after the singletons, so the first pair whose
+    operator cannot be derived raises, unless more than `limit` roadmaps come
+    before it; then a count above `limit` raises."""
+
+    __slots__ = ("configurations", "masks", "operators", "steps", "sequences")
+
+    def __init__(self, configs: Sequence[Configuration], max_len: int, limit: int):
+        if max_len < 1:
+            raise ValueError("max_len must be at least 1")
+        self.configurations = ordered = sorted(configs, key=lambda c: c.canonical_key)
+        self.masks = masks = _member_masks([c.members for c in ordered])
+        n = len(ordered)
+        lengths = range(1, min(max_len, n) + 1)
+        pairs = itertools.permutations(range(n), 2) if max_len > 1 else ()
+        if sum(math.perm(n, k) for k in lengths) > limit:
+            # Deriving an operator fails exactly when the source's members
+            # lie within the target's: identical, or nothing to delete.
+            for a, b in itertools.islice(pairs, max(0, limit + 1 - n)):
+                if not masks[a] & ~masks[b]:
+                    derive_adaptation(ordered[a], ordered[b])
+            raise ResourceLimitError(
+                f"more than {limit} roadmaps; raise the limit or lower max_len"
+            )
+        self.operators: list[AdaptationRequirement] = []
+        self.steps = [[-1] * n for _ in range(n if max_len > 1 else 0)]
+        numbers: dict[tuple[int, int], int] = {}
+        for a, b in pairs:
+            key = (masks[b] & ~masks[a], masks[a] & ~masks[b])
+            number = numbers.get(key)
+            if number is None:
+                self.operators.append(derive_adaptation(ordered[a], ordered[b]))
+                number = numbers[key] = len(numbers)
+            self.steps[a][b] = number
+        self.sequences = list(itertools.chain.from_iterable(
+            itertools.permutations(range(n), k) for k in lengths
+        ))
+
+    def operator_set(self, sequence: tuple[int, ...]) -> frozenset[int]:
+        """The positions in `operators` of the operators a sequence needs."""
+        steps = self.steps
+        return frozenset([steps[a][b] for a, b in zip(sequence, sequence[1:])])
+
+    def rank(self, db: RequirementsDatabase, rule: RoadmapValueSum):
+        """`_rank_sequences` over these roadmaps."""
+        members = [c.members for c in self.configurations]
+        return _rank_sequences(db, members, self.masks, self.sequences, rule)
 
 
 def build_roadmaps(
@@ -211,36 +272,19 @@ def build_roadmaps(
 ) -> list[Roadmap]:
     """All roadmaps over distinct configurations up to `max_len`, each with
     the operators connecting its consecutive pairs."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    ordered = sorted(configs, key=lambda c: c.canonical_key)
-    mask = _member_masks(c.members for c in ordered)
-    roadmaps: list[Roadmap] = []
-    # Many pairs share an operator (on LAS at max_len 2, 16,256 pairs give
-    # 2,186 distinct ones): keep one object per distinct operator and set.
-    # The default trigger is the delete list, so an operator is known by its
-    # (add, delete) masks, and each distinct one is derived once. Identical
-    # configurations meet at (0, 0), where derive_adaptation raises.
-    operators: dict[tuple[int, int], AdaptationRequirement] = {}
-    sets: dict[frozenset[tuple[int, int]], frozenset[AdaptationRequirement]] = {}
-    for length in range(1, min(max_len, len(ordered)) + 1):
-        for sequence in itertools.permutations(ordered, length):
-            keys = []
-            for s_from, s_to in zip(sequence, sequence[1:]):
-                a, b = mask[s_from.members], mask[s_to.members]
-                key = (b & ~a, a & ~b)
-                if key not in operators:
-                    operators[key] = derive_adaptation(s_from, s_to)
-                keys.append(key)
-            key_set = frozenset(keys)
-            adaptations = sets.get(key_set)
-            if adaptations is None:
-                adaptations = sets[key_set] = frozenset(map(operators.get, key_set))
-            roadmaps.append(Roadmap(sequence, adaptations))
-            if len(roadmaps) > limit:
-                raise ResourceLimitError(
-                    f"more than {limit} roadmaps; raise the limit or lower max_len"
-                )
+    core = _IndexRoadmaps(configs, max_len, limit)
+    ordered = core.configurations
+    # One object per distinct operator set, as per distinct operator.
+    sets: dict[frozenset[int], frozenset[AdaptationRequirement]] = {}
+    roadmaps = []
+    for sequence in core.sequences:
+        numbers = core.operator_set(sequence)
+        adaptations = sets.get(numbers)
+        if adaptations is None:
+            adaptations = sets[numbers] = frozenset(
+                map(core.operators.__getitem__, numbers)
+            )
+        roadmaps.append(Roadmap(tuple([ordered[i] for i in sequence]), adaptations))
     return roadmaps
 
 
@@ -324,6 +368,49 @@ def rank_configurations(
     )
 
 
+def _rank_sequences(
+    db: RequirementsDatabase,
+    member_sets: Sequence[frozenset[str]],
+    masks: Sequence[int],
+    sequences: Sequence[tuple[int, ...]],
+    rule: RoadmapValueSum,
+) -> tuple[list[tuple[int, float]], list[tuple[int, str, int]]]:
+    """Rule r4 over roadmaps given as tuples of indices into `member_sets`,
+    whose member bitmasks are `masks`: the ranked as (position in
+    `sequences`, total) and the excluded as (position, reason, witness), each
+    in ranking order. Ranked roadmaps sort on (-total, length, indices) and
+    excluded ones on their indices; equal keys keep their input order.
+
+    The values are taken before any filter, for the indices in the order the
+    sequences first name them, which is the order taking each roadmap's
+    values in turn meets them: the first configuration without a value is
+    the one that raises."""
+    values: list = [None] * len(member_sets)
+    for i in dict.fromkeys(itertools.chain.from_iterable(sequences)):
+        values[i] = _unique_value(db, member_sets[i], rule.var)
+    floor, max_diff = rule.floor, rule.max_diff
+    ranked: list[tuple[tuple, tuple[int, float]]] = []
+    excluded: list[tuple[tuple[int, ...], tuple[int, str, int]]] = []
+    for j, sequence in enumerate(sequences):
+        for i, index in enumerate(sequence):
+            if values[index] < floor:
+                excluded.append((sequence, (j, "floor", i)))
+                break
+        else:
+            for i in range(len(sequence) - 1):
+                if (masks[sequence[i]] ^ masks[sequence[i + 1]]).bit_count() > max_diff:
+                    excluded.append((sequence, (j, "diff", i)))
+                    break
+            else:
+                total = sum([values[index] for index in sequence])
+                ranked.append(((-total, len(sequence), sequence), (j, total)))
+    # Sort on the keys alone: equal keys keep their input order.
+    by_order, row = itemgetter(0), itemgetter(1)
+    ranked.sort(key=by_order)
+    excluded.sort(key=by_order)
+    return list(map(row, ranked)), list(map(row, excluded))
+
+
 def rank_roadmaps(
     db: RequirementsDatabase,
     roadmaps: Sequence[Roadmap],
@@ -331,47 +418,25 @@ def rank_roadmaps(
 ) -> RoadmapRanking:
     """Filter roadmaps by the floor and change-size constraints, then rank the
     survivors by summed value; excluded roadmaps carry their reason."""
-    # Each entry is (sort key, item). Comparing canonical positions orders
-    # roadmaps as comparing their canonical keys would, without sorting each
-    # configuration's members again.
-    ranked: list[tuple[tuple, RankedRoadmap]] = []
-    excluded: list[tuple[tuple[int, ...], ExcludedRoadmap]] = []
+    # Comparing canonical positions orders roadmaps as comparing their
+    # canonical keys would, without sorting each configuration's members again.
     distinct = {c.members for roadmap in roadmaps for c in roadmap.configurations}
     ordered = sorted(distinct, key=lambda m: tuple(sorted(m)))
     position = {members: i for i, members in enumerate(ordered)}
-    mask = _member_masks(ordered)
-    value_cache: dict[frozenset[str], float] = {}
-    var, floor, max_diff = rule.var, rule.floor, rule.max_diff
-
-    for roadmap in roadmaps:
-        sequence = [c.members for c in roadmap.configurations]
-        # Every value of a roadmap is taken, in order, before any filter, so
-        # the first configuration without one is the one that raises.
-        values = []
-        for members in sequence:
-            value = value_cache.get(members)
-            if value is None:
-                value = value_cache[members] = _unique_value(db, members, var)
-            values.append(value)
-        positions = tuple([position[members] for members in sequence])
-        for i, value in enumerate(values):
-            if value < floor:
-                excluded.append((positions, ExcludedRoadmap(roadmap, "floor", i)))
-                break
-        else:
-            for i in range(len(sequence) - 1):
-                if (mask[sequence[i]] ^ mask[sequence[i + 1]]).bit_count() > max_diff:
-                    excluded.append((positions, ExcludedRoadmap(roadmap, "diff", i)))
-                    break
-            else:
-                total = sum(values)
-                order = (-total, len(sequence), positions)
-                ranked.append((order, RankedRoadmap(roadmap, total)))
-    # Sort on the keys alone: equal keys keep their input order.
-    by_order, entry = itemgetter(0), itemgetter(1)
-    ranked.sort(key=by_order)
-    excluded.sort(key=by_order)
-    return RoadmapRanking(tuple(map(entry, ranked)), tuple(map(entry, excluded)))
+    sequences = [
+        tuple([position[c.members] for c in roadmap.configurations])
+        for roadmap in roadmaps
+    ]
+    ranked, excluded = _rank_sequences(
+        db, ordered, _member_masks(ordered), sequences, rule
+    )
+    return RoadmapRanking(
+        tuple([RankedRoadmap(roadmaps[j], total) for j, total in ranked]),
+        tuple([
+            ExcludedRoadmap(roadmaps[j], reason, witness)
+            for j, reason, witness in excluded
+        ]),
+    )
 
 
 # --- pairwise satisfaction comparison ------------------------------------------

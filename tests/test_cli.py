@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 
 import roadmapper.cli
 from roadmapper.cli import ATOM_LIMIT_ENV, _write_json, main
+from roadmapper.errors import MissingValueError, RoadmapperError
 from roadmapper.parser import parse, serialize
+from roadmapper.roadmap import RoadmapValueSum, build_roadmaps, rank_roadmaps
 from roadmapper.testkit import ModelGenSpec, generate_database, parse_dot
 
 from conftest import LAS_PATH, REPO_ROOT, SCHEMA_PATH, implication_chain
@@ -330,6 +333,141 @@ def test_roadmaps_maxdiff_zero_keeps_singletons(capsys, schema, toy_file):
     assert code == 0
     assert all(len(item["sequence"]) == 1 for item in payload["ranked"])
     assert any(e["reason"] == "diff" for e in payload["excluded"])
+
+
+def test_roadmaps_error_writes_nothing(capsys):
+    code, out, err = run(
+        capsys, "roadmaps", str(LAS_PATH), "--var", "ghost", "--max-atoms", "64"
+    )
+    assert code == 4
+    assert out == "" and err == "error: variable 'ghost' obtains no value in a configuration\n"
+
+
+def reference_cmd_roadmaps(args) -> int:
+    """`cli.cmd_roadmaps` as it wrote a payload of dicts built from the
+    library's roadmap records, kept as the oracle for the rows the CLI writes
+    from the index core."""
+    db, code = roadmapper.cli._load_database(args.file)
+    if db is None:
+        return code
+    enum = roadmapper.cli._enumerate(args, db)
+    roadmaps = build_roadmaps(enum.database, enum.configurations, args.maxlen)
+    rule = RoadmapValueSum(args.var, args.floor, args.maxdiff)
+    ranking = rank_roadmaps(enum.database, roadmaps, rule)
+
+    def adaptations(operators):
+        entries = [
+            {"trigger": sorted(a.trigger), "add": sorted(a.add), "delete": sorted(a.delete)}
+            for a in operators
+        ]
+        return sorted(entries, key=lambda e: (e["delete"], e["add"]))
+
+    payload = {
+        "command": "roadmaps",
+        "file": args.file,
+        "rule": {
+            "name": "r4",
+            "variable": args.var,
+            "floor": args.floor,
+            "max_diff": args.maxdiff,
+            "max_len": args.maxlen,
+        },
+        "configurations": {c.id: sorted(c.members) for c in enum.configurations},
+        "ranked": [
+            {
+                "sequence": [c.id for c in item.roadmap.configurations],
+                "total": item.total,
+                "adaptations": adaptations(item.roadmap.adaptations),
+            }
+            for item in ranking.ranked
+        ],
+        "excluded": [
+            {
+                "sequence": [c.id for c in item.roadmap.configurations],
+                "reason": item.reason,
+                "witness": item.witness,
+            }
+            for item in ranking.excluded
+        ],
+    }
+    if args.format == "json":
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return 0
+    ranked, excluded = payload["ranked"], payload["excluded"]
+    print(f"{len(ranked)} roadmap(s), {len(excluded)} excluded")
+    for entry in ranked:
+        print(f"  {' -> '.join(entry['sequence'])} (total={entry['total']!r})")
+    for entry in excluded:
+        print(
+            f"  excluded {' -> '.join(entry['sequence'])} "
+            f"({entry['reason']} at index {entry['witness']})"
+        )
+    return 0
+
+
+def roadmaps_outcome(cmd, args):
+    """The exit code and output of `cmd(args)`, or the type and message of
+    the error it raised and what it wrote before."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cmd(args)
+    except RoadmapperError as exc:
+        return type(exc), str(exc), out.getvalue()
+    return code, out.getvalue()
+
+
+def test_roadmaps_rows_match_the_record_payload(tmp_path, monkeypatch):
+    paths = []
+    for tasks in (3, 4, 5, 6):
+        for quantities in (False, True):
+            for seed in range(5):
+                spec = ModelGenSpec(seed=seed, tasks=tasks, include_quantities=quantities)
+                path = tmp_path / f"gen-{tasks}-{quantities}-{seed}.req"
+                path.write_text(serialize(generate_database(spec)))
+                paths.append(str(path))
+    (tmp_path / "none.req").write_text("g p1 !.\n")
+    paths.append(str(tmp_path / "none.req"))
+    # Both commands read each model's database and enumeration from one cache.
+    cache = {}
+
+    def cached(fn, key_of):
+        def call(*args):
+            key = key_of(*args)
+            if key not in cache:
+                cache[key] = fn(*args)
+            return cache[key]
+        return call
+
+    cli = roadmapper.cli
+    monkeypatch.setattr(cli, "_load_database", cached(cli._load_database, lambda path: path))
+    monkeypatch.setattr(cli, "_enumerate", cached(cli._enumerate, lambda args, db: id(db)))
+    seen = set()
+    for path in paths:
+        for max_len in (1, 2, 3):
+            for floor in (-math.inf, 2.0, 5.0, 1e9):
+                for max_diff in (0, 2, 10):
+                    for fmt in ("json", "text"):
+                        args = argparse.Namespace(
+                            file=path, format=fmt, var="v1", floor=floor, maxdiff=max_diff,
+                            maxlen=max_len, max_atoms=64, max_results=None,
+                        )
+                        ours = roadmaps_outcome(roadmapper.cli.cmd_roadmaps, args)
+                        assert ours == roadmaps_outcome(reference_cmd_roadmaps, args), (
+                            path, max_len, floor, max_diff, fmt,
+                        )
+                        if ours[0] == 0 and fmt == "json":
+                            payload = json.loads(ours[1])
+                            seen.add((bool(payload["ranked"]), bool(payload["excluded"])))
+                            assert floor < 1e9 or not payload["ranked"]
+                        else:
+                            seen.add(ours[0])
+    assert seen >= {(True, True), (False, True), (False, False), MissingValueError}
+    args.format = "json"
+    code, out = roadmaps_outcome(roadmapper.cli.cmd_roadmaps, args)
+    assert args.file == paths[-1] and code == 0
+    assert json.loads(out)["configurations"] == {}
+    assert json.loads(out)["ranked"] == json.loads(out)["excluded"] == []
 
 
 # --- dot --------------------------------------------------------------------------
