@@ -11,12 +11,8 @@ Member sets, support options, threshold coverages, `needed` and the verdict
 cache's keys are masks; frozensets appear only where `Configuration`s and
 `PropertyReport`s are built. A verdict (`ClosureIndex.verdict`) is one mask
 too: the fired member conflicts and the unmet mandatory targets. It comes from
-`ClosureIndex.satisfied_mask`, which runs the rounds of
-`operationalization.satisfaction_closure`, the reference that records
-origins: one implication pass in id order, then the numeric layer against
-the values of the satisfied set as it stood when the round began. That order
-is kept, not replaced by one fixpoint, because numeric propagation is not
-monotone, and because it decides which error, if any, is raised.
+`ClosureIndex.satisfied_mask`, the one satisfaction engine;
+`operationalization.satisfaction_closure` reads its masks back as ids.
 """
 
 from __future__ import annotations
@@ -234,19 +230,11 @@ class _Search:
 
 
 def check_configuration(
-    db: RequirementsDatabase,
-    s: Configuration | Iterable[str],
-    cache: dict | None = None,
+    db: RequirementsDatabase, s: Configuration | Iterable[str]
 ) -> PropertyReport:
-    """Evaluate the six configuration properties, with witnesses for failures.
-
-    `cache` holds verdicts on member sets, not closures, and is opaque: its
-    keys are bitmasks of `db`'s own closure index. Pass one dict to several
-    checks of the same database to share them, and never to checks of
-    another database.
-    """
+    """Evaluate the six configuration properties, with witnesses for failures."""
     members = _member_ids(db, s)
-    search = _Search(db, None, {} if cache is None else cache)
+    search = _Search(db, None, {})
     return search.check(db.closure_index.mask(members), 0)
 
 

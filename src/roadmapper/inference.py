@@ -6,14 +6,15 @@ derived. A premise conflict whose antecedents are all derived flags the
 contradiction; deriving the contradiction never licenses deriving anything
 else (no ex falso), which keeps the relation paraconsistent.
 
-`fire` and `fired_conflicts` are the one implementation of these two rules;
-`operationalization.satisfaction_closure` uses them too.
+`fire` and `fired_conflicts` state these two rules on id sets.
+`operationalization.ClosureIndex` runs the same rules on bitmasks, with
+numeric discharge added, in `satisfied_mask` and `fired_mask`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import UnresolvedReferenceError
 from .model import Conflict, Implication, Requirement, RequirementsDatabase
@@ -56,20 +57,18 @@ def _resolve_premises(
     return premises
 
 
-def fire(
-    implications: Iterable[Requirement], derived: dict[str, Any], label: Any = None
-) -> bool:
+def fire(implications: Iterable[Requirement], derived: dict[str, str | None]) -> bool:
     """One forward-chaining pass: each implication, in the order given, whose
     consequent is not in `derived` and whose antecedents all are, adds its
-    consequent, recorded as `label`, or as the implication's id when `label`
-    is None. An id added early in the pass can fire a later implication of
-    the same pass. Returns whether anything was added."""
+    consequent, recorded with the implication's id. An id added early in the
+    pass can fire a later implication of the same pass. Returns whether
+    anything was added."""
     known = derived.keys()  # a live view: it grows with `derived`
     added = False
     for imp in implications:
         body = imp.body
         if body.consequent not in derived and body.antecedents <= known:
-            derived[body.consequent] = imp.id if label is None else label
+            derived[body.consequent] = imp.id
             added = True
     return added
 

@@ -44,7 +44,6 @@ from .model import (
     T,
     free_variables,
 )
-from .inference import fire, fired_conflicts
 from .quanteval import (
     MAX_VALUES_PER_VARIABLE,
     _assignment_shape,
@@ -120,8 +119,10 @@ class ClosureIndex:
     so the set bits of a mask, from the highest, list its ids in id order
     (`ids_of`), and `order_key` sorts masks as their sorted id lists sort.
     Implications are compiled as `(member bit, antecedent mask, consequent
-    bit)` and conflicts as `(member bit, antecedent mask)`, both in id order,
-    and `satisfied_mask` runs the rounds of `satisfaction_closure` on them.
+    bit)` and conflicts as `(member bit, antecedent mask)`, both in id order.
+    `satisfied_mask` runs the satisfaction rounds on them; it is the one
+    satisfaction engine, and `satisfaction_closure` reads its masks back as
+    ids.
 
     The index also memoises the closure's numeric layer, a pure function of
     the satisfied ids: propagated values keyed by the mask of satisfied
@@ -274,10 +275,17 @@ class ClosureIndex:
             outcomes[0] |= self.bit[req_id]
         return open_mask & outcomes[1]
 
-    def satisfied_mask(self, members: int) -> int:
-        """What the member set `members` satisfies, as `satisfaction_closure`
-        finds it, without origins: the same rounds, on masks, raising the
-        same errors at the same points."""
+    def satisfied_mask(self, members: int, numeric: list[int] | None = None) -> int:
+        """What the member set `members` satisfies, in rounds: one
+        implication pass over the member implications in id order, then a
+        test of each unsatisfied quantitative requirement against the values
+        and distributions of the satisfied set as it stood when the round
+        began, until a round adds nothing. Values are recomputed from the
+        whole satisfied set each round, not extended, because propagation is
+        not monotone (an equation stops firing once an input gains a second
+        value); the round order decides the routes and which error, if any,
+        is raised. When `numeric` is a list, each round that tests appends
+        the mask of the requirements it met."""
         implications = [
             (ant, con) for bit, ant, con in self.implication_bits if members & bit
         ]
@@ -296,7 +304,10 @@ class ClosureIndex:
                     satisfied |= con
             open_mask = self.quantitative_mask & ~satisfied
             if open_mask:
-                satisfied |= self.conditions_met(keys, values, dists, open_mask)
+                met = self.conditions_met(keys, values, dists, open_mask)
+                if numeric is not None:
+                    numeric.append(met)
+                satisfied |= met
             if satisfied == start:
                 return satisfied
 
@@ -324,54 +335,28 @@ def satisfaction_closure(
 ) -> SatisfactionClosure:
     """Fixpoint of membership, implication firing, and numeric discharge.
 
-    Each round makes one `inference.fire` pass over the member implications
-    in id order, then tests every unsatisfied quantitative requirement
-    against the values and distributions of the satisfied set as it stood
-    when the round began; `origin` records the first route that satisfied
-    each requirement.
-
-    Round invariant: when a round begins, `values` and `dists` equal what
-    `propagate_values` and the distribution environment give for the
-    current satisfied set. It must hold because value propagation is not
-    monotone (an equation stops firing once one of its inputs gains a second
-    value), so values are recomputed from the whole satisfied set rather
-    than extended, and because the round order decides both the origins and
-    which error, if any, is raised. Each round looks values, distributions
-    and condition outcomes up in the index's memo, which holds only what a
-    computation on the same input returned.
-
-    This is the reference for `ClosureIndex.satisfied_mask`, which runs the
-    same rounds on bitmasks without recording origins.
+    A view of `ClosureIndex.satisfied_mask`, read back as ids: `values` and
+    `distributions` are those of the satisfied set, from the index's memo,
+    and `origin` names, in id order, the route that first satisfied each
+    requirement: `member`, `numeric` when a round's numeric layer met it,
+    and `inferred` otherwise.
     """
     ids = _resolve_ids(members, db)
     index = db.closure_index
-    order = sorted(ids)
-    origin: dict[str, Route] = {req_id: "member" for req_id in order}
-    satisfied = origin.keys()  # a live view: it grows with `origin`
-    member_implications = [index.implications[i] for i in order if i in index.implications]
-    while True:
-        keys = (
-            index.mask(index.assignments.keys() & satisfied),
-            index.mask(index.distributions.keys() & satisfied),
-        )
-        values = index.values_of(keys[0])
-        dists = index.dists_of(keys[1])
-        inferred = fire(member_implications, origin, "inferred")
-        open_mask = index.mask(index.quantitative.keys() - satisfied)
-        met = index.ids_of(index.conditions_met(keys, values, dists, open_mask))
-        for req_id in met:
-            origin[req_id] = "numeric"
-        if not (inferred or met):
-            break
-    fired = fired_conflicts(
-        [index.conflicts[i] for i in index.conflicts.keys() & ids], satisfied
-    )
+    member_mask = index.mask(ids)
+    rounds: list[int] = []
+    satisfied = index.satisfied_mask(member_mask, rounds)
+    origin: dict[str, Route] = dict.fromkeys(index.ids_of(satisfied), "inferred")
+    for met in rounds:
+        origin.update(dict.fromkeys(index.ids_of(met), "numeric"))
+    origin.update(dict.fromkeys(ids, "member"))
+    fired = frozenset(index.ids_of(index.fired_mask(member_mask, satisfied)))
     return SatisfactionClosure(
         members=ids,
         satisfied=frozenset(origin),
         bottom=bool(fired),
-        values=values,
-        distributions=dists,
+        values=index.values_of(satisfied & index.assignment_mask),
+        distributions=index.dists_of(satisfied & index.distribution_mask),
         origin=origin,
         bottom_witness=fired,
     )

@@ -692,7 +692,7 @@ def refinement_chain(n: int) -> str:
     return f"t a0: x0 = 1.\n{links}q goal !: x{n} >= 0.\n"
 
 
-LAS_ROADMAPS = ["--var", "rt", "--floor", "40", "--maxdiff", "10", "--max-atoms", "64"]
+LAS_ROADMAP_FLAGS = ["--var", "rt", "--floor", "40", "--maxdiff", "10", "--max-atoms", "64"]
 
 # What the enumerating commands must end in on inputs that stress the search:
 # the model's text (None: the `model_io_3000` fixture's; "las": the LAS
@@ -705,7 +705,7 @@ ADVERSARIAL_CORPUS = {
         ["configs", "--max-atoms", "4000"], 0, 10.0,
     ),
     "refinement-chain-500": (refinement_chain(500), ["configs", "--max-atoms", "4000"], 0, 8.0),
-    "las-roadmaps-maxlen-3": ("las", ["roadmaps", *LAS_ROADMAPS, "--maxlen", "3"], 3, 2.0),
+    "las-roadmaps-maxlen-3": ("las", ["roadmaps", *LAS_ROADMAP_FLAGS, "--maxlen", "3"], 3, 2.0),
     "model-io-3000-configs": (None, ["configs", "--max-atoms", "64"], 3, 5.0),
     "model-io-3000-rank": (
         None, ["rank", "--rule", "r3", "--var", "v1", "--max-atoms", "64"], 3, 5.0

@@ -46,9 +46,11 @@ from test_operationalization import (
     CYCLIC,
     DIVIDING,
     PROBABILISTIC,
+    ROUND_ORDER,
     _all_subsets,
     _fresh,
     _support_models,
+    reference_satisfaction_closure,
 )
 
 
@@ -433,11 +435,12 @@ def test_a_tiny_verdict_cache_changes_no_result(monkeypatch, las_db, las_enumera
     assert any(later < earlier for earlier, later in zip(held, held[1:]))
 
     db = las_enumeration.database
-    shared: dict = {}
+    shared = configuration._Search(db, None, {})  # one verdict cache for all checks
     for config in las_enumeration.configurations[:16]:
         for members in [config.members] + [config.members - {m} for m in sorted(config.members)]:
-            assert check_configuration(db, members, shared) == check_configuration(db, members)
-            assert len(shared) <= limit
+            mask = db.closure_index.mask(members)
+            assert shared.check(mask, 0) == check_configuration(db, members)
+            assert len(shared.verdicts) <= limit
 
 
 def _kernel_verdict(index, mask):
@@ -454,9 +457,10 @@ def _kernel_verdict(index, mask):
 
 
 def _closure_verdict(db, members):
-    """The same three facts from `satisfaction_closure`, or its error."""
+    """The same three facts from `reference_satisfaction_closure`, or its
+    error."""
     try:
-        closure = satisfaction_closure(members, db)
+        closure = reference_satisfaction_closure(members, db)
     except RoadmapperError as exc:
         return type(exc), str(exc)
     index = db.closure_index
@@ -465,12 +469,6 @@ def _closure_verdict(db, members):
         tuple(t for t in index.qual_targets if t not in closure.satisfied),
         tuple(t for t in index.quant_targets if t not in closure.satisfied),
     )
-
-
-# Round order matters here: with {a, r, s, i}, q0 is met in the first round,
-# against the values before i fires b; once b gives x a second value, y has
-# none, so values taken after the implication pass would leave q0 unmet.
-ROUND_ORDER = "t a: x = 1. k b: x = 2. k r: y = x + 1. q q0 !: y >= 2. t s. k i: s -> b."
 
 
 def test_kernel_verdicts_match_satisfaction_closures(monkeypatch, las_db):

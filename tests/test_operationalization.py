@@ -17,11 +17,14 @@ from roadmapper.errors import (
     WrongSortError,
 )
 from roadmapper.inference import closure as symbolic_closure
+from roadmapper.inference import fired_conflicts
 from roadmapper.model import G, Q, S, RequirementsDatabase, SimpleQuant
 from roadmapper.operationalization import (
     _MEMO_LIMIT,
     DEFAULT_SEARCH_LIMIT,
+    SatisfactionClosure,
     _minimal_masks,
+    _resolve_ids,
     is_admissible,
     qualitative_operationalizations,
     quantitative_operationalizations,
@@ -198,6 +201,28 @@ def test_satisfaction_closure_reports_origins():
     assert sc.values["v"] == frozenset({3.0})
 
 
+def test_origin_is_in_id_order_and_names_the_first_route():
+    sc = satisfaction_closure(
+        ["a", "s", "h", "i"],
+        parse_ok("t a: x = 1. q qc: x >= 1. g p. t s. k h: p -> qc. k i: s -> p."),
+    )
+    # The round that infers p meets qc numerically before h can fire.
+    assert list(sc.origin.items()) == [
+        ("a", "member"),
+        ("h", "member"),
+        ("i", "member"),
+        ("p", "inferred"),
+        ("qc", "numeric"),
+        ("s", "member"),
+    ]
+    # The implication pass runs before the numeric layer of its round.
+    sc = satisfaction_closure(
+        ["a", "s", "h"], parse_ok("t a: x = 1. q qc: x >= 1. t s. k h: s -> qc.")
+    )
+    assert list(sc.origin) == sorted(sc.origin)
+    assert sc.origin["qc"] == "inferred"
+
+
 def _small_expanded_models(per_kind: int = 6, max_members: int = 11):
     """tasks=3 generated models, with and without quantities, value
     conflicts expanded, small enough to check every member subset."""
@@ -248,10 +273,64 @@ PROBABILISTIC = (
 )
 
 
-def _closure_outcome(members, db):
+# Round order matters here: with {a, r, s, i}, q0 is met in the first round,
+# against the values before i fires b; once b gives x a second value, y has
+# none, so values taken after the implication pass would leave q0 unmet.
+ROUND_ORDER = "t a: x = 1. k b: x = 2. k r: y = x + 1. q q0 !: y >= 2. t s. k i: s -> b."
+
+
+def reference_satisfaction_closure(members, db) -> SatisfactionClosure:
+    """The satisfaction closure as rounds on id sets, the reference for
+    `ClosureIndex.satisfied_mask` and `satisfaction_closure`.
+
+    Each round makes one implication pass over the member implications in
+    id order, then tests every unsatisfied quantitative requirement against
+    the values and distributions of the satisfied set as it stood when the
+    round began; `origin` records, in derivation order, the first route
+    that satisfied each requirement."""
+    ids = _resolve_ids(members, db)
+    index = db.closure_index
+    order = sorted(ids)
+    origin = {req_id: "member" for req_id in order}
+    satisfied = origin.keys()  # a live view: it grows with `origin`
+    member_implications = [index.implications[i] for i in order if i in index.implications]
+    while True:
+        keys = (
+            index.mask(index.assignments.keys() & satisfied),
+            index.mask(index.distributions.keys() & satisfied),
+        )
+        values = index.values_of(keys[0])
+        dists = index.dists_of(keys[1])
+        inferred = False
+        for imp in member_implications:
+            body = imp.body
+            if body.consequent not in origin and body.antecedents <= satisfied:
+                origin[body.consequent] = "inferred"
+                inferred = True
+        open_mask = index.mask(index.quantitative.keys() - satisfied)
+        met = index.ids_of(index.conditions_met(keys, values, dists, open_mask))
+        for req_id in met:
+            origin[req_id] = "numeric"
+        if not (inferred or met):
+            break
+    fired = fired_conflicts(
+        [index.conflicts[i] for i in index.conflicts.keys() & ids], satisfied
+    )
+    return SatisfactionClosure(
+        members=ids,
+        satisfied=frozenset(origin),
+        bottom=bool(fired),
+        values=values,
+        distributions=dists,
+        origin=origin,
+        bottom_witness=fired,
+    )
+
+
+def _closure_outcome(members, db, closure=satisfaction_closure):
     """Everything a closure reports, or the error it raises."""
     try:
-        c = satisfaction_closure(members, db)
+        c = closure(members, db)
     except RoadmapperError as exc:
         return type(exc), str(exc)
     return (
@@ -276,6 +355,30 @@ def _all_subsets(db):
         for size in range(len(members) + 1)
         for subset in itertools.combinations(members, size)
     ]
+
+
+def test_closures_match_the_reference_rounds():
+    # Every member subset of 12 small generated models and of four models
+    # whose closures raise or depend on the round order. Origins are
+    # compared as sets of items: the closure lists them in id order, the
+    # reference in derivation order.
+    models = [db for _, db in _small_expanded_models()]
+    models += [parse_ok(text) for text in (CYCLIC, DIVIDING, PROBABILISTIC, ROUND_ORDER)]
+    outcomes = []
+    for db in models:
+        oracle = _fresh(db)  # so the two sides share no memo
+        for chosen in _all_subsets(db):
+            found = _closure_outcome(chosen, db)
+            expected = _closure_outcome(chosen, oracle, reference_satisfaction_closure)
+            if not isinstance(expected[0], type):
+                found = (*found[:2], sorted(found[2]), *found[3:])
+                expected = (*expected[:2], sorted(expected[2]), *expected[3:])
+            assert found == expected, sorted(chosen)
+            outcomes.append(expected)
+    routes = {route for o in outcomes if not isinstance(o[0], type) for _, route in o[2]}
+    assert routes == {"member", "inferred", "numeric"}
+    assert any(isinstance(o[0], type) for o in outcomes)
+    assert any(not isinstance(o[0], type) and o[1] for o in outcomes)
 
 
 def test_memoised_closures_match_fresh_index_closures_in_any_order():

@@ -46,11 +46,11 @@ from roadmapper.quanteval import unique_val
 from roadmapper.testkit import ModelGenSpec, generate_database
 
 from conftest import parse_ok
-from test_configuration import ROUND_ORDER
 from test_operationalization import (
     CYCLIC,
     DIVIDING,
     PROBABILISTIC,
+    ROUND_ORDER,
     _all_subsets,
     _support_models,
 )

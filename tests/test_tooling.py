@@ -86,3 +86,31 @@ def test_every_private_module_name_is_referenced():
                 if d.startswith("_") and not d.startswith("__") and d not in referenced
             ]
     assert not orphans
+
+
+def _module_bindings(tree: ast.Module) -> list[str]:
+    """The names the module's top-level statements bind, once per binding."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if not (isinstance(node, ast.AnnAssign) and node.value is None):
+                bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return bound
+
+
+def test_no_module_level_name_is_bound_twice():
+    """A second binding of a module-level name hides the first from every
+    reader that runs after it, such as a test body that reads a constant
+    a parametrization read at import time."""
+    paths = sorted((REPO_ROOT / "src" / "roadmapper").glob("*.py"))
+    paths += sorted((REPO_ROOT / "tests").glob("*.py"))
+    twice = []
+    for path in paths:
+        bound = _module_bindings(ast.parse(path.read_text()))
+        twice += [f"{path.name}: {name}" for name in sorted(set(bound)) if bound.count(name) > 1]
+    assert not twice
