@@ -104,30 +104,6 @@ def _default_max_atoms(parser: argparse.ArgumentParser) -> int:
         parser.error(f"{ATOM_LIMIT_ENV}: {exc}")
 
 
-# Characters of text one `_write_json` call keeps for dicts it may meet again;
-# a memo that would hold more is emptied first.
-_JSON_MEMO_LIMIT = 2 ** 20
-
-
-class _JsonMemo(dict):
-    """The text of each dict nested in a streamed member, by the dict's id and
-    the `newline` it was written after, holding at most _JSON_MEMO_LIMIT
-    characters. Ids stay unique while the payload is alive and unchanged,
-    which it is for the whole of a `_write_json` call."""
-
-    def __init__(self):
-        super().__init__()
-        self.held = 0  # characters held as values
-
-    def keep(self, key: tuple[int, str], text: str) -> None:
-        if self.held + len(text) > _JSON_MEMO_LIMIT:
-            self.clear()
-            self.held = 0
-        if len(text) <= _JSON_MEMO_LIMIT:
-            self[key] = text
-            self.held += len(text)
-
-
 def _object_members(obj: dict) -> list:
     """The (`"key": ` text, value) pair of each member, in key order."""
     members = []
@@ -138,7 +114,7 @@ def _object_members(obj: dict) -> list:
     return members
 
 
-def _object_text(obj: dict, newline: str, memo: _JsonMemo) -> str:
+def _object_text(obj: dict, newline: str, memo: dict) -> str:
     if not obj:
         return "{}"
     inner = newline + "  "
@@ -149,7 +125,7 @@ def _object_text(obj: dict, newline: str, memo: _JsonMemo) -> str:
     return "{" + inner + ("," + inner).join(items) + newline + "}"
 
 
-def _array_text(array, newline: str, memo: _JsonMemo) -> str:
+def _array_text(array, newline: str, memo: dict) -> str:
     if not array:
         return "[]"
     inner = newline + "  "
@@ -172,10 +148,13 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _json_text(value, newline: str, memo: _JsonMemo) -> str:
+def _json_text(value, newline: str, memo: dict) -> str:
     """`value` as the `json` module writes it with `sort_keys=True, indent=2`,
-    nested after `newline` (the line break and indent of its own line). The
-    text of a dict is kept in `memo`, so a dict met again costs one lookup.
+    nested after `newline` (the line break and indent of its own line).
+    `memo` maps the id of each dict met and its `newline` to None, and to the
+    dict's text once the dict is met again, so only a dict the payload shares
+    keeps its text, and later meetings cost one lookup. Ids stay unique while
+    the payload is alive and unchanged, as it is for the whole of a call.
     Exact types take the first branches; subclasses, bool and None the rest."""
     kind = type(value)
     if kind is str:
@@ -185,7 +164,7 @@ def _json_text(value, newline: str, memo: _JsonMemo) -> str:
         text = memo.get(key)
         if text is None:
             text = _object_text(value, newline, memo)
-            memo.keep(key, text)
+            memo[key] = text if key in memo else None
         return text
     if kind is list:
         return _array_text(value, newline, memo)
@@ -228,7 +207,7 @@ class _Rows:
         self.texts = texts
 
 
-def _write_members(value, write, newline: str, levels: int, memo: _JsonMemo) -> None:
+def _write_members(value, write, newline: str, levels: int, memo: dict) -> None:
     """Write `value` nested after `newline`; a non-empty container in the top
     `levels` levels passes each member to `write` on its own, as `_Rows`
     passes each of its items."""
@@ -241,11 +220,7 @@ def _write_members(value, write, newline: str, levels: int, memo: _JsonMemo) -> 
         write("[]" if separator[0] == "[" else newline + "]")
         return
     if not (levels and isinstance(value, (dict, list, tuple)) and value):
-        # A streamed member is written once: only the dicts inside it are kept.
-        if isinstance(value, dict):
-            write(_object_text(value, newline, memo))
-        else:
-            write(_json_text(value, newline, memo))
+        write(_json_text(value, newline, memo))
         return
     if isinstance(value, dict):
         opening, closing, members = "{", "}", _object_members(value)
@@ -264,7 +239,7 @@ def _write_json(payload, write) -> None:
     indent=2`, and a newline, through `write`: one member of the document and
     of each of its top-level arrays and objects at a time, so that no call
     holds the whole text. Object keys must be `str` (TypeError otherwise)."""
-    _write_members(payload, write, "\n", 2, _JsonMemo())
+    _write_members(payload, write, "\n", 2, {})
     write("\n")
 
 
@@ -508,7 +483,7 @@ def cmd_roadmaps(args) -> int:
     # each id as a sequence item, and each operator set's adaptations list.
     newline, inner = _ROW_NEWLINE, _ROW_NEWLINE + "  "
     items = [inner + "  " + encode_basestring_ascii(i) for i in ids]
-    memo = _JsonMemo()
+    memo: dict = {}  # `_json_text`'s memo for the adaptations lists
     entries: dict[int, tuple] = {}  # each operator's entry, by its (delete, add) lists
     lists: dict[frozenset[int], str] = {}  # each operator set's adaptations text
 

@@ -335,11 +335,6 @@ class Requirement:
     def is_complex(self) -> bool:
         return isinstance(self.body, (Implication, Conflict))
 
-    @property
-    def is_member_sort(self) -> bool:
-        """Whether this requirement may be a configuration member."""
-        return self.sort in MEMBER_SORTS
-
     def references(self) -> frozenset[str]:
         """Ids this requirement mentions (empty for simple requirements)."""
         if isinstance(self.body, Implication):

@@ -273,7 +273,11 @@ class _Parser:
     def at_end(self) -> bool:
         return self.peek().kind == "eof"
 
-    def skip_to_next_decl(self) -> None:
+    def skip_to_next_decl(self, start: int) -> None:
+        """Move past the `.` that ends the declaration begun at token `start`,
+        unless the declaration has read it already."""
+        if self.pos > start and self.tokens[self.pos - 1].kind == ".":
+            return
         while not self.at_end():
             if self.next().kind == ".":
                 return
@@ -281,18 +285,23 @@ class _Parser:
     # -- declarations
 
     def declaration(self) -> _Decl:
+        """The next declaration. A model object that rejects its values is an
+        error at the declaration's start."""
         self.nesting = 0
         token = self.peek()
         if token.kind != "ident":
             raise _SourceError(
                 token.offset, f"expected a declaration, got {self._describe(token)}"
             )
-        if token.value == "pref":
-            return self.pref_decl()
-        if token.value == "satfn":
-            return self.satfn_decl()
-        if token.value in _SORTS:
-            return self.requirement_decl()
+        try:
+            if token.value == "pref":
+                return self.pref_decl()
+            if token.value == "satfn":
+                return self.satfn_decl()
+            if token.value in _SORTS:
+                return self.requirement_decl()
+        except (ValueError, RoadmapperError) as exc:
+            raise _SourceError(token.offset, str(exc)) from None
         raise _SourceError(
             token.offset,
             f"expected sort letter (k/g/q/s/t), 'pref', or 'satfn', got {token.value!r}",
@@ -544,38 +553,35 @@ class _Parser:
         description: str | None,
         offset: int,
     ) -> Requirement:
-        try:
-            if body is None:
-                if sort is Q:
-                    raise _SourceError(offset, "quality constraints need a condition body")
-                if sort is S:
-                    content = description or ident
-                    return Requirement(ident, Softgoal(VagueProp(content)), modality, description)
-                return Requirement(ident, SimpleProp(sort, PropVar(ident)), modality, description)
-            tag = body[0]
-            if tag == "content":
-                if sort is not S:
-                    raise _SourceError(offset, "only softgoals (s) carry content strings")
-                return Requirement(ident, Softgoal(VagueProp(body[1])), modality, description)
-            if tag == "condition":
-                if sort is S:
-                    raise _SourceError(offset, "softgoals cannot carry numeric conditions")
-                if sort is G:
-                    raise _SourceError(
-                        offset, "goals are propositional; use a quality constraint (q) for conditions"
-                    )
-                return Requirement(ident, SimpleQuant(sort, body[1]), modality, description)
-            if tag == "implication":
-                _, antecedents, consequent = body
-                return Requirement(
-                    ident, Implication(frozenset(antecedents), consequent), modality, description
+        if body is None:
+            if sort is Q:
+                raise _SourceError(offset, "quality constraints need a condition body")
+            if sort is S:
+                content = description or ident
+                return Requirement(ident, Softgoal(VagueProp(content)), modality, description)
+            return Requirement(ident, SimpleProp(sort, PropVar(ident)), modality, description)
+        tag = body[0]
+        if tag == "content":
+            if sort is not S:
+                raise _SourceError(offset, "only softgoals (s) carry content strings")
+            return Requirement(ident, Softgoal(VagueProp(body[1])), modality, description)
+        if tag == "condition":
+            if sort is S:
+                raise _SourceError(offset, "softgoals cannot carry numeric conditions")
+            if sort is G:
+                raise _SourceError(
+                    offset, "goals are propositional; use a quality constraint (q) for conditions"
                 )
-            _, antecedents = body
-            if len(set(antecedents)) < 2:
-                raise _SourceError(offset, "a conflict needs at least two distinct antecedents")
-            return Requirement(ident, Conflict(frozenset(antecedents)), modality, description)
-        except (ValueError, RoadmapperError) as exc:
-            raise _SourceError(offset, str(exc)) from None
+            return Requirement(ident, SimpleQuant(sort, body[1]), modality, description)
+        if tag == "implication":
+            _, antecedents, consequent = body
+            return Requirement(
+                ident, Implication(frozenset(antecedents), consequent), modality, description
+            )
+        _, antecedents = body
+        if len(set(antecedents)) < 2:
+            raise _SourceError(offset, "a conflict needs at least two distinct antecedents")
+        return Requirement(ident, Conflict(frozenset(antecedents)), modality, description)
 
 
 def parse(text: str, filename: str = "<input>") -> ParseResult:
@@ -592,11 +598,12 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
     parser = _Parser(tokens)
     decls: list[_Decl] = []
     while not parser.at_end():
+        start = parser.pos
         try:
             decls.append(parser.declaration())
         except _SourceError as exc:
             found.append((exc.offset, Severity.ERROR, exc.message))
-            parser.skip_to_next_decl()
+            parser.skip_to_next_decl(start)
 
     requirements: dict[str, Requirement] = {}
     preferences: list[Preference] = []

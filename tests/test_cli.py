@@ -866,31 +866,28 @@ def test_writer_matches_json_dumps_on_shared_dicts(value):
     assert written(value) == dumped(value)
 
 
-def test_writer_empties_a_full_memo(monkeypatch):
-    """More distinct shared dicts than a memo of 64 characters holds (two or
-    three), each written 4 times: the memo is emptied, some texts are reused,
-    and the output is unchanged."""
-    monkeypatch.setattr(roadmapper.cli, "_JSON_MEMO_LIMIT", 64)
-    keep = roadmapper.cli._JsonMemo.keep
-    kept, emptied = [], []
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_writer_keeps_the_text_of_a_dict_only_once_it_is_met_again(monkeypatch, n):
+    """One dict held by each of `n` rows and one dict per row: the shared
+    dict is rendered at its first two meetings and read from the memo after,
+    and no dict met once leaves its text in the memo."""
+    render = roadmapper.cli._object_text
+    rendered, memos = [], []
 
-    def checked_keep(memo, key, text):
-        before = memo.held
-        keep(memo, key, text)
-        assert memo.held == sum(map(len, memo.values())) <= 64
-        kept.append(key)
-        emptied.append(memo.held < before + len(text))
+    def counted(obj, newline, memo):
+        rendered.append(id(obj))
+        memos.append(memo)
+        return render(obj, newline, memo)
 
-    monkeypatch.setattr(roadmapper.cli._JsonMemo, "keep", checked_keep)
-    shared = [{"n": i} for i in range(50)]
-    value = {
-        "ranked": [
-            {"op": op, "ops": [op, shared[(i + 1) % 50]]} for i, op in enumerate(shared)
-        ],
-        "again": [[op] for op in shared],
-    }
+    monkeypatch.setattr(roadmapper.cli, "_object_text", counted)
+    shared = {"ok": True, "witness": [1, 2]}
+    once = [{"n": i} for i in range(n)]
+    value = {"rows": [{"once": d, "shared": shared} for d in once], "member": {"a": 1}}
     assert written(value) == dumped(value)
-    assert 50 < len(kept) < 4 * 50 and any(emptied)
+    assert rendered.count(id(shared)) == 2
+    assert all(rendered.count(id(d)) == 1 for d in once)
+    (memo,) = {id(m): m for m in memos}.values()
+    assert [key[0] for key, text in memo.items() if text is not None] == [id(shared)]
 
 
 def test_writer_matches_json_dumps_on_empty_and_nested_containers():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from roadmapper.cli import main
 from roadmapper.model import (
     Compare,
     Conflict,
@@ -263,6 +264,43 @@ def test_inconsistent_mandatory_set_is_an_error():
 def test_error_recovery_reports_multiple_errors():
     errors = _error_messages("t a. q broken. t a. k x: nowhere -> alsonot.")
     assert len(errors) >= 3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("satfn v = exp(-1).", "decay rate"),
+        ("satfn v = plateau(5, 1, 2).", "zero_at"),
+        ("satfn v = pwl((2, 0.5), (1, 0.2)).", "strictly increasing"),
+        ("satfn v = pwl((1, 2)).", "[0, 1]"),
+        ("k d: x ~ Normal(0, -1).", "variance"),
+        ("q a: P(x <= 1) >= 2.", "probability level"),
+    ],
+)
+def test_values_a_model_object_rejects_are_diagnostics(text, message, tmp_path, capsys):
+    """Well-formed text whose values a model constructor rejects gives one
+    error at the declaration, and `check` reports it as a model error."""
+    errors = _error_messages("t a.\n  " + text)
+    assert [(e.span.line, e.span.column) for e in errors] == [(2, 3)]
+    assert message in errors[0].message
+    path = tmp_path / "bad.req"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1
+    assert "internal" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        ('g a: ~ "x".\ng a2: ~ "y".\ng a3: ~ "z".', [1, 2, 3]),
+        ("t a.\nq broken.\nt a.", [2, 3]),
+        ("q q1.\nsatfn v = exp(-1).", [1, 2]),
+    ],
+)
+def test_an_error_after_the_full_stop_skips_no_declaration(text, lines):
+    """A declaration rejected once its `.` is read leaves the next
+    declaration to be parsed and checked."""
+    assert [e.span.line for e in _error_messages(text)] == lines
 
 
 def test_softgoal_conflict_warning():

@@ -114,3 +114,26 @@ def test_no_module_level_name_is_bound_twice():
         bound = _module_bindings(ast.parse(path.read_text()))
         twice += [f"{path.name}: {name}" for name in sorted(set(bound)) if bound.count(name) > 1]
     assert not twice
+
+
+def test_every_method_is_read():
+    """Each method or property, other than a dunder, that a class in the
+    package defines is read somewhere in the package or its tests, so one
+    that a refactor left without callers fails here."""
+    modules = _modules()
+    read = set()
+    for tree in modules.values():
+        read |= _loaded_names(tree)
+    for path in sorted((REPO_ROOT / "tests").glob("*.py")):
+        read |= _loaded_names(ast.parse(path.read_text()))
+    unread = [
+        f"{name}: {cls.name}.{node.name}"
+        for name, tree in modules.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    ]
+    assert not unread
