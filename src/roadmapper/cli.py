@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 model error or internal error, 2 I/O or usage error
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import math
 import os
@@ -68,7 +69,6 @@ from .roadmap import (
     _IndexRoadmaps,
     rank_configurations,
 )
-from .testkit import ModelGenSpec, generate_database
 from .transforms import relax_fuzzy, relax_probabilistic
 
 EXIT_OK = 0
@@ -652,6 +652,9 @@ def cmd_relax(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    # Imported here: only this test-data command uses the generator.
+    from .testkit import ModelGenSpec, generate_database
+
     spec = ModelGenSpec(
         seed=args.seed,
         tasks=args.tasks,
@@ -663,12 +666,37 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, with its default width worked out here as
+    `shutil.get_terminal_size().columns - 2` would: `COLUMNS`, else the
+    width of the terminal on `sys.__stdout__`, else 80. The stock formatter
+    imports `shutil` (and its compression modules) for this on first use,
+    a cost every command would pay. A terminal that reports 0 columns
+    counts as 80, as `shutil` has it from Python 3.11 on."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            try:
+                width = int(os.environ["COLUMNS"])
+            except (KeyError, ValueError):
+                width = 0
+            if width <= 0:
+                try:
+                    width = os.get_terminal_size(sys.__stdout__.fileno()).columns
+                except (AttributeError, ValueError, OSError):
+                    width = 0
+            width = (width or 80) - 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roadmapper",
         description="Reason over mixed-variable requirements databases.",
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=_HelpFormatter)
 
     def common(p, needs_file=True):
         if needs_file:
@@ -692,11 +720,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
             help="truncate configuration lists",
         )
 
-    p = sub.add_parser("check", help="parse and validate a database")
+    p = add_parser("check", help="parse and validate a database")
     common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("configs", help="enumerate configurations")
+    p = add_parser("configs", help="enumerate configurations")
     common(p)
     limits(p)
     p.add_argument(
@@ -706,14 +734,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_configs)
 
-    p = sub.add_parser("rank", help="rank configurations under r1/r2/r3")
+    p = add_parser("rank", help="rank configurations under r1/r2/r3")
     common(p)
     limits(p)
     p.add_argument("--rule", choices=("r1", "r2", "r3"), required=True)
     p.add_argument("--var", required=True, help="ranking variable")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("roadmaps", help="build and rank roadmaps under r4")
+    p = add_parser("roadmaps", help="build and rank roadmaps under r4")
     common(p)
     limits(p)
     p.add_argument("--var", required=True, help="summed variable")
@@ -722,11 +750,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxlen", type=_positive_int, default=2)
     p.set_defaults(func=cmd_roadmaps)
 
-    p = sub.add_parser("dot", help="render the requirement graph as DOT")
+    p = add_parser("dot", help="render the requirement graph as DOT")
     p.add_argument("file", help="input .req file")
     p.set_defaults(func=cmd_dot)
 
-    p = sub.add_parser("relax", help="probabilistic or fuzzy relaxation")
+    p = add_parser("relax", help="probabilistic or fuzzy relaxation")
     common(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--prob", action="store_true")
@@ -749,7 +777,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_relax)
 
-    p = sub.add_parser("gen", help="generate a random model (test data)")
+    p = add_parser("gen", help="generate a random model (test data)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tasks", type=_non_negative_int, default=5)
     p.add_argument("--assumptions", type=_non_negative_int, default=2)

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, fields
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
+from ._record import fields, record
 from .errors import ResourceLimitError, UnresolvedReferenceError, WrongSortError
 from .model import MEMBER_SORTS, Modality, RequirementsDatabase
 from .operationalization import (
@@ -43,7 +43,7 @@ DEFAULT_MAX_ATOMS = 24
 _VERDICT_LIMIT = 2 ** 16
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Configuration:
     """A candidate or validated member set, identified by a synthesized label."""
 
@@ -67,13 +67,13 @@ class Configuration:
         return Configuration(label, members)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PropertyCheck:
     ok: bool
     witness: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PropertyReport:
     consistency: PropertyCheck
     qual_threshold: PropertyCheck
@@ -97,7 +97,7 @@ PROPERTY_NAMES = tuple(f.name for f in fields(PropertyReport))
 _PASSED = PropertyReport(*[PropertyCheck(True)] * 6)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EnumerationResult:
     """Configurations found, the database they refer to (value conflicts
     expanded), whether the result list was truncated, and the property

@@ -13,14 +13,14 @@ numeric discharge added, in `satisfied_mask` and `fired_mask`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping
+from collections.abc import Iterable, Mapping, Set
 
+from ._record import field, record
 from .errors import UnresolvedReferenceError
 from .model import Conflict, Implication, Requirement, RequirementsDatabase
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Closure:
     """Least fixpoint of the membership and implication rules."""
 
@@ -74,7 +74,7 @@ def fire(implications: Iterable[Requirement], derived: dict[str, str | None]) ->
 
 
 def fired_conflicts(
-    conflicts: Iterable[Requirement], derived: AbstractSet[str]
+    conflicts: Iterable[Requirement], derived: Set[str]
 ) -> frozenset[str]:
     """Ids of the conflicts whose antecedents are all in `derived`."""
     return frozenset(c.id for c in conflicts if c.body.antecedents <= derived)

@@ -6,11 +6,11 @@ values. Identity is by requirement id, which is unique within a database.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Iterator, Mapping
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
 
+from ._record import field, record, replace
 from .errors import (
     CyclicReferenceError,
     DanglingReferenceError,
@@ -51,7 +51,7 @@ QUANT_SORTS = frozenset({K, Q, T})
 MEMBER_SORTS = frozenset({K, T})  # sorts that may appear in a configuration
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PropVar:
     """A propositional variable."""
 
@@ -62,7 +62,7 @@ class PropVar:
             raise ValueError("propositional variable name must be nonempty")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuantVar:
     """A quantitative variable; the unit is an annotation only."""
 
@@ -76,12 +76,12 @@ class QuantVar:
 
 # --- numeric expressions -----------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     var: QuantVar
 
@@ -89,7 +89,7 @@ class Var:
 BINARY_OPS = ("+", "-", "*", "/", "^")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BinOp:
     op: str
     left: "NumExpr"
@@ -102,7 +102,7 @@ class BinOp:
             raise DivisionByZeroError("division by the constant 0")
 
 
-NumExpr = Union[Const, Var, BinOp]
+NumExpr = Const | Var | BinOp
 
 
 def free_variables(expr: NumExpr) -> frozenset[str]:
@@ -116,7 +116,7 @@ def free_variables(expr: NumExpr) -> frozenset[str]:
 
 # --- distributions and conditions ---------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Normal:
     """Normal distribution given by mean and variance."""
 
@@ -139,7 +139,7 @@ PROB_INNER_OPS = ("<=", "<", ">=", ">")
 PROB_OUTER_OPS = (">=", ">", "=", "<=", "<")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Compare:
     """lhs op rhs over numeric expressions."""
 
@@ -152,7 +152,7 @@ class Compare:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Distributed:
     """var follows the given probability distribution."""
 
@@ -160,7 +160,7 @@ class Distributed:
     dist: DistributionSpec
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProbCompare:
     """P(var inner_op bound) outer_op level."""
 
@@ -179,7 +179,7 @@ class ProbCompare:
             raise ValueError("probability level must lie in [0, 1]")
 
 
-NumCondition = Union[Compare, Distributed, ProbCompare]
+NumCondition = Compare | Distributed | ProbCompare
 
 
 def condition_variables(cond: NumCondition) -> frozenset[str]:
@@ -197,7 +197,7 @@ def condition_variables(cond: NumCondition) -> frozenset[str]:
 
 # --- satisfaction functions ----------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExpDecay:
     """mu(x) = exp(-rate * x), clamped into [0, 1]."""
 
@@ -208,7 +208,7 @@ class ExpDecay:
             raise ValueError("decay rate must be strictly positive")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PiecewiseLinear:
     """Interpolation through (x, mu) knots; clamps outside the knot range."""
 
@@ -224,7 +224,7 @@ class PiecewiseLinear:
             raise ValueError("satisfaction values must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PlateauThenDecay:
     """Constant `level` up to plateau_end, linear to 0 at zero_at, 0 beyond."""
 
@@ -239,12 +239,12 @@ class PlateauThenDecay:
             raise ValueError("plateau level must lie in (0, 1]")
 
 
-SatisfactionFn = Union[ExpDecay, PiecewiseLinear, PlateauThenDecay]
+SatisfactionFn = ExpDecay | PiecewiseLinear | PlateauThenDecay
 
 
 # --- requirement bodies ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VagueProp:
     """The content of a softgoal: free text, never comparable to a PropVar."""
 
@@ -255,7 +255,7 @@ class VagueProp:
             raise ValueError("softgoal content must be nonempty")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimpleProp:
     sort: Sort
     var: PropVar
@@ -265,7 +265,7 @@ class SimpleProp:
             raise ValueError(f"propositional requirements cannot be {self.sort.value}-sorted")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimpleQuant:
     sort: Sort
     cond: NumCondition
@@ -277,12 +277,12 @@ class SimpleQuant:
             raise ValueError("distribution assumptions must be k- or t-sorted")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Softgoal:
     content: VagueProp
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Implication:
     """Domain assumption: conjunction of antecedents implies the consequent."""
 
@@ -298,7 +298,7 @@ class Implication:
             )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Conflict:
     """Domain assumption: the antecedents cannot all hold together."""
 
@@ -309,10 +309,10 @@ class Conflict:
             raise ValueError("conflict needs at least two antecedents")
 
 
-Body = Union[SimpleProp, SimpleQuant, Softgoal, Implication, Conflict]
+Body = SimpleProp | SimpleQuant | Softgoal | Implication | Conflict
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Requirement:
     id: str
     body: Body
@@ -350,14 +350,14 @@ class PreferenceKind(Enum):
     INDIFFERENT = "~="
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Preference:
     kind: PreferenceKind
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RequirementsDatabase:
     """All requirements and preferences under analysis, plus satisfaction functions.
 
@@ -441,7 +441,7 @@ def build_database(
     return db
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValidityProblem:
     """One way a database is ill-formed.
 
@@ -460,20 +460,23 @@ def validity_problems(
     """Every validity problem of `db`, in a deterministic order.
 
     First each dangling or complex reference (requirements by id, references
-    sorted), then each bad preference side, then the first implication cycle
-    `find_cycle_edge` finds, attributed to the lowest-id implication carrying
-    that edge. Mandatory consistency is checked only when nothing else is
-    wrong, since the closure needs resolvable, acyclic references.
+    sorted), then each bad preference side (a side named twice counts once),
+    then each strict preference of a requirement over itself, then the first
+    implication cycle `find_cycle_edge` finds, attributed to the lowest-id
+    implication carrying that edge. Mandatory consistency is checked only
+    when nothing else is wrong, since the closure needs resolvable, acyclic
+    references.
     """
     references = [
         (req_id, repr(req_id), ref)
         for req_id in sorted(db.requirements)
         for ref in sorted(db[req_id].references())
     ]
+    preferences = sorted(db.preferences, key=lambda p: (p.kind.value, p.left, p.right))
     references += [
         (pref, "preference", side)
-        for pref in sorted(db.preferences, key=lambda p: (p.kind.value, p.left, p.right))
-        for side in (pref.left, pref.right)
+        for pref in preferences
+        for side in dict.fromkeys((pref.left, pref.right))
     ]
     problems: list[ValidityProblem] = []
     for subject, who, ref in references:
@@ -488,6 +491,13 @@ def validity_problems(
         else:
             continue
         problems.append(ValidityProblem(subject, DanglingReferenceError, message))
+    problems += [
+        ValidityProblem(
+            pref, CyclicReferenceError, f"strict preference of {pref.left!r} over itself"
+        )
+        for pref in preferences
+        if pref.kind is PreferenceKind.STRICT and pref.left == pref.right
+    ]
     implications = [r for r in db if isinstance(r.body, Implication)]
     edges: dict[str, set[str]] = {}
     for req in implications:

@@ -16,9 +16,9 @@ full mandatory k/t set; minimality is judged modulo that set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Generator, Iterable, Literal, Mapping
+from collections.abc import Generator, Iterable, Mapping
 
+from ._record import field, record
 from .errors import (
     RefinementCycleError,
     ResourceLimitError,
@@ -57,11 +57,11 @@ from .quanteval import (
 DEFAULT_SEARCH_LIMIT = 2 ** 20
 _COMBO_LIMIT = 4096
 
-Route = Literal["member", "inferred", "numeric"]
+Route = str  # "member", "inferred" or "numeric"
 _Key = tuple[str, str]  # a support-search request: ("req", id) or ("var", name)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SatisfactionClosure:
     """Everything a member set satisfies, with values and distributions."""
 
@@ -448,13 +448,13 @@ def is_admissible(
 # --- minimal-support search ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Operationalization:
     """A minimal member set sufficient for the target requirement."""
 
     target: str
     support: frozenset[str]
-    kind: Literal["qualitative", "quantitative"]
+    kind: str  # "qualitative" or "quantitative"
 
 
 class _Budget:

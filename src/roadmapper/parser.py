@@ -47,10 +47,10 @@ import enum
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import takewhile
-from typing import NamedTuple
 
+from ._record import field, record
 from .errors import RoadmapperError
 from .model import (
     BinOp,
@@ -99,7 +99,7 @@ _SORTS = {s.value: s for s in Sort}
 _MODS = {"!": Modality.MANDATORY, "?": Modality.OPTIONAL}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SourceSpan:
     file: str
     line: int
@@ -114,7 +114,7 @@ class Severity(enum.Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParseDiagnostic:
     severity: Severity
     span: SourceSpan
@@ -124,7 +124,7 @@ class ParseDiagnostic:
         return f"{self.span}: {self.severity.value}: {self.message}"
 
 
-@dataclass
+@record
 class ParseResult:
     database: RequirementsDatabase | None
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
@@ -168,10 +168,8 @@ _TOKEN = re.compile(
 _ESCAPE = re.compile(r'\\(["\\])')
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident" | "number" | "string" | punctuation | "eof"
-    value: object
-    offset: int
+# kind is "ident", "number", "string", a punctuation mark or "eof".
+_Token = namedtuple("_Token", ("kind", "value", "offset"))
 
 
 class _SourceError(Exception):
@@ -230,7 +228,7 @@ def _number(match: re.Match, offset: int) -> float:
 
 # --- parser ---------------------------------------------------------------------
 
-@dataclass
+@record
 class _Decl:
     kind: str  # "requirement" | "preference" | "satfn"
     offset: int

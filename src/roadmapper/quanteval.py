@@ -7,7 +7,7 @@ absolute floor of 1e-12 near zero. Inequalities are exact.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from .errors import (
     DivisionByZeroError,

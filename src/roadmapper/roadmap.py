@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
 
+from ._record import record
 from .configuration import Configuration, check_configuration
 from .errors import (
     IdenticalConfigurationsError,
@@ -39,7 +39,7 @@ from .transforms import value_assumption, value_preference
 DEFAULT_ROADMAP_LIMIT = 20000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdaptationRequirement:
     """Trigger / add / delete operator connecting two configurations."""
 
@@ -59,7 +59,7 @@ class AdaptationRequirement:
         return (self.trigger | self.delete) <= members and not (self.add & members)
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Roadmap:
     configurations: tuple[Configuration, ...]
     adaptations: frozenset[AdaptationRequirement]
@@ -75,21 +75,21 @@ class Roadmap:
 
 # --- decision rules ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MaximizeValue:
     """Rank configurations by the value of a variable, highest first."""
 
     var: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MinimizeValue:
     """Rank configurations by the value of a variable, lowest first."""
 
     var: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MaximizeValueThenPreferences:
     """Highest value first; ties broken by how many optional and preferred
     requirements the configuration satisfies."""
@@ -97,7 +97,7 @@ class MaximizeValueThenPreferences:
     var: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RoadmapValueSum:
     """Rank roadmaps by the summed value of a variable, subject to a floor on
     every configuration and a bound on consecutive change size."""
@@ -114,7 +114,7 @@ class RoadmapValueSum:
 ConfigurationRule = MaximizeValue | MinimizeValue | MaximizeValueThenPreferences
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RankedConfiguration:
     configuration: Configuration
     value: float
@@ -122,20 +122,20 @@ class RankedConfiguration:
     pareto: bool | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RankedRoadmap:
     roadmap: Roadmap
     total: float
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ExcludedRoadmap:
     roadmap: Roadmap
     reason: str  # "floor" or "diff"
     witness: int  # configuration index (floor) or leading pair index (diff)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RoadmapRanking:
     ranked: tuple[RankedRoadmap, ...]
     excluded: tuple[ExcludedRoadmap, ...]
@@ -441,7 +441,7 @@ def rank_roadmaps(
 
 # --- pairwise satisfaction comparison ------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PairwisePreference:
     """Assumptions pinning the two observed values, plus the preference
     between them implied by the satisfaction function."""

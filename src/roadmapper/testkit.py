@@ -11,8 +11,8 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import TooLargeError
 from .model import (
     BinOp,
@@ -357,7 +357,7 @@ def reference_eval(expr, assignment: dict[str, float]) -> float:
 
 # --- random models --------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModelGenSpec:
     """Knobs for the random-model generator; same seed, same database."""
 

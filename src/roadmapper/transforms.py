@@ -15,9 +15,9 @@ added is not looked up, only avoided as an id.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
+from ._record import record
 from .errors import (
     DanglingReferenceError,
     InvalidLevelError,
@@ -63,7 +63,7 @@ _PROB_OUTER = (">=", ">", "=", "<=", "<")
 _RELAXABLE_OPS = ("<=", "<", ">=", ">")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RewriteReport:
     """What a rewrite added and removed, and how many passes it took."""
 

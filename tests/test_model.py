@@ -23,6 +23,8 @@ from roadmapper.model import (
     Normal,
     PiecewiseLinear,
     PlateauThenDecay,
+    Preference,
+    PreferenceKind,
     ProbCompare,
     PropVar,
     Q,
@@ -143,6 +145,14 @@ def test_implication_check_handles_long_chains():
     closing = Requirement("i0", Implication(frozenset({"a3000"}), "a0"))
     with pytest.raises(CyclicReferenceError):
         build_database(reqs + [closing])
+
+
+def test_strict_self_preference_rejected_at_build():
+    strict = Preference(PreferenceKind.STRICT, "a", "a")
+    with pytest.raises(CyclicReferenceError, match="strict preference of 'a' over itself"):
+        build_database([prop("a")], [strict])
+    weak = Preference(PreferenceKind.WEAK, "a", "a")
+    assert build_database([prop("a")], [weak]).preferences == {weak}
 
 
 def test_self_implication_rejected():

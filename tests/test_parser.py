@@ -154,6 +154,33 @@ def test_dangling_reference_is_an_error():
     assert any("u99" in e.message for e in errors)
 
 
+def test_strict_self_preference_is_one_error_at_the_preference(tmp_path, capsys):
+    errors = _error_messages("t a.\npref: a > a.")
+    assert [(e.span.line, e.span.column, e.message) for e in errors] == [
+        (2, 1, "strict preference of 'a' over itself")
+    ]
+    path = tmp_path / "self.req"
+    path.write_text("t a.\npref: a > a.\n")
+    assert main(["check", str(path)]) == 1
+    assert "strict preference of 'a' over itself" in capsys.readouterr().out
+
+
+def test_a_preference_side_named_twice_is_reported_once():
+    errors = _error_messages("pref: a > a.")
+    assert [(e.span.line, e.span.column, e.message) for e in errors] == [
+        (1, 1, "preference references unknown id 'a'"),
+        (1, 1, "strict preference of 'a' over itself"),
+    ]
+    errors = _error_messages("pref: a >= a.")
+    assert [e.message for e in errors] == ["preference references unknown id 'a'"]
+
+
+@pytest.mark.parametrize("op", [">=", "~="])
+def test_weak_and_indifferent_self_preferences_are_accepted(op):
+    db = parse_ok(f"t a. pref: a {op} a.")
+    assert [(p.left, p.right) for p in db.preferences] == [("a", "a")]
+
+
 def test_relation_on_non_assumption_is_an_error():
     errors = _error_messages("t a. g p1. g i1: a -> p1.")
     assert any("domain assumptions" in e.message for e in errors)

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from roadmapper import roadmap
+from roadmapper._record import fields
 from roadmapper.configuration import Configuration, enumerate_configurations
 from roadmapper.errors import (
     DivisionByZeroError,
@@ -240,7 +241,7 @@ def test_roadmap_records_are_frozen_slotted_values(las_enumeration):
     records = [first[-1], ranking.ranked[0], ranking.excluded[0]]
     for record in records:
         assert not hasattr(record, "__dict__")
-        for field in dataclasses.fields(record):
+        for field in fields(record):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, field.name, getattr(record, field.name))
         copy = pickle.loads(pickle.dumps(record))

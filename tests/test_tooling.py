@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import argparse
 import ast
+import os
 import re
+import subprocess
+import sys
 
-from conftest import REPO_ROOT
+import pytest
+
+from roadmapper import cli
+
+from conftest import LAS_PATH, REPO_ROOT
 
 
 def test_sources_parse_at_the_oldest_supported_python():
@@ -137,3 +145,74 @@ def test_every_method_is_read():
         and node.name not in read
     ]
     assert not unread
+
+
+# --- start-up cost ---------------------------------------------------------------
+
+# Modules the CLI's import path leaves out: `dataclasses` (with `inspect`,
+# `ast`, `dis` and `tokenize`), `typing`, `shutil` (with its compression
+# modules), and the test-data generator.
+COLD_MODULES = ("dataclasses", "inspect", "typing", "shutil", "roadmapper.testkit")
+
+
+def _fresh_python(code: str) -> str:
+    """The stdout of `code` run by `python -S` in a new process."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    """No module-level import names them; `_record` imports `dataclasses`
+    only to raise `FrozenInstanceError`."""
+    found = []
+    for name, tree in _modules().items():
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}: {m}" for m in modules if m.split(".")[0] in ("dataclasses", "typing")]
+    assert not found
+
+
+def test_importing_the_cli_loads_no_cold_module():
+    code = f"import sys, roadmapper.cli; print([m for m in {COLD_MODULES!r} if m in sys.modules])"
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_a_check_run_loads_no_shutil():
+    code = (
+        "import contextlib, io, sys, roadmapper.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = roadmapper.cli.main(['check', {str(LAS_PATH)!r}])\n"
+        "print(code, 'shutil' in sys.modules)"
+    )
+    assert _fresh_python(code) == "0 False\n"
+
+
+def _cli_text(argv: list[str], capsys) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    return stop.value.code, out, err
+
+
+@pytest.mark.parametrize("columns", [None, "40", "80", "200"])
+def test_help_and_usage_text_match_the_stock_formatter(columns, monkeypatch, capsys):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    commands = ["check", "configs", "rank", "roadmaps", "dot", "relax", "gen"]
+    argvs = [["--help"], *([command, "--help"] for command in commands), ["roadmaps", "x"]]
+    ours = [_cli_text(argv, capsys) for argv in argvs]
+    monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+    stock = [_cli_text(argv, capsys) for argv in argvs]
+    assert ours == stock
+    assert ours[-1][0] == 2 and "the following arguments are required: --var" in ours[-1][2]
