@@ -29,6 +29,7 @@ from .operationalization import (
     _Budget,
     _minimal_masks,
     _minimal_supports,
+    _remember,
     _SupportSearch,
 )
 
@@ -149,10 +150,9 @@ class _Search:
         """`ClosureIndex.verdict` on `members`, from the cache or computed."""
         verdict = self.verdicts.get(members)
         if verdict is None:
-            verdict = self.index.verdict(members)
-            if len(self.verdicts) >= _VERDICT_LIMIT:
-                self.verdicts.clear()
-            self.verdicts[members] = verdict
+            verdict = _remember(
+                self.verdicts, members, self.index.verdict(members), _VERDICT_LIMIT
+            )
         return verdict
 
     def consistent(self, members: int) -> bool:

@@ -6,18 +6,19 @@ derived. A premise conflict whose antecedents are all derived flags the
 contradiction; deriving the contradiction never licenses deriving anything
 else (no ex falso), which keeps the relation paraconsistent.
 
-`fire` and `fired_conflicts` state these two rules on id sets.
-`operationalization.ClosureIndex` runs the same rules on bitmasks, with
-numeric discharge added, in `satisfied_mask` and `fired_mask`.
+The rules are compiled once, in `operationalization.ClosureIndex`. This
+closure is the index's implication pass over the premise implications,
+repeated until nothing is added, without the numeric discharge that
+`satisfied_mask` adds; its conflicts fire through `fired_mask`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Set
+from collections.abc import Iterable, Mapping
 
 from ._record import field, record
 from .errors import UnresolvedReferenceError
-from .model import Conflict, Implication, Requirement, RequirementsDatabase
+from .model import Requirement, RequirementsDatabase
 
 
 @record(frozen=True)
@@ -57,29 +58,6 @@ def _resolve_premises(
     return premises
 
 
-def fire(implications: Iterable[Requirement], derived: dict[str, str | None]) -> bool:
-    """One forward-chaining pass: each implication, in the order given, whose
-    consequent is not in `derived` and whose antecedents all are, adds its
-    consequent, recorded with the implication's id. An id added early in the
-    pass can fire a later implication of the same pass. Returns whether
-    anything was added."""
-    known = derived.keys()  # a live view: it grows with `derived`
-    added = False
-    for imp in implications:
-        body = imp.body
-        if body.consequent not in derived and body.antecedents <= known:
-            derived[body.consequent] = imp.id
-            added = True
-    return added
-
-
-def fired_conflicts(
-    conflicts: Iterable[Requirement], derived: Set[str]
-) -> frozenset[str]:
-    """Ids of the conflicts whose antecedents are all in `derived`."""
-    return frozenset(c.id for c in conflicts if c.body.antecedents <= derived)
-
-
 def closure(
     pi: Iterable[Requirement | str], db: RequirementsDatabase | None = None
 ) -> Closure:
@@ -87,33 +65,36 @@ def closure(
 
     `db` supplies declarations for resolving ids that appear in `pi` (either
     as plain id strings or as references inside premises); only members of
-    `pi` act as premises.
+    `pi` act as premises. Each derived id's support is the implication that
+    first derived it (passes in order, implications in id order within a
+    pass) with the supports of its antecedents.
     """
     premises = _resolve_premises(pi, db)
-    # Derived ids in derivation order, each with the implication that derived
-    # it; premises have None.
-    derived: dict[str, str | None] = dict.fromkeys(premises)
-    implications = sorted(
-        (r for r in premises.values() if isinstance(r.body, Implication)),
-        key=lambda r: r.id,
-    )
-    while fire(implications, derived):
-        pass
-    support: dict[str, frozenset[str]] = {}
-    for req_id, imp_id in derived.items():
-        if imp_id is None:
-            support[req_id] = frozenset()
-        else:
-            antecedents = premises[imp_id].body.antecedents
-            support[req_id] = frozenset({imp_id}).union(*(support[a] for a in antecedents))
-    fired = fired_conflicts(
-        (r for r in premises.values() if isinstance(r.body, Conflict)), derived.keys()
-    )
+    if db is not None and all(db.requirements.get(i) is r for i, r in premises.items()):
+        index = db.closure_index
+    else:  # the premises laid over `db`'s requirements, unvalidated
+        table = {**(db.requirements if db is not None else {}), **premises}
+        index = RequirementsDatabase(requirements=table).closure_index
+    members = derived = index.mask(premises)
+    rules = [
+        (imp, ant, con)
+        for imp, (bit, ant, con) in zip(index.implications.values(), index.implication_bits)
+        if members & bit
+    ]
+    support = dict.fromkeys(premises, frozenset())  # in derivation order
+    while True:
+        start = derived
+        for imp, ant, con in rules:
+            if ant & derived == ant and not con & derived:
+                derived |= con
+                support[imp.body.consequent] = frozenset({imp.id}).union(
+                    *(support[a] for a in imp.body.antecedents)
+                )
+        if derived == start:
+            break
+    fired = frozenset(index.ids_of(index.fired_mask(members, derived)))
     return Closure(
-        derived=frozenset(derived),
-        bottom=bool(fired),
-        support=support,
-        bottom_witness=fired,
+        derived=frozenset(support), bottom=bool(fired), support=support, bottom_witness=fired
     )
 
 

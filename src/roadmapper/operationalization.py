@@ -1,11 +1,14 @@
 """Operationalization: which member sets satisfy which requirements.
 
-The satisfaction closure extends symbolic derivation with numeric discharge:
+`ClosureIndex` compiles the one table of implication and conflict rules.
+The satisfaction closure runs its implication pass with numeric discharge:
 a quantitative requirement counts as satisfied by a member set when the
 values that set assigns to the condition's variables (directly, through
 acyclic refinement equations, or through derived assignments) make the
 condition true, using declared distributions for probability bounds.
 Implications and conflicts fire only when they are members themselves.
+The symbolic closure, `inference.closure`, is the same pass over premise
+implications without numeric discharge.
 
 Minimal supports are enumerated over the three satisfaction routes
 (membership, implication, numeric discharge) on one explicit stack, then
@@ -16,7 +19,7 @@ full mandatory k/t set; minimality is judged modulo that set.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Generator, Iterable, Mapping
+from collections.abc import Callable, Generator, Iterable, Mapping
 
 from ._record import field, record
 from .errors import (
@@ -34,7 +37,9 @@ from .model import (
     DistributionSpec,
     G,
     Implication,
+    K,
     MEMBER_SORTS,
+    Modality,
     ProbCompare,
     Q,
     Requirement,
@@ -94,15 +99,10 @@ def _resolve_ids(members: Iterable[Requirement | str], db: RequirementsDatabase)
 _MEMO_LIMIT = 1024
 
 
-def _grouped(pairs: Iterable[tuple[str, object]]) -> dict[str, list]:
-    groups: dict[str, list] = {}
-    for key, item in pairs:
-        groups.setdefault(key, []).append(item)
-    return groups
-
-
-def _remember(table: dict, key, value):
-    if len(table) >= _MEMO_LIMIT:
+def _remember(table: dict, key, value, limit: int):
+    """Store `value` under `key` in `table`, emptying it first when it holds
+    `limit` entries; return `value`."""
+    if len(table) >= limit:
         table.clear()
     table[key] = value
     return value
@@ -122,7 +122,7 @@ class ClosureIndex:
     bit)` and conflicts as `(member bit, antecedent mask)`, both in id order.
     `satisfied_mask` runs the satisfaction rounds on them; it is the one
     satisfaction engine, and `satisfaction_closure` reads its masks back as
-    ids.
+    ids. `inference.closure` repeats its implication pass alone.
 
     The index also memoises the closure's numeric layer, a pure function of
     the satisfied ids: propagated values keyed by the mask of satisfied
@@ -135,43 +135,48 @@ class ClosureIndex:
 
     def __init__(self, db: RequirementsDatabase):
         reqs = sorted(db, key=lambda r: r.id)
-        self.implications = {r.id: r for r in reqs if isinstance(r.body, Implication)}
-        self.conflicts = {r.id: r for r in reqs if isinstance(r.body, Conflict)}
-        self.by_consequent = _grouped(
-            (imp.body.consequent, imp) for imp in self.implications.values()
-        )
-        # Tasks state what execution brings about, so a task is satisfied only
-        # by membership or inference; beliefs (k) and desires (q) follow from
-        # values.
-        self.quantitative = {
-            r.id: r
-            for r in reqs
-            if isinstance(r.body, SimpleQuant)
-            and r.sort is not T
-            and not isinstance(r.body.cond, Distributed)
-        }
-        self.assignments = {
-            r.id: shape for r in reqs if (shape := _assignment_shape(r)) is not None
-        }
-        # Per variable, in id order: (id, rhs, rhs variables) of each
-        # assignment to it, and (id, distribution) of each assumption on it.
-        self.assignments_by_var = _grouped(
-            (var, (req_id, rhs, needed))
-            for req_id, (var, rhs, needed) in self.assignments.items()
-        )
-        self.distributions = {
-            r.id: (r.body.cond.var.name, r.body.cond.dist)
-            for r in reqs
-            if isinstance(r.body, SimpleQuant) and isinstance(r.body.cond, Distributed)
-        }
-        self.dists_by_var = _grouped(
-            (var, (req_id, dist)) for req_id, (var, dist) in self.distributions.items()
-        )
-        self.member_ids = frozenset(db.member_ids())
-        self.mandatory_members = tuple(db.mandatory_ids(*MEMBER_SORTS))
-        self.qual_targets = tuple(db.mandatory_ids(G, S))
-        self.quant_targets = tuple(db.mandatory_ids(Q))
-        self.optional_members = tuple(db.optional_member_ids())
+        # Each table in id order, filled in one pass. Per consequent, the
+        # implications that derive it; per variable, (id, rhs, rhs
+        # variables) of each assignment to it and (id, distribution) of each
+        # assumption on it.
+        self.implications, self.conflicts, self.quantitative = {}, {}, {}
+        self.assignments, self.distributions = {}, {}
+        self.by_consequent, self.assignments_by_var, self.dists_by_var = {}, {}, {}
+        member_ids, mandatory, optional, qual, quant = [], [], [], [], []
+        for r in reqs:
+            body, sort, modality = r.body, r.sort, r.modality
+            if isinstance(body, Implication):
+                self.implications[r.id] = r
+                self.by_consequent.setdefault(body.consequent, []).append(r)
+            elif isinstance(body, Conflict):
+                self.conflicts[r.id] = r
+            elif isinstance(body, SimpleQuant):
+                cond = body.cond
+                if isinstance(cond, Distributed):
+                    self.distributions[r.id] = (cond.var.name, cond.dist)
+                    self.dists_by_var.setdefault(cond.var.name, []).append((r.id, cond.dist))
+                elif sort is not T:
+                    # Tasks state what execution brings about, so a task is
+                    # satisfied only by membership or inference; beliefs (k)
+                    # and desires (q) follow from values.
+                    self.quantitative[r.id] = r
+                if (shape := _assignment_shape(r)) is not None:
+                    self.assignments[r.id] = shape
+                    var, rhs, needed = shape
+                    self.assignments_by_var.setdefault(var, []).append((r.id, rhs, needed))
+            if sort is K or sort is T:  # MEMBER_SORTS, without hashing an enum
+                member_ids.append(r.id)
+                if modality is Modality.MANDATORY:
+                    mandatory.append(r.id)
+                elif modality is Modality.OPTIONAL:
+                    optional.append(r.id)
+            elif modality is Modality.MANDATORY:
+                (quant if sort is Q else qual).append(r.id)
+        self.member_ids = frozenset(member_ids)
+        self.mandatory_members = tuple(mandatory)
+        self.qual_targets = tuple(qual)
+        self.quant_targets = tuple(quant)
+        self.optional_members = tuple(optional)
         # Every subset of an acyclic graph is acyclic, so only a database with
         # a refinement cycle needs the check on each satisfied subset.
         try:
@@ -244,7 +249,7 @@ class ClosureIndex:
             shapes = [self.assignments[i] for i in self.ids_of(key)]
             if not self.refinement_acyclic:
                 check_refinement_acyclic((var, rhs) for var, rhs, needed in shapes if needed)
-            values = _remember(self._values, key, _propagate(shapes))
+            values = _remember(self._values, key, _propagate(shapes), _MEMO_LIMIT)
         return values
 
     def dists_of(self, key: int) -> dict[str, tuple[DistributionSpec, ...]]:
@@ -252,7 +257,7 @@ class ClosureIndex:
         dists = self._dists.get(key)
         if dists is None:
             fresh = _distribution_env(self.distributions[i] for i in self.ids_of(key))
-            dists = _remember(self._dists, key, fresh)
+            dists = _remember(self._dists, key, fresh, _MEMO_LIMIT)
         return dists
 
     def conditions_met(
@@ -268,7 +273,7 @@ class ClosureIndex:
         the memo."""
         outcomes = self._outcomes.get(keys)
         if outcomes is None:
-            outcomes = _remember(self._outcomes, keys, [0, 0])
+            outcomes = _remember(self._outcomes, keys, [0, 0], _MEMO_LIMIT)
         for req_id in self.ids_of(open_mask & ~outcomes[0]):
             if _condition_possible(self.quantitative[req_id].body.cond, values, dists):
                 outcomes[1] |= self.bit[req_id]
@@ -687,6 +692,30 @@ def _minimal_supports(
     return sorted(supports, key=index.order_key)
 
 
+def _operationalizations(
+    target: Requirement | str,
+    db: RequirementsDatabase,
+    sort_ok: Callable[[Requirement], bool],
+    wrong_sort: str,
+    routes: frozenset[str],
+    budget: _Budget,
+    kind: str,
+) -> tuple[Operationalization, ...]:
+    """The minimal supports of `target` by `routes`, as operationalizations
+    of `kind`. A target that fails `sort_ok` raises `wrong_sort`, formatted
+    with its `id` and `sort`."""
+    target_id = target.id if isinstance(target, Requirement) else target
+    if target_id not in db:
+        raise UnresolvedReferenceError(f"cannot resolve requirement id {target_id!r}")
+    if not sort_ok(db[target_id]):
+        raise WrongSortError(wrong_sort.format(id=target_id, sort=db[target_id].sort.value))
+    ids_of = db.closure_index.ids_of
+    return tuple(
+        Operationalization(target_id, frozenset(ids_of(support)), kind)
+        for support in _minimal_supports(target_id, db, routes, budget)
+    )
+
+
 def qualitative_operationalizations(
     target: Requirement | str,
     db: RequirementsDatabase,
@@ -695,21 +724,10 @@ def qualitative_operationalizations(
 ) -> tuple[Operationalization, ...]:
     """All minimal member sets from which the goal, quality constraint, or
     softgoal is deducible through implications."""
-    target_id = target.id if isinstance(target, Requirement) else target
-    if target_id not in db:
-        raise UnresolvedReferenceError(f"cannot resolve requirement id {target_id!r}")
-    if db[target_id].sort not in (G, Q, S):
-        raise WrongSortError(
-            f"{target_id!r} is {db[target_id].sort.value}-sorted; expected g, q, or s"
-        )
-    supports = _minimal_supports(
-        target_id, db, frozenset({"inferred"}),
-        _Budget(limit, "limit", "qualitative_operationalizations"),
-    )
-    ids_of = db.closure_index.ids_of
-    return tuple(
-        Operationalization(target_id, frozenset(ids_of(support)), "qualitative")
-        for support in supports
+    return _operationalizations(
+        target, db, lambda req: req.sort in (G, Q, S),
+        "{id!r} is {sort}-sorted; expected g, q, or s", frozenset({"inferred"}),
+        _Budget(limit, "limit", "qualitative_operationalizations"), "qualitative",
     )
 
 
@@ -721,17 +739,9 @@ def quantitative_operationalizations(
 ) -> tuple[Operationalization, ...]:
     """All minimal member sets that make the quantitative condition true,
     whether by value assignments or by a declared operationalization edge."""
-    target_id = target.id if isinstance(target, Requirement) else target
-    if target_id not in db:
-        raise UnresolvedReferenceError(f"cannot resolve requirement id {target_id!r}")
-    if not isinstance(db[target_id].body, SimpleQuant):
-        raise WrongSortError(f"{target_id!r} is not a quantitative requirement")
-    supports = _minimal_supports(
-        target_id, db, frozenset({"member", "inferred", "numeric"}),
-        _Budget(limit, "limit", "quantitative_operationalizations"),
-    )
-    ids_of = db.closure_index.ids_of
-    return tuple(
-        Operationalization(target_id, frozenset(ids_of(support)), "quantitative")
-        for support in supports
+    return _operationalizations(
+        target, db, lambda req: isinstance(req.body, SimpleQuant),
+        "{id!r} is not a quantitative requirement",
+        frozenset({"member", "inferred", "numeric"}),
+        _Budget(limit, "limit", "quantitative_operationalizations"), "quantitative",
     )

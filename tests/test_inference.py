@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -17,8 +18,9 @@ from roadmapper.model import (
     build_database,
 )
 from roadmapper.testkit import ModelGenSpec, brute_entailment, generate_database
+from roadmapper.transforms import expand_value_conflicts
 
-from conftest import parse_ok
+from conftest import parse_ok, reference_closure
 
 
 @pytest.fixture()
@@ -156,3 +158,96 @@ def test_support_records_first_derivation_in_id_order():
     db = parse_ok("t a. t b. g p1. k i1: a -> p1. k i2: b -> p1.")
     result = closure(["a", "b", "i1", "i2"], db)
     assert result.support["p1"] == frozenset({"i1"})
+
+
+def _same_as_reference(pi, db=None):
+    """Assert that `closure` and `reference_closure` agree on everything they
+    report, the support's derivation order included; return the closure."""
+    result = closure(pi, db)
+    expected = reference_closure(pi, db)
+    assert (
+        result.derived,
+        result.bottom,
+        result.bottom_witness,
+        list(result.support.items()),
+    ) == (
+        expected.derived,
+        expected.bottom,
+        expected.bottom_witness,
+        list(expected.support.items()),
+    ), sorted(r if isinstance(r, str) else r.id for r in pi)
+    return result
+
+
+def _small_models(per_kind: int = 3, max_ids: int = 12):
+    """tasks=3 generated models, with and without quantities, small enough
+    to take every subset of their ids as premises."""
+    for quantities in (False, True):
+        kept = seed = 0
+        while kept < per_kind:
+            spec = ModelGenSpec(seed=seed, tasks=3, include_quantities=quantities)
+            db = generate_database(spec)
+            seed += 1
+            if len(db.requirements) <= max_ids:
+                kept += 1
+                yield db
+
+
+def test_closure_matches_reference_on_every_premise_subset():
+    for db in _small_models():
+        ids = db.ids()
+        for size in range(len(ids) + 1):
+            for subset in itertools.combinations(ids, size):
+                _same_as_reference(subset, db)
+
+
+def test_closure_matches_reference_on_random_las_premises(las_db):
+    rng = random.Random(2011)
+    for db in (las_db, expand_value_conflicts(las_db)[0]):
+        ids = db.ids()
+        for _ in range(250):
+            # Premise order decides the support's order, so it is shuffled.
+            premises = [i for i in ids if rng.random() < 0.5]
+            rng.shuffle(premises)
+            _same_as_reference(premises, db)
+
+
+def test_closure_of_loose_premises_without_a_database():
+    premises = [
+        *(Requirement(i, SimpleProp(T, PropVar(i))) for i in ("a", "b")),
+        *(Requirement(i, SimpleProp(G, PropVar(i))) for i in ("p", "r")),
+        Requirement("i1", Implication(frozenset({"a"}), "p")),
+        Requirement("i2", Implication(frozenset({"p", "b"}), "r")),
+        Requirement("c1", Conflict(frozenset({"a", "r"}))),
+    ]
+    # Every referenced id must be a premise, so each is derived as one.
+    result = _same_as_reference(premises)
+    assert result.derived == {r.id for r in premises}
+    assert set(result.support.values()) == {frozenset()}
+    assert result.bottom_witness == frozenset({"c1"})
+
+
+def test_premise_body_wins_over_the_database_body():
+    db = parse_ok("t a. t b. g p. k i: a -> p.")
+    rewired = Requirement("i", Implication(frozenset({"b"}), "p"))
+    result = _same_as_reference(["b", rewired], db)
+    assert result.support["p"] == frozenset({"i"})
+    assert "p" not in _same_as_reference(["a", rewired], db)
+    # The database keeps its own implication.
+    assert "p" not in _same_as_reference(["b", "i"], db)
+
+
+def test_premise_outside_the_database_references_its_ids():
+    db = parse_ok("t a. t b. g p. g r. k i: p -> r.")
+    premises = [
+        "a",
+        "b",
+        "i",
+        Requirement("j", Implication(frozenset({"a"}), "p")),
+        Requirement("c", Conflict(frozenset({"b", "r"}))),
+    ]
+    result = _same_as_reference(premises, db)
+    assert {"p", "r"} <= result.derived
+    assert result.support["r"] == frozenset({"i", "j"})
+    assert result.bottom_witness == frozenset({"c"})
+    assert "j" not in db

@@ -17,7 +17,6 @@ from roadmapper.errors import (
     WrongSortError,
 )
 from roadmapper.inference import closure as symbolic_closure
-from roadmapper.inference import fired_conflicts
 from roadmapper.model import G, Q, S, RequirementsDatabase, SimpleQuant
 from roadmapper.operationalization import (
     _MEMO_LIMIT,
@@ -40,7 +39,7 @@ from roadmapper.testkit import (
 )
 from roadmapper.transforms import expand_value_conflicts
 
-from conftest import parse_ok
+from conftest import fired_conflicts, parse_ok
 
 
 def test_admissible_vacuous_on_empty_mandatory_set():
