@@ -12,14 +12,18 @@ rows straight from the index core of `roadmap.py` (`_IndexRoadmaps`), from
 fragments rendered once; it builds none of the library's roadmap records,
 which are unchanged.
 
-Exit codes: 0 success, 1 model error or internal error, 2 I/O or usage error
-(a closed stdout included), 3 resource limit, 4 semantic error.
+One command table (`_COMMANDS`) defines the commands and their options. A
+canonical argv is read from it directly (`_read_argv`); argparse is built
+from it only for help, usage errors and other spellings.
+
+Exit codes: 0 success, 1 model error (gen finding no valid model included)
+or internal error, 2 I/O or usage error (a closed stdout included), 3
+resource limit, 4 semantic error.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import math
 import os
@@ -91,17 +95,17 @@ _SEMANTIC_ERRORS = (
 ATOM_LIMIT_ENV = "ROADMAPPER_LIMIT_ATOMS"
 
 
-def _default_max_atoms(parser: argparse.ArgumentParser) -> int:
+def _default_max_atoms(parser: argparse.ArgumentParser | None) -> int:
     """The atom cap when `--max-atoms` is not given: the environment
     variable's value, held to the option's check, or the default. A bad
-    value is a usage error."""
+    value is a usage error, reported by `parser` (built if None)."""
     value = os.environ.get(ATOM_LIMIT_ENV)
     if not value:
         return DEFAULT_MAX_ATOMS
     try:
         return _non_negative_int(value)
     except argparse.ArgumentTypeError as exc:
-        parser.error(f"{ATOM_LIMIT_ENV}: {exc}")
+        (parser or build_arg_parser()).error(f"{ATOM_LIMIT_ENV}: {exc}")
 
 
 def _object_members(obj: dict) -> list:
@@ -666,12 +670,175 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _OneOf(tuple):
+    """In the command table: flags of which a call gives exactly one, as an
+    argparse required mutually exclusive group."""
+
+
+_FILE = ("file", {"help": "input .req file"})
+_FORMAT = (
+    "--format", {"choices": ("json", "text"), "default": "json", "help": "output format"}
+)
+_LIMITS = (
+    ("--max-atoms", {
+        "type": _non_negative_int,
+        "default": None,
+        "help": f"k/t requirement cap for enumeration (default {DEFAULT_MAX_ATOMS}; "
+        f"env {ATOM_LIMIT_ENV})",
+    }),
+    ("--max-results", {
+        "type": _non_negative_int, "default": None, "help": "truncate configuration lists"
+    }),
+)
+_FLAG = {"action": "store_true"}
+
+# The command table: each command's help, function and arguments, in the
+# order its help lists them. An argument is a name (a positional, or a long
+# option) and `add_argument` keywords, of which it uses only help, type,
+# choices, default, required and action="store_true": `build_arg_parser`
+# builds argparse from the table, and `_read_argv` reads argv with it.
+_COMMANDS = {
+    "check": ("parse and validate a database", cmd_check, (_FILE, _FORMAT)),
+    "configs": ("enumerate configurations", cmd_configs, (
+        _FILE, _FORMAT, *_LIMITS,
+        ("--explain", {
+            "action": "store_true",
+            "help": "include operationalization witnesses per mandatory requirement",
+        }),
+    )),
+    "rank": ("rank configurations under r1/r2/r3", cmd_rank, (
+        _FILE, _FORMAT, *_LIMITS,
+        ("--rule", {"choices": ("r1", "r2", "r3"), "required": True}),
+        ("--var", {"required": True, "help": "ranking variable"}),
+    )),
+    "roadmaps": ("build and rank roadmaps under r4", cmd_roadmaps, (
+        _FILE, _FORMAT, *_LIMITS,
+        ("--var", {"required": True, "help": "summed variable"}),
+        ("--floor", {"type": _finite_float, "default": float("-inf")}),
+        ("--maxdiff", {"type": _non_negative_int, "default": 10**6}),
+        ("--maxlen", {"type": _positive_int, "default": 2}),
+    )),
+    "dot": ("render the requirement graph as DOT", cmd_dot, (_FILE,)),
+    "relax": ("probabilistic or fuzzy relaxation", cmd_relax, (
+        _FILE, _FORMAT,
+        _OneOf((("--prob", _FLAG), ("--fuzzy", _FLAG))),
+        ("--target", {"required": True, "help": "quality constraint id"}),
+        ("--mean", {"type": _finite_float, "default": 0.0, "help": "normal mean (prob)"}),
+        ("--variance", {
+            "type": _positive_float, "default": 1.0, "help": "normal variance (prob)"
+        }),
+        ("--level", {"type": float, "default": 0.9, "help": "probability level (prob)"}),
+        ("--op", {
+            "default": ">=", "choices": (">=", ">", "=", "<=", "<"), "help": "outer operator"
+        }),
+        ("--mu", {
+            "type": _parse_satfn_spec,
+            "default": "exp:1.0",
+            "help": "satisfaction function (fuzzy): exp:RATE | plateau:END,ZERO,LEVEL | "
+            "pwl:X:Y,X:Y,...",
+        }),
+    )),
+    "gen": ("generate a random model (test data)", cmd_gen, (
+        ("--seed", {"type": int, "default": 0}),
+        ("--tasks", {"type": _non_negative_int, "default": 5}),
+        ("--assumptions", {"type": _non_negative_int, "default": 2}),
+        ("--goals", {"type": _non_negative_int, "default": 3}),
+        ("--quantities", _FLAG),
+    )),
+}
+
+_INVALID = object()
+
+
+def _typed(keywords: dict, text: str):
+    """`text` through the argument's `type`, or _INVALID where argparse
+    would call the conversion an error."""
+    convert = keywords.get("type")
+    if convert is None:
+        return text
+    try:
+        return convert(text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return _INVALID
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The namespace `build_arg_parser().parse_args(argv)` returns, read
+    from the command table when `argv` is spelled canonically, else None.
+
+    Canonical: an exact command name, then that command's positionals and
+    options in any order. An option is given by its exact long name, at most
+    once, followed by its value if it takes one, and neither a value nor a
+    positional starts with "-". Values go through `type` and `choices`,
+    required options and groups are checked, and defaults are filled in,
+    a string default through `type`, all as argparse does; where argparse
+    would report an error, the answer is None, and argparse reports it.
+    """
+    if not argv or not all(isinstance(token, str) for token in argv):
+        return None
+    entry = _COMMANDS.get(argv[0])
+    if entry is None:
+        return None
+    _, func, table = entry
+    arguments, groups = [], []
+    for argument in table:
+        if isinstance(argument, _OneOf):
+            groups.append(argument)
+            arguments += argument
+        else:
+            arguments.append(argument)
+    options = {name: keywords for name, keywords in arguments if name[0] == "-"}
+    positionals = [(name, keywords) for name, keywords in arguments if name[0] != "-"]
+    given = {}
+    waiting = iter(positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            name, keywords = next(waiting, (None, None))
+            if name is None:
+                return None
+        else:
+            keywords = options.get(token)
+            if keywords is None or token in given:
+                return None
+            name = token
+            if keywords.get("action") == "store_true":
+                given[name] = True
+                continue
+            token = next(tokens, "-")
+            if token[:1] == "-":
+                return None
+        value = _typed(keywords, token)
+        choices = keywords.get("choices")
+        if value is _INVALID or (choices is not None and value not in choices):
+            return None
+        given[name] = value
+    values = {"command": argv[0], "func": func}
+    for name, keywords in arguments:
+        if name in given:
+            value = given[name]
+        elif name[0] != "-" or keywords.get("required"):
+            return None
+        elif keywords.get("action") == "store_true":
+            value = False
+        else:
+            value = keywords.get("default")
+            if isinstance(value, str):
+                value = _typed(keywords, value)
+                if value is _INVALID:
+                    return None
+        values[name.lstrip("-").replace("-", "_")] = value
+    if any(sum(name in given for name, _ in group) != 1 for group in groups):
+        return None
+    return argparse.Namespace(**values)
+
+
 class _HelpFormatter(argparse.HelpFormatter):
     """argparse's formatter, with its default width worked out here as
     `shutil.get_terminal_size().columns - 2` would: `COLUMNS`, else the
     width of the terminal on `sys.__stdout__`, else 80. The stock formatter
     imports `shutil` (and its compression modules) for this on first use,
-    a cost every command would pay. A terminal that reports 0 columns
+    a cost every call that builds the parser would pay. A terminal that reports 0 columns
     counts as 80, as `shutil` has it from Python 3.11 on."""
 
     def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
@@ -690,101 +857,24 @@ class _HelpFormatter(argparse.HelpFormatter):
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """argparse's parser for the command table: it gives the help, the usage
+    errors and the other spellings that `_read_argv` leaves to it."""
     parser = argparse.ArgumentParser(
         prog="roadmapper",
         description="Reason over mixed-variable requirements databases.",
         formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, formatter_class=_HelpFormatter)
-
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="input .req file")
-        p.add_argument(
-            "--format", choices=("json", "text"), default="json", help="output format"
-        )
-
-    def limits(p):
-        p.add_argument(
-            "--max-atoms",
-            type=_non_negative_int,
-            default=None,
-            help=f"k/t requirement cap for enumeration (default {DEFAULT_MAX_ATOMS}; "
-            f"env {ATOM_LIMIT_ENV})",
-        )
-        p.add_argument(
-            "--max-results",
-            type=_non_negative_int,
-            default=None,
-            help="truncate configuration lists",
-        )
-
-    p = add_parser("check", help="parse and validate a database")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = add_parser("configs", help="enumerate configurations")
-    common(p)
-    limits(p)
-    p.add_argument(
-        "--explain",
-        action="store_true",
-        help="include operationalization witnesses per mandatory requirement",
-    )
-    p.set_defaults(func=cmd_configs)
-
-    p = add_parser("rank", help="rank configurations under r1/r2/r3")
-    common(p)
-    limits(p)
-    p.add_argument("--rule", choices=("r1", "r2", "r3"), required=True)
-    p.add_argument("--var", required=True, help="ranking variable")
-    p.set_defaults(func=cmd_rank)
-
-    p = add_parser("roadmaps", help="build and rank roadmaps under r4")
-    common(p)
-    limits(p)
-    p.add_argument("--var", required=True, help="summed variable")
-    p.add_argument("--floor", type=_finite_float, default=float("-inf"))
-    p.add_argument("--maxdiff", type=_non_negative_int, default=10**6)
-    p.add_argument("--maxlen", type=_positive_int, default=2)
-    p.set_defaults(func=cmd_roadmaps)
-
-    p = add_parser("dot", help="render the requirement graph as DOT")
-    p.add_argument("file", help="input .req file")
-    p.set_defaults(func=cmd_dot)
-
-    p = add_parser("relax", help="probabilistic or fuzzy relaxation")
-    common(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--prob", action="store_true")
-    group.add_argument("--fuzzy", action="store_true")
-    p.add_argument("--target", required=True, help="quality constraint id")
-    p.add_argument("--mean", type=_finite_float, default=0.0, help="normal mean (prob)")
-    p.add_argument(
-        "--variance", type=_positive_float, default=1.0, help="normal variance (prob)"
-    )
-    p.add_argument("--level", type=float, default=0.9, help="probability level (prob)")
-    p.add_argument(
-        "--op", default=">=", choices=(">=", ">", "=", "<=", "<"), help="outer operator"
-    )
-    p.add_argument(
-        "--mu",
-        type=_parse_satfn_spec,
-        default="exp:1.0",
-        help="satisfaction function (fuzzy): exp:RATE | plateau:END,ZERO,LEVEL | "
-        "pwl:X:Y,X:Y,...",
-    )
-    p.set_defaults(func=cmd_relax)
-
-    p = add_parser("gen", help="generate a random model (test data)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tasks", type=_non_negative_int, default=5)
-    p.add_argument("--assumptions", type=_non_negative_int, default=2)
-    p.add_argument("--goals", type=_non_negative_int, default=3)
-    p.add_argument("--quantities", action="store_true")
-    p.set_defaults(func=cmd_gen)
-
+    for command, (help_text, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, formatter_class=_HelpFormatter)
+        for argument in arguments:
+            if isinstance(argument, _OneOf):
+                group = p.add_mutually_exclusive_group(required=True)
+                for name, keywords in argument:
+                    group.add_argument(name, **keywords)
+            else:
+                p.add_argument(argument[0], **argument[1])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -803,11 +893,23 @@ def main(argv=None) -> int:
             gc.enable()
 
 
-def _run(argv) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+def _parse_args(argv) -> argparse.Namespace:
+    """The namespace of `argv` (None: `sys.argv[1:]`), with `max_atoms`
+    filled in where the command has it. A canonical argv is read from the
+    command table; argparse is built only for the rest, and for a bad
+    ROADMAPPER_LIMIT_ATOMS, and exits with its message."""
+    parser = None
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        parser = build_arg_parser()
+        args = parser.parse_args(argv)
     if "max_atoms" in vars(args) and args.max_atoms is None:
         args.max_atoms = _default_max_atoms(parser)
+    return args
+
+
+def _run(argv) -> int:
+    args = _parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -128,7 +128,11 @@ class NonSingletonValError(RoadmapperError):
     """A variable has several candidate values where one was required."""
 
 
-# --- test oracles -------------------------------------------------------------
+# --- test oracles and data ------------------------------------------------------
 
 class TooLargeError(RoadmapperError):
     """The input exceeds the scale a brute-force oracle accepts."""
+
+
+class GenerationError(RoadmapperError):
+    """The random-model generator found no valid database for a spec."""

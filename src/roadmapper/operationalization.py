@@ -23,6 +23,7 @@ from collections.abc import Callable, Generator, Iterable, Mapping
 
 from ._record import field, record
 from .errors import (
+    DanglingReferenceError,
     RefinementCycleError,
     ResourceLimitError,
     RoadmapperError,
@@ -189,13 +190,20 @@ class ClosureIndex:
         top = len(self.ids) - 1
         self.bit = {req_id: 1 << (top - i) for i, req_id in enumerate(self.ids)}
         mask = self.mask
-        self.implication_bits = [
-            (self.bit[i], mask(r.body.antecedents), self.bit[r.body.consequent])
-            for i, r in self.implications.items()
-        ]
-        self.conflict_bits = [
-            (self.bit[i], mask(r.body.antecedents)) for i, r in self.conflicts.items()
-        ]
+        try:
+            self.implication_bits = [
+                (self.bit[i], mask(r.body.antecedents), self.bit[r.body.consequent])
+                for i, r in self.implications.items()
+            ]
+            self.conflict_bits = [
+                (self.bit[i], mask(r.body.antecedents)) for i, r in self.conflicts.items()
+            ]
+        except KeyError as exc:
+            # Only a database built without validation gets here.
+            ref = exc.args[0]
+            rules = {**self.implications, **self.conflicts}
+            who = min(i for i, r in rules.items() if ref in r.references())
+            raise DanglingReferenceError(f"{who!r} references unknown id {ref!r}") from None
         self.conflict_mask = mask(self.conflicts)
         self.quantitative_mask = mask(self.quantitative)
         self.assignment_mask = mask(self.assignments)

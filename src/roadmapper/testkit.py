@@ -13,7 +13,7 @@ import random
 import re
 
 from ._record import record
-from .errors import TooLargeError
+from .errors import GenerationError, TooLargeError
 from .model import (
     BinOp,
     Compare,
@@ -373,15 +373,22 @@ class ModelGenSpec:
     include_quantities: bool = False
 
 
+GENERATION_ATTEMPTS = 64
+
+
 def generate_database(spec: ModelGenSpec) -> RequirementsDatabase:
-    """A random well-formed database; inconsistent mandatory draws are retried."""
-    for attempt in range(64):
+    """A random well-formed database; inconsistent mandatory draws are
+    retried, and GenerationError is raised when every attempt fails."""
+    for attempt in range(GENERATION_ATTEMPTS):
         rng = random.Random(spec.seed * 1000003 + attempt)
         try:
             return _generate_once(rng, spec)
         except Exception:
             continue
-    raise RuntimeError(f"could not generate a valid database for seed {spec.seed}")
+    raise GenerationError(
+        f"could not generate a valid database for seed {spec.seed} with {spec.tasks} "
+        f"tasks in {GENERATION_ATTEMPTS} attempts"
+    )
 
 
 def _generate_once(rng: random.Random, spec: ModelGenSpec) -> RequirementsDatabase:

@@ -590,6 +590,124 @@ def test_bad_limits_are_usage_errors(capsys, monkeypatch, toy_file, argv, env):
     assert "usage:" in err and named in err
 
 
+# --- argv reader ----------------------------------------------------------------------
+
+# Canonical argvs, which `_read_argv` must read without argparse: the forms the
+# benchmark runs, and every option of `gen`.
+CANONICAL_ARGVS = [
+    ["check", "m.req"],
+    ["configs", "m.req", "--max-atoms", "64"],
+    ["rank", "m.req", "--rule", "r3", "--var", "v1", "--max-atoms", "64"],
+    ["roadmaps", "m.req", "--var", "rt", "--floor", "40", "--maxdiff", "10", "--maxlen", "2",
+     "--max-atoms", "64"],
+    ["roadmaps", "m.req", "--var", "v1", "--maxlen", "2", "--max-atoms", "64"],
+    ["dot", "m.req"],
+    ["relax", "m.req", "--prob", "--target", "qt6", "--mean", "180", "--variance", "400",
+     "--level", "0.9"],
+    ["relax", "m.req", "--fuzzy", "--target", "qt6", "--mu", "exp:0.5"],
+    ["gen", "--seed", "3", "--tasks", "4", "--assumptions", "1", "--goals", "2", "--quantities"],
+    ["gen"],
+    ["configs", "--explain", "--max-results", "3", "m.req", "--format", "text"],
+    ["relax", "m.req", "--fuzzy", "--target", "q", "--op", "<"],
+    ["check", ""],
+]
+
+# Other spellings, help and usage errors, which argparse reads.
+OTHER_ARGVS = [
+    [],
+    ["-h"],
+    ["check"],
+    ["chec", "m.req"],
+    ["check", "m.req", "-h"],
+    ["configs", "m.req", "--max-a", "64"],
+    ["check", "m.req", "--format=text"],
+    ["roadmaps", "m.req", "--var", "v", "--floor", "-5"],
+    ["configs", "m.req", "--max-atoms", "64", "--max-atoms", "8"],
+    ["relax", "m.req", "--prob", "--prob", "--target", "q"],
+    ["check", "m.req", "--bogus"],
+    ["check", "m.req", "other.req"],
+    ["check", "m.req", "--"],
+    ["check", "-"],
+    ["rank", "m.req", "--var", "v"],
+    ["configs", "m.req", "--max-atoms"],
+    ["configs", "m.req", "--max-atoms", "x"],
+    ["rank", "m.req", "--rule", "r9", "--var", "v"],
+    ["check", "m.req", "--format", "xml"],
+    ["relax", "m.req", "--target", "q"],
+    ["relax", "m.req", "--prob", "--fuzzy", "--target", "q"],
+    ["relax", "m.req", "--fuzzy", "--target", "q", "--mu", "exp:-1"],
+    ["gen", "--seed", "-1"],
+    ["dot", "m.req", "--format", "json"],
+]
+
+
+def _parsed(read, parser):
+    """`vars()` of the namespace `read()` returns, with `max_atoms` filled in as
+    the CLI fills it, or the exit code and stderr of the usage error it ends in."""
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            args = read()
+            if "max_atoms" in vars(args) and args.max_atoms is None:
+                args.max_atoms = roadmapper.cli._default_max_atoms(parser)
+    except SystemExit as exc:
+        return exc.code, stderr.getvalue()
+    return vars(args)
+
+
+@pytest.mark.parametrize("env", [None, "12", "-3"], ids=["no-env", "env", "bad-env"])
+@pytest.mark.parametrize(
+    "argv", CANONICAL_ARGVS + OTHER_ARGVS, ids=lambda argv: " ".join(argv) or "(empty)"
+)
+def test_argv_reader_agrees_with_argparse(monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv(ATOM_LIMIT_ENV, raising=False)
+    else:
+        monkeypatch.setenv(ATOM_LIMIT_ENV, env)
+    parser = roadmapper.cli.build_arg_parser()
+    expected = _parsed(lambda: parser.parse_args(argv), parser)
+    ours = roadmapper.cli._read_argv(argv)
+    assert (ours is not None) == (argv in CANONICAL_ARGVS)
+    if ours is not None:
+        assert _parsed(lambda: ours, parser) == expected
+    assert _parsed(lambda: roadmapper.cli._parse_args(argv), parser) == expected
+
+
+_ARGV_TOKENS = [
+    *roadmapper.cli._COMMANDS, "m.req", "64", "0", "-5", "x", "r3", "text", "<", "exp:0.5", "nan",
+    "", "--max-atoms", "--max-a", "--max-results", "--format", "--format=text", "--explain",
+    "--rule", "--var", "--floor", "--maxlen", "--prob", "--fuzzy", "--target", "--mu", "--op",
+    "--seed", "--quantities", "-h", "--",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(CANONICAL_ARGVS + OTHER_ARGVS),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "delete", "replace"]),
+            st.integers(0, 15),
+            st.sampled_from(_ARGV_TOKENS),
+        ),
+        max_size=3,
+    ),
+)
+def test_argv_reader_agrees_with_argparse_on_edited_argvs(argv, edits):
+    """Each corpus argv with up to three tokens inserted, deleted or replaced."""
+    argv = list(argv)
+    for edit, position, token in edits:
+        position %= len(argv) + 1
+        if edit == "insert":
+            argv.insert(position, token)
+        elif position < len(argv):
+            argv[position:position + 1] = [token] if edit == "replace" else []
+    parser = roadmapper.cli.build_arg_parser()
+    ours = roadmapper.cli._read_argv(argv)
+    if ours is not None:
+        assert _parsed(lambda: ours, parser) == _parsed(lambda: parser.parse_args(argv), parser)
+
+
 # --- determinism ----------------------------------------------------------------------
 
 def test_outputs_are_byte_identical(capsys, toy_file):
@@ -606,6 +724,16 @@ def test_gen_is_deterministic_and_parses(capsys):
     _, second, _ = run(capsys, "gen", "--seed", "7")
     assert first == second
     assert parse(first).ok
+
+
+def test_gen_without_a_valid_draw_is_a_model_error(capsys):
+    # At the default conflict density, every draw of 100 tasks has an
+    # inconsistent mandatory set.
+    code, out, err = run(capsys, "gen", "--tasks", "100")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: could not generate a valid database for seed 0 with 100 tasks in 64 attempts\n"
+    )
 
 
 # --- internal errors ------------------------------------------------------------

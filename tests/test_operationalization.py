@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from roadmapper.configuration import enumerate_configurations
 from roadmapper.errors import (
+    DanglingReferenceError,
     DivisionByZeroError,
     RefinementCycleError,
     RoadmapperError,
@@ -17,7 +18,16 @@ from roadmapper.errors import (
     WrongSortError,
 )
 from roadmapper.inference import closure as symbolic_closure
-from roadmapper.model import G, Q, S, RequirementsDatabase, SimpleQuant
+from roadmapper.model import (
+    G,
+    Q,
+    S,
+    Conflict,
+    Implication,
+    Requirement,
+    RequirementsDatabase,
+    SimpleQuant,
+)
 from roadmapper.operationalization import (
     _MEMO_LIMIT,
     DEFAULT_SEARCH_LIMIT,
@@ -413,6 +423,29 @@ def test_memo_never_stores_an_error(text, members, error):
     for _ in range(3):
         with pytest.raises(error):
             satisfaction_closure(frozenset(members), db)
+
+
+@pytest.mark.parametrize(
+    "body, ghost",
+    [
+        (Implication(frozenset({"a"}), "ghost"), "ghost"),
+        (Implication(frozenset({"ghost"}), "a"), "ghost"),
+        (Conflict(frozenset({"a", "ghost"})), "ghost"),
+    ],
+    ids=["consequent", "antecedent", "conflict"],
+)
+def test_a_dangling_rule_in_an_unvalidated_database_is_a_reference_error(body, ghost):
+    a = parse_ok("t a.").requirements["a"]
+    calls = [
+        lambda db: db.closure_index,
+        lambda db: satisfaction_closure(["a"], db),
+        lambda db: symbolic_closure(["a"], db),
+        enumerate_configurations,
+    ]
+    for call in calls:
+        db = RequirementsDatabase({"a": a, "i": Requirement("i", body)})
+        with pytest.raises(DanglingReferenceError, match=f"'i' references unknown id '{ghost}'"):
+            call(db)
 
 
 def test_order_key_sorts_masks_as_sorted_id_lists_sort():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from roadmapper.errors import TooLargeError
+from roadmapper.errors import GenerationError, RoadmapperError, TooLargeError
 from roadmapper.model import Normal
 from roadmapper.testkit import (
     ModelGenSpec,
@@ -70,6 +70,15 @@ def test_generator_produces_valid_databases():
     for seed in range(10):
         db = generate_database(ModelGenSpec(seed=seed))
         assert db.ids()  # build_database already validated it
+
+
+def test_a_spec_without_valid_draws_is_a_generation_error():
+    # Every task mandatory and every pair of tasks in conflict, most of the
+    # conflicts mandatory: no draw is consistent.
+    spec = ModelGenSpec(seed=7, tasks=6, conflict_density=1.0, mandatory_ratio=4.0)
+    with pytest.raises(GenerationError, match="for seed 7 with 6 tasks in 64 attempts"):
+        generate_database(spec)
+    assert issubclass(GenerationError, RoadmapperError)
 
 
 def test_parse_dot_rejects_garbage():

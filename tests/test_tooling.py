@@ -187,13 +187,16 @@ def test_importing_the_cli_loads_no_cold_module():
 
 
 def test_a_check_run_loads_no_shutil():
-    code = (
-        "import contextlib, io, sys, roadmapper.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = roadmapper.cli.main(['check', {str(LAS_PATH)!r}])\n"
-        "print(code, 'shutil' in sys.modules)"
-    )
-    assert _fresh_python(code) == "0 False\n"
+    """Nor does a `configs` run, and neither run loads `locale`: their argvs
+    are read without argparse, whose first message lookup imports it."""
+    for argv in (["check", str(LAS_PATH)], ["configs", str(LAS_PATH), "--max-atoms", "64"]):
+        code = (
+            "import contextlib, io, sys, roadmapper.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = roadmapper.cli.main({argv!r})\n"
+            "print(code, 'shutil' in sys.modules, 'locale' in sys.modules)"
+        )
+        assert _fresh_python(code) == "0 False False\n", argv
 
 
 def _cli_text(argv: list[str], capsys) -> tuple[int, str, str]:
