@@ -480,45 +480,54 @@ def cmd_roadmaps(args) -> int:
     ranked, excluded = roadmaps.rank(
         enum.database, RoadmapValueSum(args.var, args.floor, args.maxdiff)
     )
-    sequences = roadmaps.sequences
+    sequences, set_numbers = roadmaps.sequences, roadmaps.set_numbers
     ids = [c.id for c in roadmaps.configurations]
 
     # Rows are written from fragments rendered once, at a row's fixed depth:
-    # each id as a sequence item, and each operator set's adaptations list.
+    # each id as a sequence item, each operator set's adaptations list, and
+    # each total. Totals are sums from int 0 of finite values, never -0.0
+    # (the one float equal to another of a different text) nor NaN, so a
+    # total's text can be looked up by the total.
     newline, inner = _ROW_NEWLINE, _ROW_NEWLINE + "  "
     items = [inner + "  " + encode_basestring_ascii(i) for i in ids]
-    memo: dict = {}  # `_json_text`'s memo for the adaptations lists
-    entries: dict[int, tuple] = {}  # each operator's entry, by its (delete, add) lists
-    lists: dict[frozenset[int], str] = {}  # each operator set's adaptations text
+    close = inner + "]"
 
-    def entry(number: int) -> tuple:
-        if number not in entries:
-            a = roadmaps.operators[number]
-            add, delete = sorted(a.add), sorted(a.delete)
-            entries[number] = (
-                (delete, add), {"trigger": sorted(a.trigger), "add": add, "delete": delete}
+    def ranked_rows():
+        memo: dict = {}  # `_json_text`'s memo for the adaptations lists
+        # Each operator's entry, with its (delete, add) lists to sort on.
+        entries: list[tuple | None] = [None] * len(roadmaps.operators)
+        lists: list[str | None] = [None] * len(roadmaps.operator_sets)
+        totals: dict[float, str] = {}
+        for j, total in ranked:
+            number = set_numbers[j]
+            adaptations = lists[number]
+            if adaptations is None:
+                numbers = roadmaps.operator_sets[number]
+                for k in numbers:
+                    if entries[k] is None:
+                        a = roadmaps.operators[k]
+                        add, delete = sorted(a.add), sorted(a.delete)
+                        entries[k] = (
+                            (delete, add),
+                            {"trigger": sorted(a.trigger), "add": add, "delete": delete},
+                        )
+                by_lists = sorted([entries[k] for k in numbers], key=itemgetter(0))
+                adaptations = lists[number] = _json_text(
+                    [e for _, e in by_lists], inner, memo
+                )
+            text = totals.get(total)
+            if text is None:
+                text = totals[total] = _float_text(total)
+            yield (
+                f'{{{inner}"adaptations": {adaptations},{inner}"sequence": '
+                f'[{",".join([items[i] for i in sequences[j]])}{close},'
+                f'{inner}"total": {text}{newline}}}'
             )
-        return entries[number]
 
-    def adaptations_text(j: int) -> str:
-        numbers = roadmaps.operator_set(sequences[j])
-        text = lists.get(numbers)
-        if text is None:
-            by_lists = sorted(map(entry, numbers), key=itemgetter(0))
-            text = lists[numbers] = _json_text([e for _, e in by_lists], inner, memo)
-        return text
-
-    def sequence_text(j: int) -> str:
-        return "[" + ",".join([items[i] for i in sequences[j]]) + inner + "]"
-
-    ranked_rows = (
-        f'{{{inner}"adaptations": {adaptations_text(j)},{inner}"sequence": '
-        f'{sequence_text(j)},{inner}"total": {_float_text(total)}{newline}}}'
-        for j, total in ranked
-    )
     excluded_rows = (
         f'{{{inner}"reason": {encode_basestring_ascii(reason)},{inner}"sequence": '
-        f'{sequence_text(j)},{inner}"witness": {witness}{newline}}}'
+        f'[{",".join([items[i] for i in sequences[j]])}{close},'
+        f'{inner}"witness": {witness}{newline}}}'
         for j, reason, witness in excluded
     )
     payload = {
@@ -534,7 +543,7 @@ def cmd_roadmaps(args) -> int:
         "configurations": {
             c.id: sorted(c.members) for c in enum.configurations
         },
-        "ranked": _Rows(ranked_rows),
+        "ranked": _Rows(ranked_rows()),
         "excluded": _Rows(excluded_rows),
     }
 

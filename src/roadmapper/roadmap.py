@@ -205,8 +205,12 @@ def _member_masks(member_sets: Iterable[frozenset[str]]) -> list[int]:
 
 class _IndexRoadmaps:
     """Every roadmap up to `max_len` over `configs`, as a tuple of indices
-    into `configurations`, the configurations in canonical order: the
-    sequences of each length in turn, each length in permutation order.
+    into `configurations`, the configurations in canonical order.
+
+    `sequences` holds the singletons, then each longer length's sequences
+    in permutation order, which extends each sequence of the length before,
+    in order, by every index it lacks, in ascending order: so they come in
+    (length, indices) order.
 
     `masks[i]` is the member bitmask of configuration i. The default trigger
     is the delete list, so an operator is known by its (add, delete) masks;
@@ -214,12 +218,22 @@ class _IndexRoadmaps:
     16,256 pairs give 2,186), and `steps[a][b]` is the position there of the
     operator from configuration a to configuration b.
 
+    `operator_sets` holds each distinct set of operators a roadmap needs, as
+    positions in `operators`: the empty set, each operator's own set
+    (operator t's is number t + 1), then the larger sets as they are met.
+    `set_numbers[j]` is the number of sequence j's set, interned from its
+    prefix's number and its last step through one memo per set number, so
+    no sequence builds a set of its own.
+
     Raises as building the roadmaps one by one would: every pair first meets
     its operator at length 2, after the singletons, so the first pair whose
     operator cannot be derived raises, unless more than `limit` roadmaps come
     before it; then a count above `limit` raises."""
 
-    __slots__ = ("configurations", "masks", "operators", "steps", "sequences")
+    __slots__ = (
+        "configurations", "masks", "operators", "steps", "sequences",
+        "operator_sets", "set_numbers",
+    )
 
     def __init__(self, configs: Sequence[Configuration], max_len: int, limit: int):
         if max_len < 1:
@@ -227,40 +241,78 @@ class _IndexRoadmaps:
         self.configurations = ordered = sorted(configs, key=lambda c: c.canonical_key)
         self.masks = masks = _member_masks([c.members for c in ordered])
         n = len(ordered)
-        lengths = range(1, min(max_len, n) + 1)
-        pairs = itertools.permutations(range(n), 2) if max_len > 1 else ()
-        if sum(math.perm(n, k) for k in lengths) > limit:
+        longest = min(max_len, n)
+        count = sum(math.perm(n, k) for k in range(1, longest + 1))
+        if count > limit:
             # Deriving an operator fails exactly when the source's members
             # lie within the target's: identical, or nothing to delete.
+            pairs = itertools.permutations(range(n), 2) if max_len > 1 else ()
             for a, b in itertools.islice(pairs, max(0, limit + 1 - n)):
                 if not masks[a] & ~masks[b]:
                     derive_adaptation(ordered[a], ordered[b])
             raise ResourceLimitError(
-                f"more than {limit} roadmaps; raise the limit or lower max_len"
+                f"{count} roadmaps up to max_len {max_len} exceed the limit of {limit}; "
+                "lower max_len (--maxlen) or, in the library, pass a larger limit="
             )
+        # Row by row, each row in ascending order: the pairs in permutation
+        # order. A row looks up every key at once, then numbers the misses.
         self.operators: list[AdaptationRequirement] = []
-        self.steps = [[-1] * n for _ in range(n if max_len > 1 else 0)]
+        self.steps: list[list[int]] = []
         numbers: dict[tuple[int, int], int] = {}
-        for a, b in pairs:
-            key = (masks[b] & ~masks[a], masks[a] & ~masks[b])
-            number = numbers.get(key)
-            if number is None:
-                self.operators.append(derive_adaptation(ordered[a], ordered[b]))
-                number = numbers[key] = len(numbers)
-            self.steps[a][b] = number
-        self.sequences = list(itertools.chain.from_iterable(
-            itertools.permutations(range(n), k) for k in lengths
-        ))
+        for a, source in enumerate(masks if max_len > 1 else ()):
+            keys = [(target & ~source, source & ~target) for target in masks]
+            row = list(map(numbers.get, keys))
+            row[a] = -1
+            for b in [b for b, number in enumerate(row) if number is None]:
+                number = numbers.get(keys[b])
+                if number is None:
+                    self.operators.append(derive_adaptation(ordered[a], ordered[b]))
+                    number = numbers[keys[b]] = len(numbers)
+                row[b] = number
+            self.steps.append(row)
+        self.sequences = sequences = [(i,) for i in range(n)]
+        self.set_numbers = set_numbers = [0] * n
+        self.operator_sets = operator_sets = [
+            frozenset(), *map(frozenset, zip(range(len(self.operators))))
+        ]
+        interned = {members: number for number, members in enumerate(operator_sets)}
+        # set number -> step -> set number
+        successors: list[dict[int, int]] = [{} for _ in operator_sets]
+        successors[0] = {step: step + 1 for step in range(len(self.operators))}
 
-    def operator_set(self, sequence: tuple[int, ...]) -> frozenset[int]:
-        """The positions in `operators` of the operators a sequence needs."""
-        steps = self.steps
-        return frozenset([steps[a][b] for a, b in zip(sequence, sequence[1:])])
+        def extended(number: int, step: int) -> int:
+            members = operator_sets[number] | {step}
+            result = interned.get(members)
+            if result is None:
+                result = interned[members] = len(operator_sets)
+                operator_sets.append(members)
+                successors.append({})
+            successors[number][step] = result
+            return result
+
+        start = 0
+        for length in range(2, longest + 1):
+            end = len(sequences)
+            sequences += itertools.permutations(range(n), length)
+            for p in range(start, end):
+                prefix, number = sequences[p], set_numbers[p]
+                row = self.steps[prefix[-1]].copy()
+                for i in sorted(prefix, reverse=True):
+                    del row[i]
+                extensions = list(map(successors[number].get, row))
+                if None in extensions:
+                    extensions = [
+                        extended(number, step) if known is None else known
+                        for known, step in zip(extensions, row)
+                    ]
+                set_numbers += extensions
+            start = end
 
     def rank(self, db: RequirementsDatabase, rule: RoadmapValueSum):
-        """`_rank_sequences` over these roadmaps."""
-        members = [c.members for c in self.configurations]
-        return _rank_sequences(db, members, self.masks, self.sequences, rule)
+        """`_rank_sequences` over these roadmaps, taking the values in index
+        order, the order the singletons name the configurations."""
+        values = [_unique_value(db, c.members, rule.var) for c in self.configurations]
+        return _rank_sequences(values, self.masks, self.sequences, rule)
 
 
 def build_roadmaps(
@@ -275,17 +327,14 @@ def build_roadmaps(
     core = _IndexRoadmaps(configs, max_len, limit)
     ordered = core.configurations
     # One object per distinct operator set, as per distinct operator.
-    sets: dict[frozenset[int], frozenset[AdaptationRequirement]] = {}
-    roadmaps = []
-    for sequence in core.sequences:
-        numbers = core.operator_set(sequence)
-        adaptations = sets.get(numbers)
-        if adaptations is None:
-            adaptations = sets[numbers] = frozenset(
-                map(core.operators.__getitem__, numbers)
-            )
-        roadmaps.append(Roadmap(tuple([ordered[i] for i in sequence]), adaptations))
-    return roadmaps
+    sets = [
+        frozenset(map(core.operators.__getitem__, numbers))
+        for numbers in core.operator_sets
+    ]
+    return [
+        Roadmap(tuple([ordered[i] for i in sequence]), sets[number])
+        for sequence, number in zip(core.sequences, core.set_numbers)
+    ]
 
 
 # --- ranking -----------------------------------------------------------------
@@ -369,46 +418,44 @@ def rank_configurations(
 
 
 def _rank_sequences(
-    db: RequirementsDatabase,
-    member_sets: Sequence[frozenset[str]],
+    values: Sequence[float],
     masks: Sequence[int],
     sequences: Sequence[tuple[int, ...]],
     rule: RoadmapValueSum,
 ) -> tuple[list[tuple[int, float]], list[tuple[int, str, int]]]:
-    """Rule r4 over roadmaps given as tuples of indices into `member_sets`,
-    whose member bitmasks are `masks`: the ranked as (position in
-    `sequences`, total) and the excluded as (position, reason, witness), each
-    in ranking order. Ranked roadmaps sort on (-total, length, indices) and
-    excluded ones on their indices; equal keys keep their input order.
+    """Rule r4 over roadmaps given as tuples of indices into configurations
+    whose values are `values` and member bitmasks `masks`: the ranked as
+    (position in `sequences`, total) and the excluded as (position, reason,
+    witness), each in ranking order.
 
-    The values are taken before any filter, for the indices in the order the
-    sequences first name them, which is the order taking each roadmap's
-    values in turn meets them: the first configuration without a value is
-    the one that raises."""
-    values: list = [None] * len(member_sets)
-    for i in dict.fromkeys(itertools.chain.from_iterable(sequences)):
-        values[i] = _unique_value(db, member_sets[i], rule.var)
+    `sequences` must come in (length, indices) order, as `_IndexRoadmaps`
+    builds them. Ranked roadmaps then sort stably on -total alone, which
+    orders them on (-total, length, indices); excluded ones sort on their
+    indices. Equal keys keep their input order."""
     floor, max_diff = rule.floor, rule.max_diff
-    ranked: list[tuple[tuple, tuple[int, float]]] = []
+    below = {i for i, value in enumerate(values) if value < floor}
+    value = values.__getitem__
+    ranked: list[tuple[int, float]] = []
     excluded: list[tuple[tuple[int, ...], tuple[int, str, int]]] = []
     for j, sequence in enumerate(sequences):
-        for i, index in enumerate(sequence):
-            if values[index] < floor:
-                excluded.append((sequence, (j, "floor", i)))
+        if not below.isdisjoint(sequence):
+            witness = next(i for i, index in enumerate(sequence) if index in below)
+            excluded.append((sequence, (j, "floor", witness)))
+            continue
+        source = masks[sequence[0]]
+        for i in range(1, len(sequence)):
+            target = masks[sequence[i]]
+            if (source ^ target).bit_count() > max_diff:
+                excluded.append((sequence, (j, "diff", i - 1)))
                 break
+            source = target
         else:
-            for i in range(len(sequence) - 1):
-                if (masks[sequence[i]] ^ masks[sequence[i + 1]]).bit_count() > max_diff:
-                    excluded.append((sequence, (j, "diff", i)))
-                    break
-            else:
-                total = sum([values[index] for index in sequence])
-                ranked.append(((-total, len(sequence), sequence), (j, total)))
-    # Sort on the keys alone: equal keys keep their input order.
-    by_order, row = itemgetter(0), itemgetter(1)
-    ranked.sort(key=by_order)
-    excluded.sort(key=by_order)
-    return list(map(row, ranked)), list(map(row, excluded))
+            ranked.append((j, sum(map(value, sequence))))
+    # Descending totals, stably: the same order as ascending -total, since
+    # no total is NaN.
+    ranked.sort(key=itemgetter(1), reverse=True)
+    excluded.sort(key=itemgetter(0))
+    return ranked, list(map(itemgetter(1), excluded))
 
 
 def rank_roadmaps(
@@ -427,13 +474,19 @@ def rank_roadmaps(
         tuple([position[c.members] for c in roadmap.configurations])
         for roadmap in roadmaps
     ]
+    # The values are taken before any filter, in the order the roadmaps
+    # first name the configurations: the first without a value raises.
+    values: list = [None] * len(ordered)
+    for i in dict.fromkeys(itertools.chain.from_iterable(sequences)):
+        values[i] = _unique_value(db, ordered[i], rule.var)
+    order = sorted(range(len(sequences)), key=lambda j: (len(sequences[j]), sequences[j]))
     ranked, excluded = _rank_sequences(
-        db, ordered, _member_masks(ordered), sequences, rule
+        values, _member_masks(ordered), [sequences[j] for j in order], rule
     )
     return RoadmapRanking(
-        tuple([RankedRoadmap(roadmaps[j], total) for j, total in ranked]),
+        tuple([RankedRoadmap(roadmaps[order[j]], total) for j, total in ranked]),
         tuple([
-            ExcludedRoadmap(roadmaps[j], reason, witness)
+            ExcludedRoadmap(roadmaps[order[j]], reason, witness)
             for j, reason, witness in excluded
         ]),
     )

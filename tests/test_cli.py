@@ -470,6 +470,30 @@ def test_roadmaps_rows_match_the_record_payload(tmp_path, monkeypatch):
     assert json.loads(out)["ranked"] == json.loads(out)["excluded"] == []
 
 
+def test_roadmaps_that_repeat_an_operator_match_the_record_payload(tmp_path):
+    # Four configurations, {x or y} by {p or q}: at max_len 4 a roadmap can
+    # take x to y twice, which no roadmap of three configurations can.
+    path = tmp_path / "antichain.req"
+    path.write_text(
+        "g g1 !. g g2 !. t x: v = 1. t y: v = 2. t p. t q.\n"
+        "k ix: x -> g1. k iy: y -> g1. k c1 !: x & y -> false.\n"
+        "k ip: p -> g2. k iq: q -> g2. k c2 !: p & q -> false.\n"
+    )
+    for floor, max_diff in ((-math.inf, 10), (1.5, 10), (-math.inf, 4)):
+        for fmt in ("json", "text"):
+            args = argparse.Namespace(
+                file=str(path), format=fmt, var="v", floor=floor, maxdiff=max_diff,
+                maxlen=4, max_atoms=64, max_results=None,
+            )
+            ours = roadmaps_outcome(roadmapper.cli.cmd_roadmaps, args)
+            assert ours == roadmaps_outcome(reference_cmd_roadmaps, args), (floor, max_diff, fmt)
+            assert ours[0] == 0
+            if fmt == "json" and max_diff == 10 and floor < 0:
+                ranked = json.loads(ours[1])["ranked"]
+                assert len(ranked) == 64
+                assert sum(len(r["adaptations"]) < len(r["sequence"]) - 1 for r in ranked) == 8
+
+
 # --- dot --------------------------------------------------------------------------
 
 def test_dot_three_requirements_one_edge(capsys, tmp_path):

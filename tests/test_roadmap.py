@@ -222,7 +222,10 @@ def test_identical_configurations_in_a_roadmap_are_rejected():
 def test_roadmap_limit_counts_every_roadmap():
     configs = [cfg(f"c{i}", {"m", f"x{i}"}) for i in range(3)]
     assert len(build_roadmaps(parse_ok(""), configs, 2, limit=9)) == 9
-    message = r"^more than 8 roadmaps; raise the limit or lower max_len$"
+    message = (
+        r"^9 roadmaps up to max_len 2 exceed the limit of 8; "
+        r"lower max_len \(--maxlen\) or, in the library, pass a larger limit=$"
+    )
     with pytest.raises(ResourceLimitError, match=message):
         build_roadmaps(parse_ok(""), configs, 2, limit=8)
 

@@ -1,5 +1,6 @@
 """`build_roadmaps` over the index core against the loop that built each
-roadmap record in turn: the same roadmaps, and the same first error."""
+roadmap record in turn: the same roadmaps, and the same first error; and
+the core's sequence order and interned operator sets."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from roadmapper.errors import (
     ResourceLimitError,
     RoadmapperError,
 )
-from roadmapper.roadmap import Roadmap, build_roadmaps, derive_adaptation
+from roadmapper.roadmap import Roadmap, _IndexRoadmaps, build_roadmaps, derive_adaptation
 
 from conftest import parse_ok
 
@@ -47,8 +48,12 @@ def reference_build_roadmaps(db, configs, max_len, *, limit):
                 keys.append(key)
             roadmaps.append(Roadmap(sequence, frozenset(map(operators.get, keys))))
             if len(roadmaps) > limit:
+                count = sum(
+                    math.perm(len(ordered), k) for k in range(1, min(max_len, len(ordered)) + 1)
+                )
                 raise ResourceLimitError(
-                    f"more than {limit} roadmaps; raise the limit or lower max_len"
+                    f"{count} roadmaps up to max_len {max_len} exceed the limit of {limit}; "
+                    "lower max_len (--maxlen) or, in the library, pass a larger limit="
                 )
     return roadmaps
 
@@ -88,7 +93,52 @@ def test_build_roadmaps_matches_the_reference_and_its_first_error():
 def test_roadmap_limit_is_checked_before_any_record_is_built(las_enumeration, monkeypatch):
     built = []
     monkeypatch.setattr(roadmap, "Roadmap", lambda *fields: built.append(fields))
-    message = r"^more than 20000 roadmaps; raise the limit or lower max_len$"
+    message = (
+        r"^2064640 roadmaps up to max_len 3 exceed the limit of 20000; "
+        r"lower max_len \(--maxlen\) or, in the library, pass a larger limit=$"
+    )
     with pytest.raises(ResourceLimitError, match=message):
         build_roadmaps(las_enumeration.database, las_enumeration.configurations, 3)
     assert built == []
+
+
+def test_a_roadmap_that_repeats_an_operator_matches_the_reference():
+    # Up to three configurations no roadmap repeats an operator: A-B = B-C
+    # would lie in B, and A-B is disjoint from B. Four configurations of this
+    # antichain can: {x,p} -> {y,p} -> {x,q} -> {y,q} takes x to y twice.
+    configs = [
+        Configuration(f"s{i}", frozenset(members))
+        for i, members in enumerate([{"x", "p"}, {"y", "p"}, {"x", "q"}, {"y", "q"}])
+    ]
+    ours = build_roadmaps(parse_ok(""), configs, 4)
+    assert ours == reference_build_roadmaps(parse_ok(""), configs, 4, limit=20000)
+    assert len(ours) == 64
+    repeats = [r for r in ours if len(r.configurations) - 1 > len(r.adaptations)]
+    assert len(repeats) == 8
+    assert all(len(r.configurations) == 4 and len(r.adaptations) == 2 for r in repeats)
+
+
+def operator_set(core, sequence):
+    """The positions of the operators a sequence needs, one frozenset built
+    from its steps: the oracle for the core's interned operator sets."""
+    return frozenset(core.steps[a][b] for a, b in zip(sequence, sequence[1:]))
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+def test_sequences_come_in_permutation_order_with_interned_operator_sets(max_len):
+    # A grid of {x,y,z} by {p,q}: an antichain in which many pairs share an
+    # operator, so the sets of longer roadmaps meet the same steps again.
+    grid = [frozenset(pair) for pair in itertools.product("xyz", "pq")]
+    for n in range(7):
+        core = _IndexRoadmaps(
+            [Configuration(f"s{i}", members) for i, members in enumerate(grid[:n])],
+            max_len,
+            10**6,
+        )
+        assert core.sequences == list(itertools.chain.from_iterable(
+            itertools.permutations(range(n), k) for k in range(1, min(max_len, n) + 1)
+        ))
+        assert len(core.set_numbers) == len(core.sequences)
+        for sequence, number in zip(core.sequences, core.set_numbers):
+            assert core.operator_sets[number] == operator_set(core, sequence)
+        assert len(set(core.operator_sets)) == len(core.operator_sets)
