@@ -9,8 +9,8 @@ JSON is written as it is produced, one member of the top-level containers
 at a time, once the whole payload is built, so a failing command never leaves
 half a document on stdout. `roadmaps` writes its `ranked` and `excluded`
 rows straight from the index core of `roadmap.py` (`_IndexRoadmaps`), from
-fragments rendered once; it builds none of the library's roadmap records,
-which are unchanged.
+fragments rendered once; it builds none of the library's roadmap or
+operator records, which are unchanged.
 
 One command table (`_COMMANDS`) defines the commands and their options. A
 canonical argv is read from it directly (`_read_argv`); argparse is built
@@ -58,10 +58,6 @@ from .model import (
     PlateauThenDecay,
     RequirementsDatabase,
     Sort,
-)
-from .operationalization import (
-    qualitative_operationalizations,
-    quantitative_operationalizations,
 )
 from .parser import ParseResult, load_file, serialize
 from .roadmap import (
@@ -379,17 +375,7 @@ def cmd_configs(args) -> int:
         )
         return EXIT_MODEL
     enum = _enumerate(args, result.database)
-    db = enum.database
     entries = []
-    if args.explain:
-        # The operationalizations of a target do not depend on the configuration.
-        target_ops = [
-            (target, qualitative_operationalizations(target, db))
-            for target in db.mandatory_ids(Sort.GOAL, Sort.SOFTGOAL)
-        ] + [
-            (target, quantitative_operationalizations(target, db))
-            for target in db.mandatory_ids(Sort.QUALITY_CONSTRAINT)
-        ]
     # Configurations share report objects (enumeration returns one passing
     # report for all): one dict per distinct report, which the writer renders once.
     properties: dict[int, dict] = {}
@@ -403,8 +389,8 @@ def cmd_configs(args) -> int:
         }
         if args.explain:
             entry["explanations"] = {
-                target: [sorted(op.support) for op in ops if op.support <= config.members]
-                for target, ops in target_ops
+                target: [sorted(s) for s in supports if s <= config.members]
+                for target, supports in enum.supports.items()
             }
         entries.append(entry)
     payload = {
@@ -476,11 +462,12 @@ def cmd_roadmaps(args) -> int:
         return code
     enum = _enumerate(args, db)
     # Every limit, operator and value error is raised here, before any write.
-    roadmaps = _IndexRoadmaps(enum.configurations, args.maxlen, DEFAULT_ROADMAP_LIMIT)
-    ranked, excluded = roadmaps.rank(
-        enum.database, RoadmapValueSum(args.var, args.floor, args.maxdiff)
+    roadmaps = _IndexRoadmaps(
+        enum.database, enum.configurations, args.maxlen, DEFAULT_ROADMAP_LIMIT
     )
-    sequences, set_numbers = roadmaps.sequences, roadmaps.set_numbers
+    ranked, excluded = roadmaps.rank(RoadmapValueSum(args.var, args.floor, args.maxdiff))
+    sequences, set_numbers, masks = roadmaps.sequences, roadmaps.set_numbers, roadmaps.masks
+    ids_of = enum.database.closure_index.ids_of
     ids = [c.id for c in roadmaps.configurations]
 
     # Rows are written from fragments rendered once, at a row's fixed depth:
@@ -494,7 +481,8 @@ def cmd_roadmaps(args) -> int:
 
     def ranked_rows():
         memo: dict = {}  # `_json_text`'s memo for the adaptations lists
-        # Each operator's entry, with its (delete, add) lists to sort on.
+        # Each operator's entry, with its (delete, add) lists to sort on:
+        # the default trigger is the delete list. `ids_of` lists ids sorted.
         entries: list[tuple | None] = [None] * len(roadmaps.operators)
         lists: list[str | None] = [None] * len(roadmaps.operator_sets)
         totals: dict[float, str] = {}
@@ -505,11 +493,10 @@ def cmd_roadmaps(args) -> int:
                 numbers = roadmaps.operator_sets[number]
                 for k in numbers:
                     if entries[k] is None:
-                        a = roadmaps.operators[k]
-                        add, delete = sorted(a.add), sorted(a.delete)
+                        a, b = roadmaps.operators[k]
+                        add, delete = ids_of(masks[b] & ~masks[a]), ids_of(masks[a] & ~masks[b])
                         entries[k] = (
-                            (delete, add),
-                            {"trigger": sorted(a.trigger), "add": add, "delete": delete},
+                            (delete, add), {"trigger": delete, "add": add, "delete": delete}
                         )
                 by_lists = sorted([entries[k] for k in numbers], key=itemgetter(0))
                 adaptations = lists[number] = _json_text(
@@ -842,40 +829,16 @@ def _read_argv(argv) -> argparse.Namespace | None:
     return argparse.Namespace(**values)
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's formatter, with its default width worked out here as
-    `shutil.get_terminal_size().columns - 2` would: `COLUMNS`, else the
-    width of the terminal on `sys.__stdout__`, else 80. The stock formatter
-    imports `shutil` (and its compression modules) for this on first use,
-    a cost every call that builds the parser would pay. A terminal that reports 0 columns
-    counts as 80, as `shutil` has it from Python 3.11 on."""
-
-    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
-        if width is None:
-            try:
-                width = int(os.environ["COLUMNS"])
-            except (KeyError, ValueError):
-                width = 0
-            if width <= 0:
-                try:
-                    width = os.get_terminal_size(sys.__stdout__.fileno()).columns
-                except (AttributeError, ValueError, OSError):
-                    width = 0
-            width = (width or 80) - 2
-        super().__init__(prog, indent_increment, max_help_position, width)
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     """argparse's parser for the command table: it gives the help, the usage
     errors and the other spellings that `_read_argv` leaves to it."""
     parser = argparse.ArgumentParser(
         prog="roadmapper",
         description="Reason over mixed-variable requirements databases.",
-        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, func, arguments) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text, formatter_class=_HelpFormatter)
+        p = sub.add_parser(command, help=help_text)
         for argument in arguments:
             if isinstance(argument, _OneOf):
                 group = p.add_mutually_exclusive_group(required=True)

@@ -21,7 +21,7 @@ import functools
 import operator
 from collections.abc import Iterable, Iterator
 
-from ._record import fields, record
+from ._record import field, fields, record
 from .errors import ResourceLimitError, UnresolvedReferenceError, WrongSortError
 from .model import MEMBER_SORTS, Modality, RequirementsDatabase
 from .operationalization import (
@@ -101,13 +101,16 @@ _PASSED = PropertyReport(*[PropertyCheck(True)] * 6)
 @record(frozen=True)
 class EnumerationResult:
     """Configurations found, the database they refer to (value conflicts
-    expanded), whether the result list was truncated, and the property
-    report of each configuration, in the same order."""
+    expanded), whether the result list was truncated, the property report of
+    each configuration, in the same order, and the minimal supports of each
+    mandatory goal, softgoal and quality constraint, as id sets in canonical
+    order (empty when some target has none, and so no configuration)."""
 
     database: RequirementsDatabase
     configurations: tuple[Configuration, ...]
     truncated: bool = False
     reports: tuple[PropertyReport, ...] = ()
+    supports: dict[str, tuple[frozenset[str], ...]] = field(default_factory=dict)
 
     def __iter__(self):
         return iter(self.configurations)
@@ -240,9 +243,10 @@ def check_configuration(
 
 def _relevant_plains(
     db: RequirementsDatabase, budget: _Budget
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[int], dict[str, tuple[frozenset[str], ...]]]:
     """Minimal threshold coverages and the plain members worth adding to
-    them, as masks and bits of the closure index.
+    them, as masks and bits of the closure index, and each mandatory
+    target's minimal supports, as id sets (all empty when a target has none).
 
     Beyond threshold support (captured by the coverages), a plain member can
     earn its place in a configuration only by blocking an optional addition
@@ -251,6 +255,7 @@ def _relevant_plains(
     """
     index = db.closure_index
     coverages = [index.mandatory_mask]
+    by_target = {}
     for target in index.qual_targets + index.quant_targets:
         routes = (
             frozenset({"inferred"})
@@ -259,7 +264,8 @@ def _relevant_plains(
         )
         supports = _minimal_supports(target, db, routes, budget)
         if not supports:
-            return [], []
+            return [], [], {}
+        by_target[target] = tuple(frozenset(index.ids_of(s)) for s in supports)
         budget.tick("threshold-support combination", len(coverages) * len(supports))
         coverages = _minimal_masks(
             [base | support for base in coverages for support in supports],
@@ -279,7 +285,7 @@ def _relevant_plains(
     # Conflicts, implications and the member sorts are all k or t, so every
     # bit of the pool is a member: the plain ones are neither of the others.
     plains = pool & ~(index.mandatory_mask | optional_mask)
-    return coverages, [index.bit[req_id] for req_id in index.ids_of(plains)]
+    return coverages, [index.bit[req_id] for req_id in index.ids_of(plains)], by_target
 
 
 def enumerate_configurations(
@@ -307,7 +313,7 @@ def enumerate_configurations(
         db, _Budget(search_limit, "search_limit", "enumerate_configurations"), {}
     )
     index = search.index
-    coverages, plains = _relevant_plains(db, search.budget)
+    coverages, plains, supports = _relevant_plains(db, search.budget)
     # Grow each minimal coverage with every useful subset of the remaining
     # plain candidates, then each grown base with its maximal sets of
     # optional members.
@@ -347,4 +353,4 @@ def enumerate_configurations(
         for i, members in enumerate(found, start=1)
     )
     # Every report that passes all six properties equals _PASSED.
-    return EnumerationResult(db, labeled, truncated, (_PASSED,) * len(labeled))
+    return EnumerationResult(db, labeled, truncated, (_PASSED,) * len(labeled), supports)

@@ -38,23 +38,26 @@ class Closure:
 def _resolve_premises(
     pi: Iterable[Requirement | str], db: RequirementsDatabase | None
 ) -> dict[str, Requirement]:
+    """The premises by id. An unknown id, or a premise that references one,
+    raises; the least such id names the error, whatever the order of `pi`."""
     premises: dict[str, Requirement] = {}
+    unknown = []
     for item in pi:
         if isinstance(item, Requirement):
             premises[item.id] = item
         elif db is not None and item in db:
             premises[item] = db[item]
         else:
-            raise UnresolvedReferenceError(f"cannot resolve premise id {item!r}")
+            unknown.append(item)
+    if unknown:
+        raise UnresolvedReferenceError(f"cannot resolve premise id {min(unknown)!r}")
     universe = set(premises)
     if db is not None:
         universe |= set(db.requirements)
-    for req in premises.values():
-        missing = req.references() - universe
-        if missing:
-            raise UnresolvedReferenceError(
-                f"{req.id!r} references unresolved ids {sorted(missing)}"
-            )
+    bad = min((i for i, req in premises.items() if req.references() - universe), default=None)
+    if bad is not None:
+        missing = premises[bad].references() - universe
+        raise UnresolvedReferenceError(f"{bad!r} references unresolved ids {sorted(missing)}")
     return premises
 
 

@@ -91,7 +91,7 @@ def _resolve_ids(members: Iterable[Requirement | str], db: RequirementsDatabase)
     # and each closure keeps its set as `members`.
     ids = frozenset(set(listed))
     if not ids <= db.requirements.keys():
-        unknown = next(req_id for req_id in listed if req_id not in db)
+        unknown = min(ids - db.requirements.keys())  # whatever the set's order
         raise UnresolvedReferenceError(f"cannot resolve requirement id {unknown!r}")
     return ids
 

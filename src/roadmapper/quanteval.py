@@ -271,13 +271,16 @@ def val(
     quantitative-refinement equalities whose inputs are uniquely valued.
     """
     reqs: list[Requirement] = []
+    unknown = []
     for item in x_set:
         if isinstance(item, Requirement):
             reqs.append(item)
-        else:
-            if db is None or item not in db:
-                raise UnresolvedReferenceError(f"cannot resolve requirement id {item!r}")
+        elif db is not None and item in db:
             reqs.append(db[item])
+        else:
+            unknown.append(item)
+    if unknown:  # the least, whatever the order of `x_set`
+        raise UnresolvedReferenceError(f"cannot resolve requirement id {min(unknown)!r}")
     return propagate_values(reqs).get(_name(var), frozenset())
 
 

@@ -22,7 +22,6 @@ from .errors import (
     RamificationFailureError,
     ResourceLimitError,
     TriggerNotInSourceError,
-    UnresolvedReferenceError,
 )
 from .model import (
     Modality,
@@ -188,35 +187,22 @@ def apply_adaptation(
     return Configuration.from_members(members)
 
 
-def _member_masks(member_sets: Iterable[frozenset[str]]) -> list[int]:
-    """An int bitmask for each member set, in order, one bit per member id."""
-    bits: dict[str, int] = {}
-    masks = []
-    for members in member_sets:
-        mask = 0
-        for member in members:
-            bit = bits.get(member)
-            if bit is None:
-                bit = bits[member] = 1 << len(bits)
-            mask |= bit
-        masks.append(mask)
-    return masks
-
-
 class _IndexRoadmaps:
     """Every roadmap up to `max_len` over `configs`, as a tuple of indices
-    into `configurations`, the configurations in canonical order.
+    into `configurations`, the configurations in canonical order, each
+    member set resolved against `db`.
 
     `sequences` holds the singletons, then each longer length's sequences
     in permutation order, which extends each sequence of the length before,
     in order, by every index it lacks, in ascending order: so they come in
     (length, indices) order.
 
-    `masks[i]` is the member bitmask of configuration i. The default trigger
-    is the delete list, so an operator is known by its (add, delete) masks;
-    `operators` holds each distinct one, derived once (on LAS at max_len 2,
-    16,256 pairs give 2,186), and `steps[a][b]` is the position there of the
-    operator from configuration a to configuration b.
+    `masks[i]` is the member mask of configuration i in `db.closure_index`.
+    The default trigger is the delete list, so an operator is known by its
+    (add, delete) masks; `operators` holds the first pair (a, b) of each
+    distinct one (on LAS at max_len 2, 16,256 pairs give 2,186), and
+    `steps[a][b]` is the position there of the operator from configuration a
+    to configuration b. No operator record is built here.
 
     `operator_sets` holds each distinct set of operators a roadmap needs, as
     positions in `operators`: the empty set, each operator's own set
@@ -225,27 +211,38 @@ class _IndexRoadmaps:
     prefix's number and its last step through one memo per set number, so
     no sequence builds a set of its own.
 
-    Raises as building the roadmaps one by one would: every pair first meets
-    its operator at length 2, after the singletons, so the first pair whose
-    operator cannot be derived raises, unless more than `limit` roadmaps come
-    before it; then a count above `limit` raises."""
+    Raises first for a member that `db` does not declare (naming the least
+    such id of the first configuration with one). Then it raises as building
+    the roadmaps one by one would: every pair first meets its operator at
+    length 2, after the singletons, so the first pair whose operator cannot
+    be derived raises, unless more than `limit` roadmaps come before it;
+    then a count above `limit` raises.
+    Deriving an operator fails exactly when the source's members lie within
+    the target's (identical, or nothing to delete), so `derive_adaptation`
+    is called only to raise its error there."""
 
     __slots__ = (
-        "configurations", "masks", "operators", "steps", "sequences",
+        "db", "configurations", "masks", "operators", "steps", "sequences",
         "operator_sets", "set_numbers",
     )
 
-    def __init__(self, configs: Sequence[Configuration], max_len: int, limit: int):
+    def __init__(
+        self,
+        db: RequirementsDatabase,
+        configs: Sequence[Configuration],
+        max_len: int,
+        limit: int,
+    ):
         if max_len < 1:
             raise ValueError("max_len must be at least 1")
+        self.db = db
         self.configurations = ordered = sorted(configs, key=lambda c: c.canonical_key)
-        self.masks = masks = _member_masks([c.members for c in ordered])
+        mask = db.closure_index.mask
+        self.masks = masks = [mask(_resolve_ids(c.members, db)) for c in ordered]
         n = len(ordered)
         longest = min(max_len, n)
         count = sum(math.perm(n, k) for k in range(1, longest + 1))
         if count > limit:
-            # Deriving an operator fails exactly when the source's members
-            # lie within the target's: identical, or nothing to delete.
             pairs = itertools.permutations(range(n), 2) if max_len > 1 else ()
             for a, b in itertools.islice(pairs, max(0, limit + 1 - n)):
                 if not masks[a] & ~masks[b]:
@@ -256,7 +253,7 @@ class _IndexRoadmaps:
             )
         # Row by row, each row in ascending order: the pairs in permutation
         # order. A row looks up every key at once, then numbers the misses.
-        self.operators: list[AdaptationRequirement] = []
+        self.operators: list[tuple[int, int]] = []
         self.steps: list[list[int]] = []
         numbers: dict[tuple[int, int], int] = {}
         for a, source in enumerate(masks if max_len > 1 else ()):
@@ -266,7 +263,9 @@ class _IndexRoadmaps:
             for b in [b for b, number in enumerate(row) if number is None]:
                 number = numbers.get(keys[b])
                 if number is None:
-                    self.operators.append(derive_adaptation(ordered[a], ordered[b]))
+                    if not keys[b][1]:
+                        derive_adaptation(ordered[a], ordered[b])
+                    self.operators.append((a, b))
                     number = numbers[keys[b]] = len(numbers)
                 row[b] = number
             self.steps.append(row)
@@ -308,10 +307,10 @@ class _IndexRoadmaps:
                 set_numbers += extensions
             start = end
 
-    def rank(self, db: RequirementsDatabase, rule: RoadmapValueSum):
+    def rank(self, rule: RoadmapValueSum):
         """`_rank_sequences` over these roadmaps, taking the values in index
         order, the order the singletons name the configurations."""
-        values = [_unique_value(db, c.members, rule.var) for c in self.configurations]
+        values = [_unique_value(self.db, c.members, rule.var) for c in self.configurations]
         return _rank_sequences(values, self.masks, self.sequences, rule)
 
 
@@ -323,14 +322,13 @@ def build_roadmaps(
     limit: int = DEFAULT_ROADMAP_LIMIT,
 ) -> list[Roadmap]:
     """All roadmaps over distinct configurations up to `max_len`, each with
-    the operators connecting its consecutive pairs."""
-    core = _IndexRoadmaps(configs, max_len, limit)
+    the operators connecting its consecutive pairs. Every member must be
+    declared in `db`; the first undeclared one raises, as in `_IndexRoadmaps`."""
+    core = _IndexRoadmaps(db, configs, max_len, limit)
     ordered = core.configurations
-    # One object per distinct operator set, as per distinct operator.
-    sets = [
-        frozenset(map(core.operators.__getitem__, numbers))
-        for numbers in core.operator_sets
-    ]
+    # One object per distinct operator, and per distinct operator set.
+    operators = [derive_adaptation(ordered[a], ordered[b]) for a, b in core.operators]
+    sets = [frozenset(map(operators.__getitem__, numbers)) for numbers in core.operator_sets]
     return [
         Roadmap(tuple([ordered[i] for i in sequence]), sets[number])
         for sequence, number in zip(core.sequences, core.set_numbers)
@@ -346,12 +344,10 @@ def _unique_value(
     the sorted members finds it, read from the closure index's memo of
     propagated values (which enumeration fills, and which checks for
     refinement cycles as `propagate_values` does)."""
-    unknown = members - db.requirements.keys()
-    if unknown:
-        raise UnresolvedReferenceError(f"cannot resolve requirement id {min(unknown)!r}")
     index = db.closure_index
+    assigned = index.mask(_resolve_ids(members, db)) & index.assignment_mask
     return one_value(
-        index.values_of(index.mask(members) & index.assignment_mask).get(var, frozenset()),
+        index.values_of(assigned).get(var, frozenset()),
         missing=f"variable {var!r} obtains no value in a configuration",
         several=lambda xs: f"variable {var!r} obtains several values {xs}; "
         "expand value conflicts before ranking",
@@ -475,14 +471,14 @@ def rank_roadmaps(
         for roadmap in roadmaps
     ]
     # The values are taken before any filter, in the order the roadmaps
-    # first name the configurations: the first without a value raises.
+    # first name the configurations: the first without a value, or with a
+    # member `db` does not declare, raises. Every member set is then known.
     values: list = [None] * len(ordered)
     for i in dict.fromkeys(itertools.chain.from_iterable(sequences)):
         values[i] = _unique_value(db, ordered[i], rule.var)
     order = sorted(range(len(sequences)), key=lambda j: (len(sequences[j]), sequences[j]))
-    ranked, excluded = _rank_sequences(
-        values, _member_masks(ordered), [sequences[j] for j in order], rule
-    )
+    masks = list(map(db.closure_index.mask, ordered))
+    ranked, excluded = _rank_sequences(values, masks, [sequences[j] for j in order], rule)
     return RoadmapRanking(
         tuple([RankedRoadmap(roadmaps[order[j]], total) for j, total in ranked]),
         tuple([

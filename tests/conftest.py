@@ -21,6 +21,11 @@ def parse_ok(text: str):
     return result.database
 
 
+def declaring(ids: Iterable[str]):
+    """A database that declares each of `ids` as a task, and nothing else."""
+    return parse_ok("".join(f"t {req_id}.\n" for req_id in sorted(set(ids))))
+
+
 def implication_chain(n: int) -> str:
     """`t a0.`, goals a1..an, and one implication per link a{i-1} -> a{i}."""
     lines = ["t a0."] + [f"g a{i}." for i in range(1, n + 1)]

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roadmapper.cli
+from roadmapper import operationalization, roadmap
 from roadmapper.cli import ATOM_LIMIT_ENV, _write_json, main
 from roadmapper.errors import MissingValueError, RoadmapperError
 from roadmapper.parser import parse, serialize
@@ -248,18 +249,25 @@ def test_configs_explain_witnesses(capsys, schema, toy_file):
 def test_configs_explain_computes_operationalizations_once(
     capsys, toy_file, monkeypatch
 ):
-    calls = []
-    for name in ("qualitative_operationalizations", "quantitative_operationalizations"):
-        original = getattr(roadmapper.cli, name)
+    # `--explain` reads the supports enumeration found: it runs no support
+    # search of its own.
+    searches = []
+    original = operationalization._SupportSearch.__init__
 
-        def counted(target, db, _original=original, _name=name):
-            calls.append((_name, target))
-            return _original(target, db)
+    def counted(self, db, budget, phase):
+        searches.append(phase)
+        original(self, db, budget, phase)
 
-        monkeypatch.setattr(roadmapper.cli, name, counted)
-    code, out, _ = run(capsys, "configs", toy_file, "--explain")
-    assert code == 0 and json.loads(out)["count"] == 2
-    assert calls == [("qualitative_operationalizations", "p1")]
+    monkeypatch.setattr(operationalization._SupportSearch, "__init__", counted)
+    for argv in (["configs", toy_file], ["configs", str(LAS_PATH), "--max-atoms", "64"]):
+        searches.clear()
+        plain = run(capsys, *argv)
+        plain_searches = searches.copy()
+        searches.clear()
+        explained = run(capsys, *argv, "--explain")
+        assert plain[0] == explained[0] == 0
+        assert json.loads(plain[1])["count"] == json.loads(explained[1])["count"] >= 2
+        assert searches == plain_searches != []
 
 
 # --- rank ----------------------------------------------------------------------
@@ -313,6 +321,15 @@ def test_roadmaps_las_includes_the_swap(capsys, schema):
         for a in item["adaptations"]
     )
     assert found
+
+
+def test_las_roadmaps_derive_no_operator_record(capsys, monkeypatch):
+    # The rows list each operator from its pair's masks.
+    calls = []
+    monkeypatch.setattr(roadmap, "derive_adaptation", lambda *args: calls.append(args))
+    code, out, _ = run(capsys, *LAS_ROADMAPS, "--maxlen", "2")
+    assert code == 0 and json.loads(out)["ranked"]
+    assert calls == []
 
 
 def test_roadmaps_floor_filters_everything(capsys, schema, toy_file):

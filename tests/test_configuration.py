@@ -302,7 +302,7 @@ def test_target_meeting_consistent_sets_hold_a_coverage(seed, tasks, quantities)
         )
     )
     index = db.closure_index
-    masks, _ = configuration._relevant_plains(
+    masks, _, _ = configuration._relevant_plains(
         db, _Budget(DEFAULT_SEARCH_LIMIT, "search_limit", "enumerate_configurations")
     )
     coverages = [frozenset(index.ids_of(mask)) for mask in masks]

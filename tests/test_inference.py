@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import roadmapper
 from roadmapper.errors import UnresolvedReferenceError
 from roadmapper.inference import closure, entails, is_consistent
 from roadmapper.model import (
@@ -251,3 +256,52 @@ def test_premise_outside_the_database_references_its_ids():
     assert result.support["r"] == frozenset({"i", "j"})
     assert result.bottom_witness == frozenset({"c"})
     assert "j" not in db
+
+
+UNRESOLVED_SCRIPT = """
+from roadmapper.configuration import Configuration
+from roadmapper.errors import UnresolvedReferenceError
+from roadmapper.inference import closure
+from roadmapper.model import Implication, Requirement
+from roadmapper.operationalization import satisfaction_closure
+from roadmapper.parser import parse
+from roadmapper.quanteval import val
+from roadmapper.roadmap import build_roadmaps
+
+db = parse("t x.").database
+ghosts = frozenset({"ghost1", "ghost2", "ghost3"})
+dangling = {Requirement(i, Implication(frozenset({"x"}), "ghost")) for i in ("i3", "i1", "i2")}
+calls = [
+    lambda: closure(ghosts, db),
+    lambda: closure(dangling, db),
+    lambda: satisfaction_closure(ghosts | {"x"}, db),
+    lambda: val(ghosts, "v", db),
+    lambda: build_roadmaps(db, [Configuration("a", ghosts | {"x"})], 1),
+]
+for call in calls:
+    try:
+        call()
+    except UnresolvedReferenceError as exc:
+        print(exc)
+"""
+
+
+def test_unresolved_id_errors_do_not_depend_on_hash_seed():
+    # Each names the least unknown id (or premise) of a set input, whose
+    # iteration order changes with the hash seed.
+    package_root = str(Path(roadmapper.__file__).resolve().parent.parent)
+    outputs = set()
+    for hashseed in ("1", "2", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-c", UNRESOLVED_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        outputs.add(done.stdout)
+    assert outputs == {
+        "cannot resolve premise id 'ghost1'\n"
+        "'i1' references unresolved ids ['ghost']\n"
+        "cannot resolve requirement id 'ghost1'\n"
+        "cannot resolve requirement id 'ghost1'\n"
+        "cannot resolve requirement id 'ghost1'\n"
+    }

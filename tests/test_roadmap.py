@@ -46,7 +46,7 @@ from roadmapper.roadmap import (
 from roadmapper.quanteval import unique_val
 from roadmapper.testkit import ModelGenSpec, generate_database
 
-from conftest import parse_ok
+from conftest import declaring, parse_ok
 from test_operationalization import (
     CYCLIC,
     DIVIDING,
@@ -171,19 +171,19 @@ def test_adaptation_round_trip_on_random_configurations():
 
 def test_three_configurations_maxlen_two_give_nine_roadmaps():
     configs = [cfg(f"c{i}", {"m", f"x{i}"}) for i in range(3)]
-    roadmaps = build_roadmaps(parse_ok(""), configs, 2)
+    roadmaps = build_roadmaps(declaring(["m", "x0", "x1", "x2"]), configs, 2)
     assert len(roadmaps) == 9  # 3 singletons + 6 ordered pairs
 
 
 def test_single_configuration_roadmap():
-    roadmaps = build_roadmaps(parse_ok(""), [cfg("c", {"x"})], 3)
+    roadmaps = build_roadmaps(declaring("x"), [cfg("c", {"x"})], 3)
     assert len(roadmaps) == 1
     assert roadmaps[0].adaptations == frozenset()
 
 
 def test_maxlen_zero_rejected():
     with pytest.raises(ValueError):
-        build_roadmaps(parse_ok(""), [cfg("c", {"x"})], 0)
+        build_roadmaps(declaring("x"), [cfg("c", {"x"})], 0)
 
 
 def test_las_roadmaps_share_one_object_per_distinct_operator(las_enumeration):
@@ -214,20 +214,30 @@ def test_las_roadmaps_derive_each_distinct_operator_once(las_enumeration, monkey
 
 def test_identical_configurations_in_a_roadmap_are_rejected():
     configs = [cfg("a", {"x", "y"}), cfg("b", {"y", "x"})]
-    assert len(build_roadmaps(parse_ok(""), configs, 1)) == 2
+    db = declaring("xy")
+    assert len(build_roadmaps(db, configs, 1)) == 2
     with pytest.raises(IdenticalConfigurationsError):
-        build_roadmaps(parse_ok(""), configs, 2)
+        build_roadmaps(db, configs, 2)
 
 
 def test_roadmap_limit_counts_every_roadmap():
     configs = [cfg(f"c{i}", {"m", f"x{i}"}) for i in range(3)]
-    assert len(build_roadmaps(parse_ok(""), configs, 2, limit=9)) == 9
+    db = declaring(["m", "x0", "x1", "x2"])
+    assert len(build_roadmaps(db, configs, 2, limit=9)) == 9
     message = (
         r"^9 roadmaps up to max_len 2 exceed the limit of 8; "
         r"lower max_len \(--maxlen\) or, in the library, pass a larger limit=$"
     )
     with pytest.raises(ResourceLimitError, match=message):
-        build_roadmaps(parse_ok(""), configs, 2, limit=8)
+        build_roadmaps(db, configs, 2, limit=8)
+
+
+def test_build_roadmaps_rejects_an_undeclared_member_naming_the_least():
+    configs = [cfg("a", {"x", "ghost2"}), cfg("b", {"x", "ghost3", "ghost1"})]
+    message = r"^cannot resolve requirement id 'ghost1'$"
+    for max_len, limit in ((1, 20000), (2, 20000), (2, 0)):
+        with pytest.raises(UnresolvedReferenceError, match=message):
+            build_roadmaps(declaring("x"), configs, max_len, limit=limit)
 
 
 # --- roadmap records ----------------------------------------------------------------

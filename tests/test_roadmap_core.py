@@ -19,7 +19,7 @@ from roadmapper.errors import (
 )
 from roadmapper.roadmap import Roadmap, _IndexRoadmaps, build_roadmaps, derive_adaptation
 
-from conftest import parse_ok
+from conftest import declaring
 
 
 def reference_build_roadmaps(db, configs, max_len, *, limit):
@@ -61,7 +61,7 @@ def reference_build_roadmaps(db, configs, max_len, *, limit):
 def build_outcome(build, configs, max_len, limit):
     """The roadmaps, or the type and message of the error that ended the build."""
     try:
-        return build(parse_ok(""), configs, max_len, limit=limit)
+        return build(declaring("abcd"), configs, max_len, limit=limit)
     except (RoadmapperError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -110,8 +110,9 @@ def test_a_roadmap_that_repeats_an_operator_matches_the_reference():
         Configuration(f"s{i}", frozenset(members))
         for i, members in enumerate([{"x", "p"}, {"y", "p"}, {"x", "q"}, {"y", "q"}])
     ]
-    ours = build_roadmaps(parse_ok(""), configs, 4)
-    assert ours == reference_build_roadmaps(parse_ok(""), configs, 4, limit=20000)
+    db = declaring("xypq")
+    ours = build_roadmaps(db, configs, 4)
+    assert ours == reference_build_roadmaps(db, configs, 4, limit=20000)
     assert len(ours) == 64
     repeats = [r for r in ours if len(r.configurations) - 1 > len(r.adaptations)]
     assert len(repeats) == 8
@@ -131,6 +132,7 @@ def test_sequences_come_in_permutation_order_with_interned_operator_sets(max_len
     grid = [frozenset(pair) for pair in itertools.product("xyz", "pq")]
     for n in range(7):
         core = _IndexRoadmaps(
+            declaring("xyzpq"),
             [Configuration(f"s{i}", members) for i, members in enumerate(grid[:n])],
             max_len,
             10**6,
