@@ -9,18 +9,24 @@
 rebuilds the class with `__slots__` and pickles it through
 `__getstate__`/`__setstate__`.
 
-Only `__init__` is compiled, once per class; equality and hashing are
-closures over an `operator.attrgetter` of the compared fields, and the other
-methods are shared. A dataclass compiles about six
-functions per class and imports `inspect`, which made the decorations most
-of the package's import time. `fields` and `replace` stand in for their
-`dataclasses` namesakes; `dataclasses.fields`, `replace`, `asdict` and
-`is_dataclass` do not apply to records.
+Only `__init__` is compiled, once per shape (field count, frozen, the
+positions of factory fields, whether `__post_init__` is called) over
+placeholder names. Each class gets a copy of its shape's code with the
+placeholders renamed to its fields (`CodeType.replace`) and its defaults
+bound as `__defaults__`, so it runs the bytecode its own source would
+compile to; the CLI's import path decorates 46 classes of 16 shapes.
+Equality and hashing are closures over an `operator.attrgetter` of the
+compared fields, and the other methods are shared. A dataclass compiles
+about six functions per class and imports `inspect`, which made the
+decorations most of the package's import time. `fields` and `replace`
+stand in for their `dataclasses` namesakes; `dataclasses.fields`,
+`replace`, `asdict` and `is_dataclass` do not apply to records.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+from types import CodeType, FunctionType
 
 MISSING = object()
 
@@ -117,27 +123,60 @@ def _eq_hash(names):
     return __eq__, __hash__
 
 
-def _make_init(cls, fields, frozen):
-    """Compile the one function of a record class: its `__init__`."""
-    scope = {"__name__": cls.__module__, "_set": object.__setattr__, "_HAS_FACTORY": _HAS_FACTORY}
-    params, body = ["self"], []
-    for f in fields:
-        name, value = f.name, f.name
-        if f.default_factory is not MISSING:
-            scope[f"_factory_{name}"] = f.default_factory
-            params.append(f"{name}=_HAS_FACTORY")
-            value = f"_factory_{name}() if {name} is _HAS_FACTORY else {name}"
-        elif f.default is not MISSING:
-            scope[f"_default_{name}"] = f.default
-            params.append(f"{name}=_default_{name}")
-        else:
+# The compiled `__init__` of each shape met: (field count, frozen, factory
+# positions, whether `__post_init__` is called) -> code over placeholder names.
+_TEMPLATES: dict[tuple, CodeType] = {}
+
+
+def _template(count, frozen, factories, post_init) -> CodeType:
+    """The code of `__init__` for one shape, over the placeholder fields
+    `_0`, `_1`, ... and factories `_factory__0`, ...; compiled at the
+    shape's first class. A factory field calls its factory when its
+    argument is `_HAS_FACTORY`, the default `_make_init` binds for it."""
+    shape = (count, frozen, factories, post_init)
+    code = _TEMPLATES.get(shape)
+    if code is None:
+        params, body = ["self"], []
+        for i in range(count):
+            name = value = f"_{i}"
+            if i in factories:
+                value = f"_factory_{name}() if {name} is _HAS_FACTORY else {name}"
             params.append(name)
-        body.append(f"_set(self, {name!r}, {value})" if frozen else f"self.{name} = {value}")
-    if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
-    source = f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"])
-    exec(source, scope)
-    init = scope["__init__"]
+            body.append(f"_set(self, {name!r}, {value})" if frozen else f"self.{name} = {value}")
+        if post_init:
+            body.append("self.__post_init__()")
+        source = f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"])
+        scope = {}
+        exec(source, scope)
+        code = _TEMPLATES[shape] = scope["__init__"].__code__
+    return code
+
+
+def _make_init(cls, fields, frozen):
+    """The one function of a record class, its `__init__`: its shape's
+    template with the placeholders renamed to the fields, and the defaults
+    bound. It runs the bytecode that compiling its own source would give."""
+    scope = {"__name__": cls.__module__, "_set": object.__setattr__, "_HAS_FACTORY": _HAS_FACTORY}
+    rename, defaults, factories = {}, [], []
+    for i, f in enumerate(fields):
+        rename[f"_{i}"] = f.name
+        if f.default_factory is not MISSING:
+            factories.append(i)
+            rename[f"_factory__{i}"] = f"_factory_{f.name}"
+            scope[f"_factory_{f.name}"] = f.default_factory
+            defaults.append(_HAS_FACTORY)
+        elif f.default is not MISSING:
+            defaults.append(f.default)
+        elif defaults:
+            # As a dataclass says it; the defaults bind to the last parameters.
+            raise TypeError(f"non-default argument {f.name!r} follows default argument")
+    code = _template(len(fields), frozen, tuple(factories), hasattr(cls, "__post_init__"))
+    code = code.replace(
+        co_varnames=tuple(rename.get(s, s) for s in code.co_varnames),
+        co_names=tuple(rename.get(s, s) for s in code.co_names),
+        co_consts=tuple(rename.get(s, s) for s in code.co_consts),
+    )
+    init = FunctionType(code, scope, "__init__", tuple(defaults) or None)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
 

@@ -16,6 +16,12 @@ One command table (`_COMMANDS`) defines the commands and their options. A
 canonical argv is read from it directly (`_read_argv`); argparse is built
 from it only for help, usage errors and other spellings.
 
+Every call pays this module's import, so the import loads neither argparse
+(with `gettext`) nor `json`: argparse is imported on first use (`_argparse`),
+which a canonical argv with valid values never reaches, and JSON strings are
+written with `_json`'s `encode_basestring_ascii`, the function the `json`
+module itself writes them with.
+
 Exit codes: 0 success, 1 model error (gen finding no valid model included)
 or internal error, 2 I/O or usage error (a closed stdout included), 3
 resource limit, 4 semantic error.
@@ -23,13 +29,17 @@ resource limit, 4 semantic error.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from types import SimpleNamespace
+
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # a Python built without the `_json` accelerator
+    from json.encoder import encode_basestring_ascii
 
 from .configuration import (
     DEFAULT_MAX_ATOMS,
@@ -91,17 +101,28 @@ _SEMANTIC_ERRORS = (
 ATOM_LIMIT_ENV = "ROADMAPPER_LIMIT_ATOMS"
 
 
-def _default_max_atoms(parser: argparse.ArgumentParser | None) -> int:
+def _default_max_atoms(parser) -> int:
     """The atom cap when `--max-atoms` is not given: the environment
     variable's value, held to the option's check, or the default. A bad
-    value is a usage error, reported by `parser` (built if None)."""
+    value is a usage error, reported by the argparse `parser` (built if
+    None)."""
     value = os.environ.get(ATOM_LIMIT_ENV)
     if not value:
         return DEFAULT_MAX_ATOMS
     try:
         return _non_negative_int(value)
-    except argparse.ArgumentTypeError as exc:
+    except _argparse().ArgumentTypeError as exc:
         (parser or build_arg_parser()).error(f"{ATOM_LIMIT_ENV}: {exc}")
+
+
+def _argparse():
+    """The argparse module, imported on first use: by `build_arg_parser`, by
+    an option converter that rejects a value, and by an `except` clause
+    naming its error, which Python evaluates only when an exception
+    reaches the clause."""
+    import argparse
+
+    return argparse
 
 
 def _object_members(obj: dict) -> list:
@@ -572,10 +593,10 @@ def _parse_satfn_spec(spec: str):
                 points.append((_finite_float(x), _finite_float(y)))
             return PiecewiseLinear(tuple(points))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
+        raise _argparse().ArgumentTypeError(
             f"invalid satisfaction function {spec!r}: {exc}"
         ) from None
-    raise argparse.ArgumentTypeError(f"unknown satisfaction function spec {spec!r}")
+    raise _argparse().ArgumentTypeError(f"unknown satisfaction function spec {spec!r}")
 
 
 def _finite_float(text: str) -> float:
@@ -583,9 +604,9 @@ def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise _argparse().ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        raise _argparse().ArgumentTypeError(f"not a finite number: {text!r}")
     return value
 
 
@@ -593,7 +614,7 @@ def _positive_float(text: str) -> float:
     """argparse type for a strictly positive, finite number."""
     value = _finite_float(text)
     if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        raise _argparse().ArgumentTypeError(f"must be positive: {text!r}")
     return value
 
 
@@ -602,9 +623,9 @@ def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+        raise _argparse().ArgumentTypeError(f"not a whole number: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+        raise _argparse().ArgumentTypeError(f"must not be negative: {text!r}")
     return value
 
 
@@ -612,7 +633,7 @@ def _positive_int(text: str) -> int:
     """argparse type for a whole number of one or more."""
     value = _non_negative_int(text)
     if value == 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        raise _argparse().ArgumentTypeError(f"must be positive: {text!r}")
     return value
 
 
@@ -754,13 +775,14 @@ def _typed(keywords: dict, text: str):
         return text
     try:
         return convert(text)
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
+    except (_argparse().ArgumentTypeError, TypeError, ValueError):
         return _INVALID
 
 
-def _read_argv(argv) -> argparse.Namespace | None:
-    """The namespace `build_arg_parser().parse_args(argv)` returns, read
-    from the command table when `argv` is spelled canonically, else None.
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The attributes of the namespace `build_arg_parser().parse_args(argv)`
+    returns, read from the command table when `argv` is spelled canonically,
+    else None.
 
     Canonical: an exact command name, then that command's positionals and
     options in any order. An option is given by its exact long name, at most
@@ -826,12 +848,13 @@ def _read_argv(argv) -> argparse.Namespace | None:
         values[name.lstrip("-").replace("-", "_")] = value
     if any(sum(name in given for name, _ in group) != 1 for group in groups):
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def build_arg_parser():
     """argparse's parser for the command table: it gives the help, the usage
     errors and the other spellings that `_read_argv` leaves to it."""
+    argparse = _argparse()
     parser = argparse.ArgumentParser(
         prog="roadmapper",
         description="Reason over mixed-variable requirements databases.",
@@ -865,7 +888,7 @@ def main(argv=None) -> int:
             gc.enable()
 
 
-def _parse_args(argv) -> argparse.Namespace:
+def _parse_args(argv):
     """The namespace of `argv` (None: `sys.argv[1:]`), with `max_atoms`
     filled in where the command has it. A canonical argv is read from the
     command table; argparse is built only for the rest, and for a bad

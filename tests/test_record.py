@@ -6,6 +6,9 @@ values that a record and its twin agree: repr, equality (also across
 classes), hash, `__match_args__`, constructor signature and defaults, the
 frozen-assignment error, slots, and a pickle round trip. The twin keeps the
 old mechanism as an oracle, as `reference_lex` does for the lexer.
+
+`reference_make_init` keeps the per-class source builder that compiled each
+class's `__init__` before the shape templates, as the oracle of their renaming.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import pkgutil
 import pytest
 
 import roadmapper
-from roadmapper._record import MISSING, fields, replace
+from roadmapper._record import _HAS_FACTORY, MISSING, field, fields, record, replace
 from roadmapper.configuration import check_configuration
 from roadmapper.errors import CyclicReferenceError
 from roadmapper.inference import closure
@@ -264,3 +267,124 @@ def test_default_factories_give_each_record_its_own_value():
     db = parse_ok("t a.")
     assert db.closure_index is db.closure_index
     assert db.replace(sat_fns={}).closure_index is not db.closure_index
+
+
+# --- `__init__` templates -----------------------------------------------------------
+
+def reference_make_init(cls, fields, frozen):
+    """The `__init__` of a record class compiled from the class's own source,
+    as `_record` built it before the shape templates."""
+    scope = {"__name__": cls.__module__, "_set": object.__setattr__, "_HAS_FACTORY": _HAS_FACTORY}
+    params, body = ["self"], []
+    for f in fields:
+        name, value = f.name, f.name
+        if f.default_factory is not MISSING:
+            scope[f"_factory_{name}"] = f.default_factory
+            params.append(f"{name}=_HAS_FACTORY")
+            value = f"_factory_{name}() if {name} is _HAS_FACTORY else {name}"
+        elif f.default is not MISSING:
+            scope[f"_default_{name}"] = f.default
+            params.append(f"{name}=_default_{name}")
+        else:
+            params.append(name)
+        body.append(f"_set(self, {name!r}, {value})" if frozen else f"self.{name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    source = f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"])
+    exec(source, scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+def _init_facts(init) -> tuple:
+    code = init.__code__
+    return (
+        code.co_code, code.co_varnames, code.co_names, code.co_consts, code.co_flags,
+        init.__defaults__, init.__kwdefaults__, init.__qualname__, init.__module__,
+        str(inspect.signature(init)),
+    )
+
+
+@record
+class _NoFields:
+    pass
+
+
+@record(frozen=True)
+class _FrozenWithFactory:
+    first: int
+    items: list = field(default_factory=list)
+    last: str = "z"
+
+
+@record
+class _MutableWithFactories:
+    first: dict = field(default_factory=dict)
+    second: int = 2
+    third: list = field(default_factory=list, compare=False)
+
+
+@record(frozen=True, slots=True)
+class _WithPostInit:
+    value: float
+    scale: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", self.value * self.scale)
+
+
+EXTRA_CLASSES = [_NoFields, _FrozenWithFactory, _MutableWithFactories, _WithPostInit]
+
+
+@pytest.mark.parametrize(
+    "cls", _record_classes() + EXTRA_CLASSES, ids=lambda cls: f"{cls.__module__}.{cls.__name__}"
+)
+def test_init_is_the_reference_init_of_the_class(cls):
+    """Each class runs the `__init__` its own source compiles to: the same
+    bytecode, local, global and constant names, defaults and signature."""
+    reference = reference_make_init(cls, fields(cls), cls.__hash__ is not None)
+    assert _init_facts(cls.__init__) == _init_facts(reference)
+
+
+def test_record_classes_include_the_test_data_generator():
+    assert ModelGenSpec in _record_classes()
+
+
+def test_templated_inits_set_fields_call_factories_and_post_init():
+    assert repr(_NoFields()) == "_NoFields()"
+    first, second = _FrozenWithFactory(1), _FrozenWithFactory(1, [2], "y")
+    assert (first.first, first.items, first.last) == (1, [], "z")
+    assert first.items is not _FrozenWithFactory(1).items
+    assert (second.items, second.last) == ([2], "y")
+    made = _MutableWithFactories(second=5)
+    assert (made.first, made.second, made.third) == ({}, 5, [])
+    assert _WithPostInit(2.0, 3.0).value == 6.0 and _WithPostInit(2.0).value == 2.0
+
+
+@pytest.mark.parametrize(
+    "ours, theirs",
+    [
+        (0, 0),
+        (field(default=0), dataclasses.field(default=0)),
+        (field(default_factory=list), dataclasses.field(default_factory=list)),
+    ],
+    ids=["plain", "field", "factory"],
+)
+def test_a_field_without_a_default_after_one_with_is_a_type_error(ours, theirs):
+    """As `dataclasses` reports it, not as the compiler would."""
+
+    class Ours:
+        a: int = ours
+        b: int
+
+    class Theirs:
+        a: int = theirs
+        b: int
+
+    with pytest.raises(TypeError) as raised:
+        record(Ours)
+    with pytest.raises(TypeError) as expected:
+        dataclasses.dataclass(Theirs)
+    assert str(raised.value) == str(expected.value)
+    assert "'b'" in str(raised.value)

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from roadmapper import cli
+from roadmapper.cli import ATOM_LIMIT_ENV
 
 from conftest import LAS_PATH, REPO_ROOT
 
@@ -151,17 +152,32 @@ def test_every_method_is_read():
 
 # Modules the CLI's import path leaves out: `dataclasses` (with `inspect`,
 # `ast`, `dis` and `tokenize`), `typing`, `shutil` (with its compression
-# modules), and the test-data generator.
-COLD_MODULES = ("dataclasses", "inspect", "typing", "shutil", "roadmapper.testkit")
+# modules), argparse (with `gettext`), `json` (with its decoder and scanner),
+# and the test-data generator.
+COLD_MODULES = (
+    "dataclasses", "inspect", "typing", "shutil", "argparse", "gettext", "json",
+    "roadmapper.testkit",
+)
+
+# Modules that no run of a canonical argv loads: argparse's first message
+# lookup imports `locale`, and its help formatter `shutil`.
+UNUSED_BY_RUNS = ("argparse", "gettext", "json", "locale", "shutil")
+
+
+def _fresh_run(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`code` run by `python -S` in a new process, with `args` as its
+    `sys.argv[1:]`."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *args], env=env, capture_output=True, text=True
+    )
 
 
 def _fresh_python(code: str) -> str:
     """The stdout of `code` run by `python -S` in a new process."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    done = _fresh_run(code)
+    done.check_returncode()
     return done.stdout
 
 
@@ -186,17 +202,57 @@ def test_importing_the_cli_loads_no_cold_module():
     assert _fresh_python(code) == "[]\n"
 
 
+# The benchmark's canonical argvs on LAS.
+LAS_ARGVS = [
+    ["check", str(LAS_PATH)],
+    ["configs", str(LAS_PATH), "--max-atoms", "64"],
+    ["rank", str(LAS_PATH), "--rule", "r3", "--var", "rt", "--max-atoms", "64"],
+    ["roadmaps", str(LAS_PATH), "--var", "rt", "--floor", "40", "--maxdiff", "10",
+     "--maxlen", "2", "--max-atoms", "64"],
+    ["relax", str(LAS_PATH), "--prob", "--target", "qt6", "--mean", "180", "--variance", "400",
+     "--level", "0.9"],
+    ["relax", str(LAS_PATH), "--fuzzy", "--target", "qt6", "--mu", "exp:0.5"],
+]
+
+
 def test_a_check_run_loads_no_shutil():
-    """Nor does a `configs` run, and neither run loads `locale`: their argvs
-    are read without argparse, whose first message lookup imports it."""
-    for argv in (["check", str(LAS_PATH)], ["configs", str(LAS_PATH), "--max-atoms", "64"]):
+    """Nor does any other run of the benchmark's argvs, and none loads
+    argparse, `gettext`, `json` or `locale`: their argvs are read without
+    argparse, and JSON is written without the `json` module."""
+    for argv in LAS_ARGVS:
         code = (
             "import contextlib, io, sys, roadmapper.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = roadmapper.cli.main({argv!r})\n"
-            "print(code, 'shutil' in sys.modules, 'locale' in sys.modules)"
+            f"print(code, [m for m in {UNUSED_BY_RUNS!r} if m in sys.modules])"
         )
-        assert _fresh_python(code) == "0 False False\n", argv
+        assert _fresh_python(code) == "0 []\n", argv
+
+
+@pytest.mark.parametrize(
+    "limit, argv",
+    [
+        (None, ["configs", str(LAS_PATH), "--max-atoms", "x"]),
+        (None, ["relax", str(LAS_PATH), "--fuzzy", "--target", "qt6", "--mu", "exp:x"]),
+        ("-3", ["configs", str(LAS_PATH)]),
+        (None, ["roadmaps", "--help"]),
+    ],
+    ids=["max-atoms", "mu", "limit-env", "help"],
+)
+def test_usage_errors_in_a_fresh_process_keep_argparse_text(limit, argv, monkeypatch, capsys):
+    """A usage error (or help) in a fresh `python -S`, which has not loaded
+    argparse, gives the exit code, stdout and stderr that it gives in this
+    process, where argparse is loaded."""
+    monkeypatch.setenv("COLUMNS", "80")
+    if limit is None:
+        monkeypatch.delenv(ATOM_LIMIT_ENV, raising=False)
+    else:
+        monkeypatch.setenv(ATOM_LIMIT_ENV, limit)
+    expected = _cli_text(argv, capsys)
+    assert expected[0] == (0 if argv[-1] == "--help" else 2)
+    code = "import sys, roadmapper.cli\nsys.exit(roadmapper.cli.main(sys.argv[1:]))"
+    done = _fresh_run(code, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == expected
 
 
 def _cli_text(argv: list[str], capsys) -> tuple[int, str, str]:
