@@ -592,7 +592,7 @@ def _parse_satfn_spec(spec: str):
                 x, _, y = pair.partition(":")
                 points.append((_finite_float(x), _finite_float(y)))
             return PiecewiseLinear(tuple(points))
-    except ValueError as exc:
+    except (ValueError, _argparse().ArgumentTypeError) as exc:
         raise _argparse().ArgumentTypeError(
             f"invalid satisfaction function {spec!r}: {exc}"
         ) from None

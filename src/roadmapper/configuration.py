@@ -254,6 +254,7 @@ def _relevant_plains(
     antecedents of conflicts that some optional requirement could help fire.
     """
     index = db.closure_index
+    search = _SupportSearch(db, budget)
     coverages = [index.mandatory_mask]
     by_target = {}
     for target in index.qual_targets + index.quant_targets:
@@ -262,7 +263,7 @@ def _relevant_plains(
             if target in index.qual_targets
             else frozenset({"member", "inferred", "numeric"})
         )
-        supports = _minimal_supports(target, db, routes, budget)
+        supports = _minimal_supports(target, search, routes)
         if not supports:
             return [], [], {}
         by_target[target] = tuple(frozenset(index.ids_of(s)) for s in supports)
@@ -273,12 +274,11 @@ def _relevant_plains(
         )
 
     optional_mask = index.mask(index.optional_members)
-    search = _SupportSearch(db, budget, "conflict-pool support search")
     pool = 0
     for req in index.conflicts.values():
         reach = 0  # every member of some option of some antecedent
         for ant in sorted(req.body.antecedents):
-            for members, _route in search.options(ant):
+            for members, _route in search.options(ant, "conflict-pool support search"):
                 reach |= members
         if req.modality is Modality.OPTIONAL or reach & optional_mask:
             pool |= index.bit[req.id] | reach

@@ -11,15 +11,16 @@ The symbolic closure, `inference.closure`, is the same pass over premise
 implications without numeric discharge.
 
 Minimal supports are enumerated over the three satisfaction routes
-(membership, implication, numeric discharge) on one explicit stack, then
-verified and minimalized against the closure. Every support includes the
-full mandatory k/t set; minimality is judged modulo that set.
+(membership, implication, numeric discharge) as one table solved to its
+least fixpoint, then verified and minimalized against the closure. Every
+support includes the full mandatory k/t set; minimality is judged modulo
+that set.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Generator, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from ._record import field, record
 from .errors import (
@@ -511,58 +512,60 @@ def _minimal_masks(masks: Iterable[int], order_key) -> list[int]:
 
 
 class _SupportSearch:
-    """Minimal satisfaction options per requirement, on one explicit stack.
+    """Minimal satisfaction options per key, as one table solved to its least
+    fixpoint (tabled evaluation, Chen & Warren 1996).
 
-    An option is a member set, as a mask of the closure index, tagged with
-    the route that satisfies the requirement. Each frame is a generator over
-    one key, `("req", id)` or `("var", name)`: it yields the keys it needs
-    and is sent their results. A key already on the stack is sent `()`, so
-    only well-founded derivations count, and a frame is memoized only if no
-    such guard was hit while it ran.
+    A key is `("req", id)` or `("var", name)`. A req option is a member set,
+    as a mask of the closure index, tagged with the route that satisfies the
+    requirement; a var option is `(members, value, variables read)`. A key
+    enters the table at `()` when it is first read, above its reader in an
+    insertion-ordered work dict that is evaluated last in first out. An
+    evaluation that read a new key is dropped, and its key evaluated again
+    after the new ones; a key is evaluated again only when a key it read
+    changes (Fecht & Seidl 1999). Readers are kept in dicts, so the order of
+    evaluation does not depend on the hash seed. Every call of `options`
+    leaves the table at its fixpoint, so later calls share it.
     """
 
-    def __init__(self, db: RequirementsDatabase, budget: _Budget, phase: str):
+    def __init__(self, db: RequirementsDatabase, budget: _Budget):
         self.db = db
         self.index = db.closure_index
         self.budget = budget
-        self.phase = phase
-        self.memo: dict[_Key, tuple] = {}
+        self.table: dict[_Key, tuple] = {}
+        self.readers: dict[_Key, dict[_Key, None]] = {}
+        self.work: dict[_Key, None] = {}
+        self.current: _Key | None = None
 
-    def options(self, req_id: str) -> tuple[tuple[int, Route], ...]:
-        """Minimal member masks satisfying `req_id`, tagged with their route."""
-        memo = self.memo
-        stack: list[tuple[_Key, Generator[_Key, tuple, tuple], int]] = []
-        on_stack: set[_Key] = set()
-        hits = 0  # guards hit so far
-        request = ("req", req_id)
-        while True:
-            if request in memo:
-                reply = memo[request]
-            elif request in on_stack:
-                hits += 1
-                reply = ()
-            else:
-                kind, name = request
-                frame = self._req_frame(name) if kind == "req" else self._var_frame(name)
-                stack.append((request, frame, hits))
-                on_stack.add(request)
-                reply = None
-            # Resume frames until one makes a request or the stack empties.
-            while stack:
-                key, frame, hits_at_push = stack[-1]
-                try:
-                    request = frame.send(reply)
-                    break
-                except StopIteration as done:
-                    reply = done.value
-                stack.pop()
-                on_stack.remove(key)
-                if hits == hits_at_push:
-                    memo[key] = reply
-            else:
-                return reply
+    def read(self, key: _Key) -> tuple:
+        """The options of `key` in the table, read by the key being evaluated;
+        a key new to the table enters it at `()`, on top of the work."""
+        if key not in self.table:
+            self.table[key] = ()
+            self.readers[key] = {}
+            self.work[key] = None
+        if self.current:
+            self.readers[key][self.current] = None
+        return self.table[key]
 
-    def _req_frame(self, req_id: str) -> Generator[_Key, tuple, tuple]:
+    def options(self, req_id: str, phase: str) -> tuple[tuple[int, Route], ...]:
+        """Minimal member masks satisfying `req_id`, tagged with their route;
+        the nodes explored count as `phase`."""
+        self.phase, self.current = phase, None
+        root = ("req", req_id)
+        self.read(root)
+        table, work = self.table, self.work
+        while work:
+            key = self.current = next(reversed(work))
+            kind, name = key
+            value = self._req(name) if kind == "req" else self._var(name)
+            if next(reversed(work)) == key:  # it read no new key
+                del work[key]
+                if value != table[key]:
+                    table[key] = value
+                    work.update(self.readers[key])
+        return table[root]
+
+    def _req(self, req_id: str) -> tuple[tuple[int, Route], ...]:
         req = self.db[req_id]
         index = self.index
         order_key = index.order_key
@@ -570,10 +573,10 @@ class _SupportSearch:
         if req.sort in MEMBER_SORTS:
             collected.append((index.bit[req_id], "member"))
         for imp in index.by_consequent.get(req_id, ()):
+            ant_options = [self.read(("req", ant)) for ant in sorted(imp.body.antecedents)]
             combos = [index.bit[imp.id]]
-            for ant in sorted(imp.body.antecedents):
-                ant_options = yield ("req", ant)
-                masks = _minimal_masks([m for m, _ in ant_options], order_key)
+            for options in ant_options:
+                masks = _minimal_masks([m for m, _ in options], order_key)
                 if not masks:
                     combos = []
                     break
@@ -581,99 +584,90 @@ class _SupportSearch:
                 combos = _minimal_masks([c | m for c in combos for m in masks], order_key)
             collected.extend((c, "inferred") for c in combos)
         if req_id in index.quantitative:
-            numeric = yield from self._numeric_options(req.body.cond)
-            collected.extend((members, "numeric") for members in numeric)
+            collected.extend((m, "numeric") for m in self._numeric(req.body.cond))
         result: list[tuple[int, Route]] = []
         for route in ("member", "inferred", "numeric"):
             same_route = [m for m, r in collected if r == route]
             result.extend((m, route) for m in _minimal_masks(same_route, order_key))
         return tuple(result)
 
-    def _numeric_options(self, cond) -> Generator[_Key, tuple, list[int]]:
+    def _numeric(self, cond) -> list[int]:
         needed = _needed_variables(cond)
         if needed is None:
             return []
-        combos = yield from self._value_combos(needed)
+        combos = self._combos(needed)
         governing: list[tuple[int, DistributionSpec | None]] = []
         if isinstance(cond, Compare):
             governing.append((0, None))
         else:
             for dist_id, dist in self.index.dists_by_var.get(cond.var.name, ()):
-                dist_options = yield ("req", dist_id)
-                governing.extend((members, dist) for members, _ in dist_options)
+                governing.extend((m, dist) for m, _ in self.read(("req", dist_id)))
         found = [
             dist_members | members
             for dist_members, dist in governing
-            for members, env in combos
+            for members, env, _ in combos
             if _holds(cond, env, dist)
         ]
         return _minimal_masks(found, self.index.order_key)
 
-    def _value_combos(
+    def _combos(
         self, variables: list[str]
-    ) -> Generator[_Key, tuple, list[tuple[int, dict[str, float]]]]:
-        """All ways to give each variable one value, with the members used."""
-        combos: list[tuple[int, dict[str, float]]] = [(0, {})]
-        for var in variables:
-            units = yield ("var", var)
-            if not units:
+    ) -> list[tuple[int, dict[str, float], frozenset[str]]]:
+        """All ways to give each variable one value: the members used, the
+        values and the variables whose values the derivations read."""
+        units = [self.read(("var", var)) for var in variables]
+        combos: list[tuple[int, dict[str, float], frozenset[str]]] = [(0, {}, frozenset())]
+        for var, options in zip(variables, units):
+            if not options:
                 return []
-            self.budget.tick(self.phase, len(combos) * len(units))
+            self.budget.tick(self.phase, len(combos) * len(options))
             combos = [
-                (members | unit_members, {**env, var: value})
-                for members, env in combos
-                for unit_members, value in units
+                (members | unit_members, {**env, var: value}, reads | unit_reads | {var})
+                for members, env, reads in combos
+                for unit_members, value, unit_reads in options
             ]
         return combos
 
-    def _var_frame(self, var: str) -> Generator[_Key, tuple, tuple]:
-        """Minimal member masks that give `var` a specific value, in value order."""
+    def _var(self, var: str) -> tuple[tuple[int, float, frozenset[str]], ...]:
+        """Minimal options that give `var` one value, in value order; a mask
+        reads what any of its derivations read. A derivation that read `var`
+        is dropped: on its members the closure raises `RefinementCycleError`."""
         order_key = self.index.order_key
-        found: dict[float, list[int]] = {}
+        found: dict[float, dict[int, frozenset[str]]] = {}  # per value, reads per mask
         for req_id, rhs, rhs_vars in self.index.assignments_by_var.get(var, ()):
             if var in rhs_vars:
                 raise RefinementCycleError(
                     f"variable {var!r} is defined in terms of itself"
                 )
-            sat_options = yield ("req", req_id)
-            if not sat_options:
-                continue
-            carriers = _minimal_masks([m for m, _ in sat_options], order_key)
-            if not rhs_vars:
-                try:
-                    value = _eval(rhs, {})
-                except RoadmapperError:
+            carriers = _minimal_masks([m for m, _ in self.read(("req", req_id))], order_key)
+            for members, env, reads in self._combos(sorted(rhs_vars)):
+                if not carriers or var in reads:
                     continue
-                found.setdefault(value, []).extend(carriers)
-                continue
-            combos = yield from self._value_combos(sorted(rhs_vars))
-            for members, env in combos:
                 try:
                     value = _eval(rhs, env)
                 except RoadmapperError:
                     continue
-                self.budget.tick(self.phase, len(carriers))
-                found.setdefault(value, []).extend(c | members for c in carriers)
+                if rhs_vars:
+                    self.budget.tick(self.phase, len(carriers))
+                same = found.setdefault(value, {})
+                for c in carriers:
+                    same[c | members] = same.get(c | members, reads) | reads
         if len(found) > MAX_VALUES_PER_VARIABLE:
             raise ValOverflowError("assigned-value cap exceeded during support search")
         return tuple(
-            (members, value)
+            (members, value, found[value][members])
             for value in sorted(found)
             for members in _minimal_masks(found[value], order_key)
         )
 
 
 def _minimal_supports(
-    target_id: str,
-    db: RequirementsDatabase,
-    routes: frozenset[str],
-    budget: _Budget,
+    target_id: str, search: _SupportSearch, routes: frozenset[str]
 ) -> list[int]:
     """The masks of the minimal member sets that satisfy `target_id` by one
     of `routes`, each holding every mandatory member, in canonical order."""
-    index = db.closure_index
-    search = _SupportSearch(db, budget, f"threshold-support search for {target_id!r}")
-    options = search.options(target_id)
+    index = search.index
+    options = search.options(target_id, f"threshold-support search for {target_id!r}")
     parts = _minimal_masks(
         [m & ~index.mandatory_mask for m, route in options if route in routes],
         index.order_key,
@@ -720,7 +714,7 @@ def _operationalizations(
     ids_of = db.closure_index.ids_of
     return tuple(
         Operationalization(target_id, frozenset(ids_of(support)), kind)
-        for support in _minimal_supports(target_id, db, routes, budget)
+        for support in _minimal_supports(target_id, _SupportSearch(db, budget), routes)
     )
 
 
@@ -746,7 +740,12 @@ def quantitative_operationalizations(
     limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> tuple[Operationalization, ...]:
     """All minimal member sets that make the quantitative condition true,
-    whether by value assignments or by a declared operationalization edge."""
+    whether by value assignments or by a declared operationalization edge.
+
+    Each derivation gives a variable one value. Where the mandatory members
+    already give a variable two values, the closure fires no equation over
+    it, so a support may be missed; `enumerate_configurations` expands
+    value conflicts first and is not affected."""
     return _operationalizations(
         target, db, lambda req: isinstance(req.body, SimpleQuant),
         "{id!r} is not a quantitative requirement",

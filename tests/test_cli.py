@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import roadmapper.cli
 from roadmapper import operationalization, roadmap
 from roadmapper.cli import ATOM_LIMIT_ENV, _write_json, main
+from roadmapper.configuration import enumerate_configurations
 from roadmapper.errors import MissingValueError, RoadmapperError
 from roadmapper.parser import parse, serialize
 from roadmapper.roadmap import RoadmapValueSum, build_roadmaps, rank_roadmaps
@@ -254,9 +255,9 @@ def test_configs_explain_computes_operationalizations_once(
     searches = []
     original = operationalization._SupportSearch.__init__
 
-    def counted(self, db, budget, phase):
-        searches.append(phase)
-        original(self, db, budget, phase)
+    def counted(self, db, budget):
+        searches.append(budget.function)
+        original(self, db, budget)
 
     monkeypatch.setattr(operationalization._SupportSearch, "__init__", counted)
     for argv in (["configs", toy_file], ["configs", str(LAS_PATH), "--max-atoms", "64"]):
@@ -585,6 +586,9 @@ def test_relax_wrong_sort_exit_code(capsys, tmp_path):
         ["--prob", "--variance", "0"],
         ["--fuzzy", "--mu", "exp:nan"],
         ["--prob", "--mean", "inf"],
+        ["--fuzzy", "--mu", "exp:x"],
+        ["--fuzzy", "--mu", "exp:inf"],
+        ["--fuzzy", "--mu", "pwl:1:x"],
     ],
 )
 def test_relax_bad_arguments_are_usage_errors(capsys, tmp_path, flags):
@@ -594,7 +598,8 @@ def test_relax_bad_arguments_are_usage_errors(capsys, tmp_path, flags):
         main(["relax", str(path), "--target", "qc", *flags])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "usage:" in err and flags[-2] in err
+    # The error names the option and the whole value, a --mu spec included.
+    assert "usage:" in err and f"argument {flags[-2]}: " in err and repr(flags[-1]) in err
 
 
 @pytest.mark.parametrize(
@@ -854,11 +859,13 @@ def test_front_end_corpus_ends_in_its_exit_code(capsys, schema, tmp_path, reques
 
 # --- adversarial corpus -----------------------------------------------------------
 
-def refinement_chain(n: int) -> str:
-    """`t a0: x0 = 1.`, one task `r{i}: x{i} = x{i-1} + 1.` per link, and a
-    mandatory quality constraint on the last variable."""
-    links = "".join(f"t r{i}: x{i} = x{i - 1} + 1.\n" for i in range(1, n + 1))
-    return f"t a0: x0 = 1.\n{links}q goal !: x{n} >= 0.\n"
+def refinement_chain(n: int, sort: str = "t") -> str:
+    """`a0: x0 = 1.`, one `r{i}: x{i} = x{i-1} + 1.` per link, all of `sort`,
+    and a mandatory quality constraint on the last variable. A k-sorted
+    assignment is a belief, which values also satisfy, so each link of a k
+    chain reads the values it assigns."""
+    links = "".join(f"{sort} r{i}: x{i} = x{i - 1} + 1.\n" for i in range(1, n + 1))
+    return f"{sort} a0: x0 = 1.\n{links}q goal !: x{n} >= 0.\n"
 
 
 LAS_ROADMAP_FLAGS = ["--var", "rt", "--floor", "40", "--maxdiff", "10", "--max-atoms", "64"]
@@ -874,6 +881,8 @@ ADVERSARIAL_CORPUS = {
         ["configs", "--max-atoms", "4000"], 0, 10.0,
     ),
     "refinement-chain-500": (refinement_chain(500), ["configs", "--max-atoms", "4000"], 0, 8.0),
+    "k-chain-20": (refinement_chain(20, "k"), ["configs", "--max-atoms", "4000"], 0, 1.0),
+    "k-chain-200": (refinement_chain(200, "k"), ["configs", "--max-atoms", "4000"], 0, 2.0),
     "las-roadmaps-maxlen-3": ("las", ["roadmaps", *LAS_ROADMAP_FLAGS, "--maxlen", "3"], 3, 2.0),
     "model-io-3000-configs": (None, ["configs", "--max-atoms", "64"], 3, 5.0),
     "model-io-3000-rank": (
@@ -905,6 +914,32 @@ def test_adversarial_corpus_ends_in_its_exit_code(capsys, tmp_path, request, nam
         assert len(json.loads(out)["configurations"]) == 1
     else:
         assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text, most",
+    [
+        (refinement_chain(500), 2),
+        (implication_chain(1200).replace("g a1200.", "g a1200 !."), 2),
+        (refinement_chain(200, "k"), 3),
+    ],
+    ids=["refinement-chain-500", "implication-chain-1200", "k-chain-200"],
+)
+def test_support_search_evaluates_each_key_of_a_chain_a_few_times(monkeypatch, text, most):
+    # A first evaluation that reads new keys is dropped, and one more follows
+    # once they are solved; a k link's value and its belief read each other.
+    evaluations = {}
+    for name in ("_req", "_var"):
+        original = getattr(operationalization._SupportSearch, name)
+
+        def counted(self, key, original=original, name=name):
+            evaluations[name, key] = evaluations.get((name, key), 0) + 1
+            return original(self, key)
+
+        monkeypatch.setattr(operationalization._SupportSearch, name, counted)
+    db = parse(text).database
+    assert len(enumerate_configurations(db, max_atoms=4000)) == 1
+    assert max(evaluations.values()) <= most
 
 
 # --- the garbage collector --------------------------------------------------------

@@ -189,13 +189,11 @@ def test_plain_member_kept_as_dominance_blocker():
     assert families == oracle
 
 
-# Known gap: in both models a plain implication `j0` blocks the optional
-# assignment through the value conflict, so the oracle keeps a configuration
-# with `j0`, but `j0` never joins the conflict pool. Deriving the value its
-# consequent assigns needs the quality constraint, which needs some value of
-# the same variable, and the support search guards per variable, so it prunes
-# that derivation although the constraint uses the other value.
-@pytest.mark.xfail(strict=True, reason="the support search guards per variable")
+# In both models a plain implication `j0` blocks the optional assignment
+# through the value conflict, so the oracle keeps a configuration with `j0`.
+# Deriving the value its consequent assigns needs the quality constraint,
+# which needs another value of the same variable: the support search reaches
+# it because it drops only derivations of a variable that read that variable.
 @pytest.mark.parametrize(
     "text",
     [
