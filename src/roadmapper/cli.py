@@ -6,8 +6,8 @@ dot is visualization-only. Identical inputs and flags produce byte-identical
 output.
 
 JSON is written as it is produced, one member of the top-level containers
-at a time, once the whole payload is built, so a failing command never leaves
-half a document on stdout. `roadmaps` writes its `ranked` and `excluded`
+(one run of rows, for `roadmaps`) at a time, once the whole payload is
+built, so a failing command never leaves half a document on stdout. `roadmaps` writes its `ranked` and `excluded`
 rows straight from the index core of `roadmap.py` (`_IndexRoadmaps`), from
 fragments rendered once; it builds none of the library's roadmap or
 operator records, which are unchanged.
@@ -30,6 +30,7 @@ resource limit, 4 semantic error.
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import os
 import sys
@@ -215,12 +216,15 @@ def _json_text(value, newline: str, memo: dict) -> str:
 # The newline and indent of an item of an array that is a member of the
 # top-level object.
 _ROW_NEWLINE = "\n    "
+# The most items of a `_Rows` array passed to `write` in one call: a call per
+# item cost about a tenth of LAS `roadmaps`.
+_ROW_RUN = 32
 
 
 class _Rows:
     """An array member of the top-level object whose items the caller has
     rendered: `texts` yields the text of each item, nested after
-    _ROW_NEWLINE."""
+    _ROW_NEWLINE. They are written in runs of up to _ROW_RUN items."""
 
     __slots__ = ("texts",)
 
@@ -230,15 +234,16 @@ class _Rows:
 
 def _write_members(value, write, newline: str, levels: int, memo: dict) -> None:
     """Write `value` nested after `newline`; a non-empty container in the top
-    `levels` levels passes each member to `write` on its own, as `_Rows`
-    passes each of its items."""
+    `levels` levels passes each member to `write` on its own, and `_Rows`
+    each run of its items."""
     inner = newline + "  "
     if type(value) is _Rows:
-        separator = "[" + inner
-        for text in value.texts:
-            write(separator + text)
-            separator = "," + inner
-        write("[]" if separator[0] == "[" else newline + "]")
+        texts, separator = iter(value.texts), "," + inner
+        opening = "[" + inner
+        while run := list(itertools.islice(texts, _ROW_RUN)):
+            write(opening + separator.join(run))
+            opening = separator
+        write("[]" if opening[0] == "[" else newline + "]")
         return
     if not (levels and isinstance(value, (dict, list, tuple)) and value):
         write(_json_text(value, newline, memo))
@@ -258,8 +263,9 @@ def _write_members(value, write, newline: str, levels: int, memo: dict) -> None:
 def _write_json(payload, write) -> None:
     """Write the text the `json` module gives `payload` with `sort_keys=True,
     indent=2`, and a newline, through `write`: one member of the document and
-    of each of its top-level arrays and objects at a time, so that no call
-    holds the whole text. Object keys must be `str` (TypeError otherwise)."""
+    of each of its top-level arrays and objects at a time (a run of a
+    `_Rows` array's items), so that no call holds the whole text. Object keys
+    must be `str` (TypeError otherwise)."""
     _write_members(payload, write, "\n", 2, {})
     write("\n")
 
@@ -477,6 +483,39 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
+def _adaptation_heads(roadmaps, ids_of, numbers, inner: str) -> dict[int, str]:
+    """The text of a ranked row up to its sequence's items, for each operator
+    set number in `numbers` of the `_IndexRoadmaps` core `roadmaps`: its
+    `adaptations` list, in (delete, add) order, of entries rendered once per
+    operator from one template over its add and delete id lists (`ids_of`
+    lists ids sorted; the default trigger is the delete list). `inner` is
+    the newline and indent of the row's members."""
+    masks, operators = roadmaps.masks, roadmaps.operators
+    entry, member, item = inner + "  ", inner + "    ", inner + "      "
+
+    def listed(mask: int) -> tuple[list[str], str]:
+        found = ids_of(mask)
+        text = f'[{item}{f",{item}".join(map(encode_basestring_ascii, found))}{member}]'
+        return found, text if found else "[]"
+
+    entries: dict[int, tuple[tuple[list[str], list[str]], str]] = {}
+    heads = {}
+    for number in numbers:
+        members = roadmaps.operator_sets[number]
+        for k in [k for k in members if k not in entries]:
+            a, b = operators[k]
+            add, add_text = listed(masks[b] & ~masks[a])
+            delete, delete_text = listed(masks[a] & ~masks[b])
+            entries[k] = (delete, add), (
+                f'{{{member}"add": {add_text},{member}"delete": {delete_text},'
+                f'{member}"trigger": {delete_text}{entry}}}'
+            )
+        texts = [text for _, text in sorted(map(entries.__getitem__, members), key=itemgetter(0))]
+        adaptations = f'[{entry}{f",{entry}".join(texts)}{inner}]' if texts else "[]"
+        heads[number] = f'{{{inner}"adaptations": {adaptations},{inner}"sequence": ['
+    return heads
+
+
 def cmd_roadmaps(args) -> int:
     db, code = _load_database(args.file)
     if db is None:
@@ -486,58 +525,49 @@ def cmd_roadmaps(args) -> int:
     roadmaps = _IndexRoadmaps(
         enum.database, enum.configurations, args.maxlen, DEFAULT_ROADMAP_LIMIT
     )
-    ranked, excluded = roadmaps.rank(RoadmapValueSum(args.var, args.floor, args.maxdiff))
-    sequences, set_numbers, masks = roadmaps.sequences, roadmaps.set_numbers, roadmaps.masks
-    ids_of = enum.database.closure_index.ids_of
+    outcomes, ranked, excluded = roadmaps.rank(
+        RoadmapValueSum(args.var, args.floor, args.maxdiff)
+    )
     ids = [c.id for c in roadmaps.configurations]
 
     # Rows are written from fragments rendered once, at a row's fixed depth:
-    # each id as a sequence item, each operator set's adaptations list, and
-    # each total. Totals are sums from int 0 of finite values, never -0.0
-    # (the one float equal to another of a different text) nor NaN, so a
-    # total's text can be looked up by the total.
+    # each sequence's items, joined onto its prefix's (`texts`); each
+    # operator's adaptation entry; a ranked row's head by its operator set
+    # and its tail by its total; and an excluded row's head and tail by its
+    # (reason, witness). Totals are sums from int 0 of finite values, never
+    # -0.0 (the one float equal to another of a different text) nor NaN, so
+    # a total's text can be looked up by the total.
     newline, inner = _ROW_NEWLINE, _ROW_NEWLINE + "  "
-    items = [inner + "  " + encode_basestring_ascii(i) for i in ids]
     close = inner + "]"
+    texts = (
+        roadmaps.texts([inner + "  " + encode_basestring_ascii(i) for i in ids], ",")
+        if args.format == "json" else None
+    )
 
     def ranked_rows():
-        memo: dict = {}  # `_json_text`'s memo for the adaptations lists
-        # Each operator's entry, with its (delete, add) lists to sort on:
-        # the default trigger is the delete list. `ids_of` lists ids sorted.
-        entries: list[tuple | None] = [None] * len(roadmaps.operators)
-        lists: list[str | None] = [None] * len(roadmaps.operator_sets)
-        totals: dict[float, str] = {}
-        for j, total in ranked:
-            number = set_numbers[j]
-            adaptations = lists[number]
-            if adaptations is None:
-                numbers = roadmaps.operator_sets[number]
-                for k in numbers:
-                    if entries[k] is None:
-                        a, b = roadmaps.operators[k]
-                        add, delete = ids_of(masks[b] & ~masks[a]), ids_of(masks[a] & ~masks[b])
-                        entries[k] = (
-                            (delete, add), {"trigger": delete, "add": add, "delete": delete}
-                        )
-                by_lists = sorted([entries[k] for k in numbers], key=itemgetter(0))
-                adaptations = lists[number] = _json_text(
-                    [e for _, e in by_lists], inner, memo
-                )
-            text = totals.get(total)
-            if text is None:
-                text = totals[total] = _float_text(total)
-            yield (
-                f'{{{inner}"adaptations": {adaptations},{inner}"sequence": '
-                f'[{",".join([items[i] for i in sequences[j]])}{close},'
-                f'{inner}"total": {text}{newline}}}'
-            )
+        set_numbers = roadmaps.set_numbers
+        heads = _adaptation_heads(
+            roadmaps, enum.database.closure_index.ids_of,
+            dict.fromkeys(map(set_numbers.__getitem__, ranked)), inner,
+        )
+        tails = {
+            total: f'{close},{inner}"total": {_float_text(total)}{newline}}}'
+            for total in set(map(outcomes.__getitem__, ranked))
+        }
+        yield from (f"{heads[set_numbers[j]]}{texts[j]}{tails[outcomes[j]]}" for j in ranked)
 
-    excluded_rows = (
-        f'{{{inner}"reason": {encode_basestring_ascii(reason)},{inner}"sequence": '
-        f'[{",".join([items[i] for i in sequences[j]])}{close},'
-        f'{inner}"witness": {witness}{newline}}}'
-        for j, reason, witness in excluded
-    )
+    def excluded_rows():
+        marks = {
+            (reason, witness): (
+                f'{{{inner}"reason": {encode_basestring_ascii(reason)},{inner}"sequence": [',
+                f'{close},{inner}"witness": {witness}{newline}}}',
+            )
+            for reason, witness in set(map(outcomes.__getitem__, excluded))
+        }
+        for j in excluded:
+            head, tail = marks[outcomes[j]]
+            yield f"{head}{texts[j]}{tail}"
+
     payload = {
         "command": "roadmaps",
         "file": args.file,
@@ -552,18 +582,22 @@ def cmd_roadmaps(args) -> int:
             c.id: sorted(c.members) for c in enum.configurations
         },
         "ranked": _Rows(ranked_rows()),
-        "excluded": _Rows(excluded_rows),
+        "excluded": _Rows(excluded_rows()),
     }
 
     def lines():
+        # The same prefix walk gives each sequence's " -> " text, and each
+        # distinct total's text is rendered once.
+        arrows = roadmaps.texts(ids, " -> ")
         yield f"{len(ranked)} roadmap(s), {len(excluded)} excluded"
-        for j, total in ranked:
-            yield f"  {' -> '.join([ids[i] for i in sequences[j]])} (total={total!r})"
-        for j, reason, witness in excluded:
-            yield (
-                f"  excluded {' -> '.join([ids[i] for i in sequences[j]])} "
-                f"({reason} at index {witness})"
-            )
+        tails = {
+            total: f" (total={total!r})" for total in set(map(outcomes.__getitem__, ranked))
+        }
+        for j in ranked:
+            yield f"  {arrows[j]}{tails[outcomes[j]]}"
+        for j in excluded:
+            reason, witness = outcomes[j]
+            yield f"  excluded {arrows[j]} ({reason} at index {witness})"
 
     _emit(payload, args.format, lines())
     return EXIT_OK

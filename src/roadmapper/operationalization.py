@@ -630,15 +630,14 @@ class _SupportSearch:
 
     def _var(self, var: str) -> tuple[tuple[int, float, frozenset[str]], ...]:
         """Minimal options that give `var` one value, in value order; a mask
-        reads what any of its derivations read. A derivation that read `var`
-        is dropped: on its members the closure raises `RefinementCycleError`."""
+        reads what any of its derivations read. A derivation that reads `var`,
+        by its own right-hand side or through its reads, is dropped: on its
+        members the closure raises `RefinementCycleError`."""
         order_key = self.index.order_key
         found: dict[float, dict[int, frozenset[str]]] = {}  # per value, reads per mask
         for req_id, rhs, rhs_vars in self.index.assignments_by_var.get(var, ()):
             if var in rhs_vars:
-                raise RefinementCycleError(
-                    f"variable {var!r} is defined in terms of itself"
-                )
+                continue
             carriers = _minimal_masks([m for m, _ in self.read(("req", req_id))], order_key)
             for members, env, reads in self._combos(sorted(rhs_vars)):
                 if not carriers or var in reads:

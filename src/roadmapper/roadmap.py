@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from operator import itemgetter
 
@@ -207,9 +208,18 @@ class _IndexRoadmaps:
     `operator_sets` holds each distinct set of operators a roadmap needs, as
     positions in `operators`: the empty set, each operator's own set
     (operator t's is number t + 1), then the larger sets as they are met.
-    `set_numbers[j]` is the number of sequence j's set, interned from its
-    prefix's number and its last step through one memo per set number, so
-    no sequence builds a set of its own.
+
+    Every sequence but a singleton is its prefix plus one last step, and
+    the walk that extends the prefixes knows both: `prefixes[j]` is the
+    position of sequence j's prefix (-1 for a singleton) and `last_steps[j]`
+    the operator of its last step (-1 for a singleton). What a roadmap
+    needs is then worked out from its prefix's and its last step's, never
+    from the whole sequence: `set_numbers[j]`, the number of sequence j's
+    operator set, is interned through one memo per set number, so no
+    sequence builds a set of its own; `rank` takes each r4 outcome from
+    the prefix's (`_rank_r4`), with the change-size test read from each
+    operator's size; and `texts` joins each sequence's items onto its
+    prefix's text.
 
     Raises first for a member that `db` does not declare (naming the least
     such id of the first configuration with one). Then it raises as building
@@ -223,7 +233,7 @@ class _IndexRoadmaps:
 
     __slots__ = (
         "db", "configurations", "masks", "operators", "steps", "sequences",
-        "operator_sets", "set_numbers",
+        "prefixes", "last_steps", "operator_sets", "set_numbers",
     )
 
     def __init__(
@@ -270,6 +280,8 @@ class _IndexRoadmaps:
                 row[b] = number
             self.steps.append(row)
         self.sequences = sequences = [(i,) for i in range(n)]
+        self.prefixes = prefixes = [-1] * n
+        self.last_steps = last_steps = [-1] * n
         self.set_numbers = set_numbers = [0] * n
         self.operator_sets = operator_sets = [
             frozenset(), *map(frozenset, zip(range(len(self.operators))))
@@ -305,13 +317,42 @@ class _IndexRoadmaps:
                         for known, step in zip(extensions, row)
                     ]
                 set_numbers += extensions
+                prefixes += [p] * len(row)
+                last_steps += row
             start = end
 
     def rank(self, rule: RoadmapValueSum):
-        """`_rank_sequences` over these roadmaps, taking the values in index
-        order, the order the singletons name the configurations."""
+        """`_rank_r4` over these roadmaps, taking the values in index order,
+        the order the singletons name the configurations, and each step's
+        size from its operator."""
         values = [_unique_value(self.db, c.members, rule.var) for c in self.configurations]
-        return _rank_sequences(values, self.masks, self.sequences, rule)
+        masks = self.masks
+        sizes = [(masks[a] ^ masks[b]).bit_count() for a, b in self.operators]
+        return _rank_r4(values, sizes, self.sequences, self.prefixes, self.last_steps, rule)
+
+    def texts(self, items: Sequence[str], separator: str) -> list[str]:
+        """Each sequence's `items` joined by `separator`: a singleton's item,
+        and a longer sequence's prefix's text, `separator` and the item of
+        its last index, with each prefix's text and `separator` joined once."""
+        texts: list[str] = []
+        lasts = list(map(itemgetter(-1), self.sequences))
+        for p, start, end in _prefix_runs(self.prefixes):
+            head = texts[p] + separator if p >= 0 else ""
+            texts += [head + items[b] for b in lasts[start:end]]
+        return texts
+
+
+def _prefix_runs(prefixes: Sequence[int]):
+    """(prefix, start, end) for each run of positions whose prefix is
+    `prefix` (-1: the singletons), in order. Sequences in (length, indices)
+    order with each one's prefix among them have nondecreasing prefix
+    positions, and each prefix's extensions form one run."""
+    start, count = 0, len(prefixes)
+    while start < count:
+        prefix = prefixes[start]
+        end = bisect_right(prefixes, prefix, start)
+        yield prefix, start, end
+        start = end
 
 
 def build_roadmaps(
@@ -413,45 +454,61 @@ def rank_configurations(
     )
 
 
-def _rank_sequences(
+def _rank_r4(
     values: Sequence[float],
-    masks: Sequence[int],
+    sizes: Sequence[int],
     sequences: Sequence[tuple[int, ...]],
+    prefixes: Sequence[int],
+    steps: Sequence[int],
     rule: RoadmapValueSum,
-) -> tuple[list[tuple[int, float]], list[tuple[int, str, int]]]:
+) -> tuple[list, list[int], list[int]]:
     """Rule r4 over roadmaps given as tuples of indices into configurations
-    whose values are `values` and member bitmasks `masks`: the ranked as
-    (position in `sequences`, total) and the excluded as (position, reason,
-    witness), each in ranking order.
+    whose values are `values`: each sequence's outcome, its total or its
+    (reason, witness), then the positions in `sequences` of the ranked and
+    of the excluded, each in ranking order.
 
-    `sequences` must come in (length, indices) order, as `_IndexRoadmaps`
-    builds them. Ranked roadmaps then sort stably on -total alone, which
-    orders them on (-total, length, indices); excluded ones sort on their
-    indices. Equal keys keep their input order."""
+    `sequences` must come in (length, indices) order and hold each one's
+    prefix: `prefixes[j]` is the position of sequence j's prefix (-1 for a
+    singleton) and `steps[j]` the step from its prefix's last index to its
+    own, whose size, the number of members it adds or deletes, is
+    `sizes[steps[j]]`. Each outcome then follows from the prefix's and the
+    last step. A floor witness of the prefix stays; else a last member below
+    the floor is the witness, as the floor is checked before any step; else
+    a diff witness of the prefix stays; else a step larger than `max_diff`
+    is the witness; else the total is the prefix's total plus the last
+    value, the sum from int 0 in sequence order. Ranked roadmaps then sort
+    stably on -total alone, which orders them on (-total, length, indices);
+    excluded ones sort on their indices."""
     floor, max_diff = rule.floor, rule.max_diff
-    below = {i for i, value in enumerate(values) if value < floor}
-    value = values.__getitem__
-    ranked: list[tuple[int, float]] = []
-    excluded: list[tuple[tuple[int, ...], tuple[int, str, int]]] = []
-    for j, sequence in enumerate(sequences):
-        if not below.isdisjoint(sequence):
-            witness = next(i for i, index in enumerate(sequence) if index in below)
-            excluded.append((sequence, (j, "floor", witness)))
+    below = [value < floor for value in values]
+    large = [size > max_diff for size in sizes]
+    lasts = list(map(itemgetter(-1), sequences))
+    outcomes: list = []  # each sequence's total, or its (reason, witness)
+    for p, start, end in _prefix_runs(prefixes):
+        length = len(sequences[start])
+        below_at = ("floor", length - 1)
+        items = lasts[start:end]
+        if p < 0:
+            outcomes += [below_at if below[b] else 0 + values[b] for b in items]
             continue
-        source = masks[sequence[0]]
-        for i in range(1, len(sequence)):
-            target = masks[sequence[i]]
-            if (source ^ target).bit_count() > max_diff:
-                excluded.append((sequence, (j, "diff", i - 1)))
-                break
-            source = target
+        prior = outcomes[p]
+        if type(prior) is not tuple:
+            over_at = ("diff", length - 2)
+            outcomes += [
+                below_at if below[b] else over_at if large[k] else prior + values[b]
+                for b, k in zip(items, steps[start:end])
+            ]
+        elif prior[0] == "floor":
+            outcomes += [prior] * (end - start)
         else:
-            ranked.append((j, sum(map(value, sequence))))
+            outcomes += [below_at if below[b] else prior for b in items]
+    ranked = [j for j, outcome in enumerate(outcomes) if type(outcome) is not tuple]
     # Descending totals, stably: the same order as ascending -total, since
     # no total is NaN.
-    ranked.sort(key=itemgetter(1), reverse=True)
-    excluded.sort(key=itemgetter(0))
-    return ranked, list(map(itemgetter(1), excluded))
+    ranked.sort(key=outcomes.__getitem__, reverse=True)
+    excluded = [j for j, outcome in enumerate(outcomes) if type(outcome) is tuple]
+    excluded.sort(key=sequences.__getitem__)
+    return outcomes, ranked, excluded
 
 
 def rank_roadmaps(
@@ -476,14 +533,32 @@ def rank_roadmaps(
     values: list = [None] * len(ordered)
     for i in dict.fromkeys(itertools.chain.from_iterable(sequences)):
         values[i] = _unique_value(db, ordered[i], rule.var)
-    order = sorted(range(len(sequences)), key=lambda j: (len(sequences[j]), sequences[j]))
+    # Each distinct sequence and each of its prefixes, once, in (length,
+    # indices) order; each one's last step is its own.
+    every = sorted(
+        {s[:k] for s in set(sequences) for k in range(1, len(s) + 1)},
+        key=lambda s: (len(s), s),
+    )
+    at = {s: j for j, s in enumerate(every)}
     masks = list(map(db.closure_index.mask, ordered))
-    ranked, excluded = _rank_sequences(values, masks, [sequences[j] for j in order], rule)
+    sizes = [
+        (masks[s[-2]] ^ masks[s[-1]]).bit_count() if len(s) > 1 else 0 for s in every
+    ]
+    outcomes, ranked, excluded = _rank_r4(
+        values, sizes, every, [at.get(s[:-1], -1) for s in every], range(len(every)), rule
+    )
+    # Only the input roadmaps are reported; a repeated one, in input order.
+    inputs: dict[int, list[int]] = {}
+    for i, sequence in enumerate(sequences):
+        inputs.setdefault(at[sequence], []).append(i)
     return RoadmapRanking(
-        tuple([RankedRoadmap(roadmaps[order[j]], total) for j, total in ranked]),
         tuple([
-            ExcludedRoadmap(roadmaps[order[j]], reason, witness)
-            for j, reason, witness in excluded
+            RankedRoadmap(roadmaps[i], outcomes[j])
+            for j in ranked for i in inputs.get(j, ())
+        ]),
+        tuple([
+            ExcludedRoadmap(roadmaps[i], *outcomes[j])
+            for j in excluded for i in inputs.get(j, ())
         ]),
     )
 

@@ -28,6 +28,7 @@ from roadmapper.roadmap import RoadmapValueSum, build_roadmaps, rank_roadmaps
 from roadmapper.testkit import ModelGenSpec, generate_database, parse_dot
 
 from conftest import LAS_PATH, REPO_ROOT, SCHEMA_PATH, implication_chain
+from test_roadmap import reference_rank_roadmaps
 
 TOY = (
     "g p1 ! . t a: v = 5. t b: v = 3. k i1: a -> p1. k i2: b -> p1. "
@@ -510,6 +511,108 @@ def test_roadmaps_that_repeat_an_operator_match_the_record_payload(tmp_path):
                 ranked = json.loads(ours[1])["ranked"]
                 assert len(ranked) == 64
                 assert sum(len(r["adaptations"]) < len(r["sequence"]) - 1 for r in ranked) == 8
+
+
+# Four configurations of one goal: S1 (a, v = 1) lies below a floor of 2;
+# S2 (b) and S3 (c) differ in 4 members, and S4 (d, e, f) differs from each
+# of the others in 6, above a max_diff of 4.
+CORNERS = (
+    "g g !.\n"
+    "t a: v = 1. t b: v = 5. t c: v = 6. t d: v = 7. t e. t f.\n"
+    "k ia: a -> g. k ib: b -> g. k ic: c -> g. k idef: d & e & f -> g.\n"
+)
+
+
+def test_roadmap_outcomes_from_their_prefixes_match_the_references(tmp_path):
+    # Each outcome comes from the prefix's and the last step. The corners:
+    # S2 -> S4 fails on diff and S1 after it is below the floor, which is
+    # checked first (floor at 2); S2 -> S1 has its floor witness at 1, which
+    # the large step to S4 keeps; S2 -> S3 -> S4 fails on diff at step 1.
+    path = tmp_path / "corners.req"
+    path.write_text(CORNERS)
+    enum = enumerate_configurations(parse(CORNERS).database, max_atoms=64)
+    assert [c.id for c in enum.configurations] == ["S1", "S2", "S3", "S4"]
+    corners = {
+        ("S2", "S4", "S1"): ("floor", 2),
+        ("S2", "S4"): ("diff", 0),
+        ("S2", "S1", "S4"): ("floor", 1),
+        ("S2", "S1"): ("floor", 1),
+        ("S2", "S3", "S4"): ("diff", 1),
+        ("S2", "S3"): 11.0,
+    }
+    rule = RoadmapValueSum("v", 2.0, 4)
+    for max_len in (3, 4):
+        roadmaps = build_roadmaps(enum.database, enum.configurations, max_len)
+        longest = [r for r in roadmaps if len(r.configurations) == max_len]
+        # All roadmaps; only the longest, whose prefixes the ranking adds and
+        # does not report; and each of those twice.
+        for given in (roadmaps, longest, longest + longest[::-1]):
+            ranking = rank_roadmaps(enum.database, given, rule)
+            assert ranking == reference_rank_roadmaps(enum.database, given, rule)
+        ranking = rank_roadmaps(enum.database, roadmaps, rule)
+        outcomes = {
+            tuple(c.id for c in item.roadmap.configurations): (item.reason, item.witness)
+            for item in ranking.excluded
+        }
+        outcomes.update(
+            (tuple(c.id for c in item.roadmap.configurations), item.total)
+            for item in ranking.ranked
+        )
+        assert {key: outcomes[key] for key in corners} == corners
+        for fmt in ("json", "text"):
+            args = argparse.Namespace(
+                file=str(path), format=fmt, var="v", floor=2.0, maxdiff=4,
+                maxlen=max_len, max_atoms=64, max_results=None,
+            )
+            ours = roadmaps_outcome(roadmapper.cli.cmd_roadmaps, args)
+            assert ours == roadmaps_outcome(reference_cmd_roadmaps, args), (max_len, fmt)
+            assert ours[0] == 0
+            if fmt == "text":
+                assert "  excluded S2 -> S4 -> S1 (floor at index 2)\n" in ours[1]
+
+
+def test_las_roadmap_rows_render_each_operator_once(capsys, monkeypatch):
+    # While the rows are written, each operator on a ranked row lists its
+    # ids at most twice (add and delete), and `_json_text` runs as often at
+    # max_len 2 (16,384 rows) as at max_len 1 (128 rows).
+    counts, writing = {}, []
+    cli = roadmapper.cli
+    for owner, name in ((cli, "_json_text"), (operationalization.ClosureIndex, "ids_of")):
+        original = getattr(owner, name)
+
+        def counted(*args, original=original, name=name):
+            if writing:
+                counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    write_json = cli._write_json
+
+    def writing_json(*args):
+        writing.append(True)
+        try:
+            write_json(*args)
+        finally:
+            writing.pop()
+
+    monkeypatch.setattr(cli, "_write_json", writing_json)
+    seen = {}
+    for max_len in ("1", "2"):
+        counts.clear()
+        code, out, _ = run(
+            capsys, *LAS_ROADMAPS, "--floor", "40", "--maxdiff", "10", "--maxlen", max_len
+        )
+        assert code == 0
+        payload = json.loads(out)
+        operators = {
+            (tuple(a["add"]), tuple(a["delete"]))
+            for row in payload["ranked"] for a in row["adaptations"]
+        }
+        assert counts.get("ids_of", 0) <= 2 * len(operators)
+        seen[max_len] = (len(payload["ranked"]) + len(payload["excluded"]), counts["_json_text"])
+    assert len(operators) == 1130
+    assert seen["1"][0] == 128 and seen["2"][0] == 16384
+    assert seen["1"][1] == seen["2"][1]
 
 
 # --- dot --------------------------------------------------------------------------

@@ -613,8 +613,9 @@ def _support_models(las_db):
 
 
 # Paths of the support search that the models above miss: a refinement
-# cycle through two variables and through one (a RefinementCycleError from
-# the closure, and one from `_var_frame`), more than MAX_VALUES_PER_VARIABLE
+# cycle through two variables and through one (each derivation that reads
+# its own variable is dropped; the closure raises RefinementCycleError on
+# the members that hold it), more than MAX_VALUES_PER_VARIABLE
 # values (ValOverflowError), a division by zero in one value combination,
 # and a probability bound.
 ERROR_MODELS = {
@@ -670,7 +671,7 @@ SUPPORT_DIGESTS = {
     "cycle-18": "9da88232ae0c92f2",
     "cycle-19": "cf760f048fcb333c",
     "cyclic": "58436449b8d5ee32",
-    "self": "5df7c3ed4e60972d",
+    "self": "1b33bfcf500b6b63",
     "overflow": "cc2bad7cc905e8bd",
     "divide": "8caf6efe82eea6d4",
     "prob": "4a1730fd408ae93c",
@@ -715,6 +716,20 @@ def test_quantitative_supports_match_the_oracle():
                 disagreements.append((seed, req.id, engine, oracle))
     assert compared > 200
     assert disagreements == []
+
+
+@pytest.mark.parametrize("name, qual, quant", [
+    ("self", [], [{"c"}]),
+    ("cyclic", [], [{"a", "d"}, {"c"}]),
+])
+def test_refinement_cycle_supports_match_the_oracle(name, qual, quant):
+    # `x = x + 1` (self) and `x = y + 1, y = x + 1` (cyclic) give x no
+    # value on their own members; the search drops those derivations and
+    # keeps the supports that assign x directly.
+    db = parse_ok(ERROR_MODELS[name])
+    assert [op.support for op in qualitative_operationalizations("qc", db)] == qual
+    supports = [op.support for op in quantitative_operationalizations("qc", db)]
+    assert supports == quant == brute_operationalizations("qc", db)
 
 
 def test_support_of_a_value_that_reads_another_value_of_its_variable():
