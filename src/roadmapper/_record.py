@@ -21,6 +21,10 @@ about six functions per class and imports `inspect`, which made the
 decorations most of the package's import time. `fields` and `replace`
 stand in for their `dataclasses` namesakes; `dataclasses.fields`,
 `replace`, `asdict` and `is_dataclass` do not apply to records.
+
+`Constants` stands in for `enum.Enum` the same way, for the package's
+classes of named constants: `enum` imports `functools` and `collections`,
+which the CLI's import path leaves out.
 """
 
 from __future__ import annotations
@@ -226,3 +230,50 @@ def record(cls=None, /, *, frozen=False, slots=False):
     else:
         cls.__hash__ = None
     return cls
+
+
+class _ConstantsType(type):
+    """Turns each public class attribute of a `Constants` subclass into an
+    instance of that subclass, with the attribute's name and value; the
+    class iterates over them in declaration order."""
+
+    def __new__(mcls, name, bases, namespace):
+        values = {k: v for k, v in namespace.items() if not k.startswith("_")}
+        namespace = {k: v for k, v in namespace.items() if k not in values}
+        namespace.setdefault("__slots__", ())
+        cls = super().__new__(mcls, name, bases, namespace)
+        for key, value in values.items():
+            member = object.__new__(cls)
+            object.__setattr__(member, "name", key)
+            object.__setattr__(member, "value", value)
+            setattr(cls, key, member)
+        cls._members = tuple(getattr(cls, key) for key in values)
+        return cls
+
+    def __iter__(cls):
+        return iter(cls._members)
+
+
+class Constants(metaclass=_ConstantsType):
+    """Base of a class of named constants, declared as `NAME = value` in its
+    body. As with an `Enum`, each constant is the one instance of its name:
+    it compares and hashes by identity, has `.name` and `.value`, cannot be
+    reassigned, has the repr `<Class.NAME: value>` and the str
+    `Class.NAME`, and pickles and copies to itself."""
+
+    __slots__ = ("name", "value")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of {self}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of {self}")
+
+    def __repr__(self):
+        return f"<{type(self).__name__}.{self.name}: {self.value!r}>"
+
+    def __str__(self):
+        return f"{type(self).__name__}.{self.name}"
+
+    def __reduce__(self):
+        return getattr, (type(self), self.name)

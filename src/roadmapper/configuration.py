@@ -17,10 +17,6 @@ too: the fired member conflicts and the unmet mandatory targets. It comes from
 
 from __future__ import annotations
 
-import functools
-import operator
-from collections.abc import Iterable, Iterator
-
 from ._record import field, fields, record
 from .errors import ResourceLimitError, UnresolvedReferenceError, WrongSortError
 from .model import MEMBER_SORTS, Modality, RequirementsDatabase
@@ -32,6 +28,10 @@ from .operationalization import (
     _remember,
     _SupportSearch,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
 
 DEFAULT_MAX_ATOMS = 24
 
@@ -341,7 +341,9 @@ def enumerate_configurations(
         # mandatory target holds a coverage, so that set misses a target.
         # Both properties are tested exhaustively on generated models.
         inside = [c for c in coverages if c & members == c]
-        needed = functools.reduce(operator.and_, inside) if inside else 0
+        needed = -1 if inside else 0
+        for coverage in inside:
+            needed &= coverage
         if search.check(members, needed).is_configuration:
             found.append(members)
 

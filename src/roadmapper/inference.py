@@ -14,11 +14,14 @@ repeated until nothing is added, without the numeric discharge that
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
 
 from ._record import field, record
 from .errors import UnresolvedReferenceError
 from .model import Requirement, RequirementsDatabase
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Mapping
 
 
 @record(frozen=True)

@@ -6,11 +6,7 @@ values. Identity is by requirement id, which is unique within a database.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
-from enum import Enum
-from functools import cached_property
-
-from ._record import field, record, replace
+from ._record import Constants, field, record, replace
 from .errors import (
     CyclicReferenceError,
     DanglingReferenceError,
@@ -20,8 +16,12 @@ from .errors import (
     RoadmapperError,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator, Mapping
 
-class Modality(Enum):
+
+class Modality(Constants):
     """How strongly a requirement binds: plain, optional, or mandatory."""
 
     PLAIN = ""
@@ -29,7 +29,7 @@ class Modality(Enum):
     MANDATORY = "!"
 
 
-class Sort(Enum):
+class Sort(Constants):
     """The five requirement categories."""
 
     DOMAIN_ASSUMPTION = "k"
@@ -344,7 +344,7 @@ class Requirement:
         return frozenset()
 
 
-class PreferenceKind(Enum):
+class PreferenceKind(Constants):
     STRICT = ">"
     WEAK = ">="
     INDIFFERENT = "~="
@@ -355,6 +355,22 @@ class Preference:
     kind: PreferenceKind
     left: str
     right: str
+
+
+class _cached_property:
+    """`functools.cached_property` without its import: the first read calls
+    the function and stores the result in the instance's `__dict__`, which
+    later reads find before this non-data descriptor."""
+
+    def __init__(self, function):
+        self.function = function
+        self.__doc__ = function.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.function.__name__] = self.function(instance)
+        return value
 
 
 @record(frozen=True)
@@ -400,7 +416,7 @@ class RequirementsDatabase:
         name = var.name if isinstance(var, QuantVar) else var
         return self.sat_fns.get(name)
 
-    @cached_property
+    @_cached_property
     def closure_index(self):
         """The `operationalization.ClosureIndex` of this database, built on
         first use and kept on this instance; derived databases build their own."""

@@ -20,7 +20,6 @@ that set.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Mapping
 
 from ._record import field, record
 from .errors import (
@@ -60,6 +59,10 @@ from .quanteval import (
     compare,
     probability,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable, Mapping
 
 DEFAULT_SEARCH_LIMIT = 2 ** 20
 _COMBO_LIMIT = 4096

@@ -43,14 +43,11 @@ newline-agnostic.
 
 from __future__ import annotations
 
-import enum
 import math
-import re
 from bisect import bisect_right
-from collections import namedtuple
-from itertools import takewhile
+from operator import itemgetter
 
-from ._record import field, record
+from ._record import Constants, field, record
 from .errors import RoadmapperError
 from .model import (
     BinOp,
@@ -109,7 +106,7 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-class Severity(enum.Enum):
+class Severity(Constants):
     ERROR = "error"
     WARNING = "warning"
 
@@ -147,29 +144,23 @@ _PUNCT = (
     ".", ":", "!", "?", "~", "&", ">", "<", "=",
     "(", ")", ",", "+", "-", "*", "/", "^",
 )
-# One token after optional blanks. When no token group matches, only `blank`
-# does, and the character after it starts no token. `re` counts numerals such
-# as `½` as letters; `_lex` rejects them where `str.isalpha` would.
-_TOKEN = re.compile(
-    r"""
-    (?P<blank>(?:[ \t\r\n]+|//[^\n]*)*)
-    (?:
-        (?P<string>"(?:[^"\\]|\\["\\]|\\(?!["\\]))*")
-      | (?P<number>(?P<numeral>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)(?P<unit>[^\W\d_]*))
-      | (?P<ident>(?:[^\W\d]|@)[\w@]*)
-      | (?P<punct>"""
-    + "|".join(map(re.escape, _PUNCT))
-    + r""")
-      | (?P<eof>\Z)
-    )?
-    """,
-    re.VERBOSE,
-)
-_ESCAPE = re.compile(r'\\(["\\])')
+_PUNCTS = frozenset(_PUNCT)
+# ASCII characters by the tokens they start or continue. Any other character
+# is classed by `str.isalpha`, `isalnum` and `isdecimal`, as `re` classes it
+# for `\w` and `\d`.
+_BLANKS = frozenset(" \t\r\n")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_@")
+_IDENT_CHARS = _IDENT_START | frozenset("0123456789")
 
 
-# kind is "ident", "number", "string", a punctuation mark or "eof".
-_Token = namedtuple("_Token", ("kind", "value", "offset"))
+class _Token(tuple):
+    """A token: its kind ("ident", "number", "string", a punctuation mark or
+    "eof"), its value, and the offset where it starts."""
+
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    value = property(itemgetter(1))
+    offset = property(itemgetter(2))
 
 
 class _SourceError(Exception):
@@ -180,50 +171,102 @@ class _SourceError(Exception):
 
 
 def _lex(text: str) -> list[_Token]:
+    """The tokens of `text`, then "eof"; raises `_SourceError` at the first
+    character that starts no token, or at a bad number or string literal."""
     tokens: list[_Token] = []
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        offset = match.end("blank")
-        if kind == "punct":
-            kind = value = match["punct"]
-        elif kind == "ident":
-            value = match["ident"]
-            if not value[0].isalpha() and value[0] not in "_@":
-                raise _SourceError(offset, f"unexpected character {value[0]!r}")
-        elif kind == "number":
-            value = _number(match, offset)
-        elif kind == "string":
-            value = match["string"][1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(r"\1", value)
-        elif kind == "eof":
-            break
-        elif text[offset] == '"':
-            raise _SourceError(offset, "unterminated string literal")
+    append = tokens.append
+    new = tuple.__new__
+    n = len(text)
+    i = 0
+    while i < n:
+        c = text[i]
+        if c in _BLANKS:
+            i += 1
+        elif c in _IDENT_START or (c >= "\x80" and c.isalpha()):
+            start = i
+            i += 1
+            while i < n and ((c := text[i]) in _IDENT_CHARS or (c >= "\x80" and c.isalnum())):
+                i += 1
+            append(new(_Token, ("ident", text[start:i], start)))
+        elif c in _PUNCTS and not (c == "." and text[i + 1 : i + 2].isdecimal()):
+            if c == "/" and text.startswith("/", i + 1):
+                i = text.find("\n", i + 2)
+                if i < 0:
+                    break
+            else:
+                kind = text[i : i + 2]
+                if kind not in _PUNCTS:
+                    kind = c
+                append(new(_Token, (kind, kind, i)))
+                i += len(kind)
+        elif c.isdecimal() or c == ".":
+            value, end = _number(text, i)
+            append(new(_Token, ("number", value, i)))
+            i = end
+        elif c == '"':
+            value, end = _string(text, i)
+            append(new(_Token, ("string", value, i)))
+            i = end
         else:
-            raise _SourceError(offset, f"unexpected character {text[offset]!r}")
-        tokens.append(_Token(kind, value, offset))
-    tokens.append(_Token("eof", None, len(text)))
+            raise _SourceError(i, f"unexpected character {c!r}")
+    append(new(_Token, ("eof", None, n)))
     return tokens
 
 
-def _number(match: re.Match, offset: int) -> float:
-    value = float(match["numeral"])
-    unit = match["unit"]
-    # The suffix is the letters after the numeral; `re` also counts numerals
-    # such as `½` as letters, and one of those starts no token.
-    suffix = "".join(takewhile(str.isalpha, unit)) if unit else ""
+def _number(text: str, start: int) -> tuple[float, int]:
+    """The value of the number literal at `start`, unit applied, and the
+    offset after it."""
+    n = len(text)
+    i = start
+    while i < n and text[i].isdecimal():
+        i += 1
+    if text.startswith(".", i) and i + 1 < n and text[i + 1].isdecimal():
+        i += 2
+        while i < n and text[i].isdecimal():
+            i += 1
+    if text.startswith(("e", "E"), i):
+        j = i + 2 if text.startswith(("+", "-"), i + 1) else i + 1
+        if j < n and text[j].isdecimal():
+            i = j + 1
+            while i < n and text[i].isdecimal():
+                i += 1
+    numeral = text[start:i]
+    end = i
+    while end < n and text[end].isalpha():
+        end += 1
+    suffix = text[i:end]
+    value = float(numeral)
     if suffix:
         if suffix not in _UNITS:
-            raise _SourceError(offset, f"unknown unit suffix {suffix!r}")
+            raise _SourceError(start, f"unknown unit suffix {suffix!r}")
         value *= _UNITS[suffix]
     if not math.isfinite(value):
-        literal = match["numeral"] + suffix
-        raise _SourceError(offset, f"number literal {literal!r} is out of range")
-    if suffix != unit:
-        where = match.start("unit") + len(suffix)
-        raise _SourceError(where, f"unexpected character {unit[len(suffix)]!r}")
-    return value
+        raise _SourceError(start, f"number literal {numeral + suffix!r} is out of range")
+    return value, end
+
+
+def _string(text: str, start: int) -> tuple[str, int]:
+    """The value of the string literal whose opening quote is at `start`,
+    and the offset after its closing quote."""
+    end = text.find('"', start + 1)
+    if end < 0:
+        raise _SourceError(start, "unterminated string literal")
+    slash = text.find("\\", start + 1, end)
+    if slash < 0:
+        return text[start + 1 : end], end + 1
+    n = len(text)
+    chars = [text[start + 1 : slash]]
+    i = slash
+    while i < n and text[i] != '"':
+        if text[i] == "\\" and text.startswith(('"', "\\"), i + 1):
+            chars.append(text[i + 1])
+            i += 2
+        else:
+            chars.append(text[i])
+            i += 1
+    if i >= n:
+        raise _SourceError(start, "unterminated string literal")
+    return "".join(chars), i + 1
 
 
 # --- parser ---------------------------------------------------------------------
@@ -655,7 +698,11 @@ def _diagnostics(
     if not found:
         return []
     found.sort(key=lambda item: item[0])
-    line_starts = [0, *(match.end() for match in re.finditer("\n", text))]
+    line_starts = [0]
+    end = text.find("\n")
+    while end >= 0:
+        line_starts.append(end + 1)
+        end = text.find("\n", end + 1)
     diagnostics = []
     for offset, severity, message in found:
         line = bisect_right(line_starts, offset)

@@ -7,7 +7,6 @@ absolute floor of 1e-12 near zero. Inequalities are exact.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Mapping
 
 from .errors import (
     DivisionByZeroError,
@@ -43,15 +42,18 @@ from .model import (
     MEMBER_SORTS,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable, Mapping
+
+    Assignment = Mapping[str, float]
+    ProbEnv = Mapping[str, DistributionSpec]
+
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 # More values per variable than this is treated as a modeling error.
 MAX_VALUES_PER_VARIABLE = 64
-
-Assignment = Mapping[str, float]
-ProbEnv = Mapping[str, DistributionSpec]
-
 
 def _name(key: str | QuantVar) -> str:
     return key.name if isinstance(key, QuantVar) else key

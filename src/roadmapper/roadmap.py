@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from collections.abc import Callable, Iterable, Sequence
 from operator import itemgetter
 
 from ._record import record
@@ -35,6 +34,10 @@ from .model import (
 from .operationalization import _resolve_ids
 from .quanteval import one_value, unique_val
 from .transforms import value_assumption, value_preference
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable, Sequence
 
 DEFAULT_ROADMAP_LIMIT = 20000
 
@@ -266,8 +269,13 @@ class _IndexRoadmaps:
         self.operators: list[tuple[int, int]] = []
         self.steps: list[list[int]] = []
         numbers: dict[tuple[int, int], int] = {}
+        complements = [~m for m in masks]
         for a, source in enumerate(masks if max_len > 1 else ()):
-            keys = [(target & ~source, source & ~target) for target in masks]
+            outside = complements[a]
+            keys = [
+                (target & outside, source & not_target)
+                for target, not_target in zip(masks, complements)
+            ]
             row = list(map(numbers.get, keys))
             row[a] = -1
             for b in [b for b, number in enumerate(row) if number is None]:

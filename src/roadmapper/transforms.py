@@ -15,7 +15,6 @@ added is not looked up, only avoided as an id.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable
 
 from ._record import record
 from .errors import (
@@ -56,6 +55,10 @@ from .model import (
     condition_variables,
 )
 from .quanteval import nearly_equal, propagate_values, sat_value, unique_val, val
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
 
 MACRO_PREFIX = "@macro_"
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -42,6 +44,7 @@ from roadmapper.model import (
     build_database,
     select,
 )
+from roadmapper.parser import Severity
 
 from conftest import parse_ok
 
@@ -220,3 +223,34 @@ def test_database_values_shared_not_mutated():
     db = parse_ok("t a. g p1. k i1: a -> p1.")
     out = add_requirement(db, prop("b"))
     assert "b" in out and "b" not in db
+
+
+@pytest.mark.parametrize(
+    "cls, members",
+    [
+        (Sort, [("DOMAIN_ASSUMPTION", "k"), ("GOAL", "g"), ("QUALITY_CONSTRAINT", "q"),
+                ("SOFTGOAL", "s"), ("TASK", "t")]),
+        (Modality, [("PLAIN", ""), ("OPTIONAL", "?"), ("MANDATORY", "!")]),
+        (PreferenceKind, [("STRICT", ">"), ("WEAK", ">="), ("INDIFFERENT", "~=")]),
+        (Severity, [("ERROR", "error"), ("WARNING", "warning")]),
+    ],
+    ids=lambda p: p.__name__ if isinstance(p, type) else "",
+)
+def test_named_constants_keep_what_their_enums_gave(cls, members):
+    """Each constant is the one object of its name, iterated in declaration
+    order, with an Enum's name, value, repr and str, and it survives a
+    pickle round trip and a copy as itself."""
+    assert [(m.name, m.value) for m in cls] == members
+    for name, value in members:
+        member = getattr(cls, name)
+        assert isinstance(member, cls)
+        assert repr(member) == f"<{cls.__name__}.{name}: {value!r}>"
+        assert str(member) == f"{cls.__name__}.{name}"
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(member, protocol)) is member
+        assert copy.copy(member) is member
+        assert copy.deepcopy([member])[0] is member
+        with pytest.raises(AttributeError):
+            member.value = value
+    assert repr(Sort.TASK) == "<Sort.TASK: 't'>"
+    assert repr(Modality.PLAIN) == "<Modality.PLAIN: ''>"

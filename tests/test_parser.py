@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import takewhile
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -597,6 +599,25 @@ def reference_lex(text: str, filename: str) -> list[_Token]:
     return tokens
 
 
+# Texts at the edges of the lexical rules.
+LEXER_EDGE_CASES = [
+    't a "quote \\" backslash \\\\ other \\d line \\\n end" "\\\\".',
+    't a "open \\',
+    "k a: x = 2\u00bd.",
+    "k a: x = 3min\u00bd.",
+    "k a: x = 5mi\u216b.",
+    "k a: x = 4hrs\u216b.",
+    "t \u00bda.",
+    "t a\u216b\u00bd\u00b2 @w@1 _v.",
+    "k a: x = \u0663\u0663.\u0663e\u0663 + 1.e5 + .5.5 + x.5.",
+    "k a: x = 1e+ 2.",
+    "k a: x = 5_x + 5min3.",
+    "\r\n\t// only a comment",
+    "t a. // c\r\n#",
+    "",
+]
+
+
 def _overflows(tokens) -> bool:
     return any(t.kind == "number" and not math.isfinite(t.value) for t in tokens)
 
@@ -630,25 +651,7 @@ def _check_against_reference(text: str) -> bool:
     return True
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        't a "quote \\" backslash \\\\ other \\d line \\\n end" "\\\\".',
-        't a "open \\',
-        "k a: x = 2\u00bd.",
-        "k a: x = 3min\u00bd.",
-        "k a: x = 5mi\u216b.",
-        "k a: x = 4hrs\u216b.",
-        "t \u00bda.",
-        "t a\u216b\u00bd\u00b2 @w@1 _v.",
-        "k a: x = \u0663\u0663.\u0663e\u0663 + 1.e5 + .5.5 + x.5.",
-        "k a: x = 1e+ 2.",
-        "k a: x = 5_x + 5min3.",
-        "\r\n\t// only a comment",
-        "t a. // c\r\n#",
-        "",
-    ],
-)
+@pytest.mark.parametrize("text", LEXER_EDGE_CASES)
 def test_the_lexer_matches_the_reference_lexer_on_edge_cases(text):
     assert _check_against_reference(text)
 
@@ -663,7 +666,119 @@ def test_the_lexer_matches_the_reference_lexer_on_edge_cases(text):
 )
 @settings(max_examples=500, deadline=None)
 def test_the_lexer_matches_the_reference_lexer(stream):
-    assume(_check_against_reference("".join(token + gap for token, gap in stream)))
+    text = "".join(token + gap for token, gap in stream)
+    assert _lexed(_lex, text) == _lexed(regex_lex, text)
+    assume(_check_against_reference(text))
+
+
+# --- the lexer when it was one master regex, the oracle for `_lex` ------------
+# `_lex` scans with `str` methods, so the CLI's import needs no `re`; this is
+# the regex lexer it replaced, as it was, on `_RegexToken` tuples.
+
+_RegexToken = namedtuple("_RegexToken", ("kind", "value", "offset"))
+
+# One token after optional blanks. When no token group matches, only `blank`
+# does, and the character after it starts no token. `re` counts numerals such
+# as `½` as letters; `regex_lex` rejects them where `str.isalpha` would.
+_TOKEN = re.compile(
+    r"""
+    (?P<blank>(?:[ \t\r\n]+|//[^\n]*)*)
+    (?:
+        (?P<string>"(?:[^"\\]|\\["\\]|\\(?!["\\]))*")
+      | (?P<number>(?P<numeral>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)(?P<unit>[^\W\d_]*))
+      | (?P<ident>(?:[^\W\d]|@)[\w@]*)
+      | (?P<punct>"""
+    + "|".join(map(re.escape, _PUNCT))
+    + r""")
+      | (?P<eof>\Z)
+    )?
+    """,
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
+def regex_lex(text: str) -> list[_RegexToken]:
+    tokens: list[_RegexToken] = []
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        offset = match.end("blank")
+        if kind == "punct":
+            kind = value = match["punct"]
+        elif kind == "ident":
+            value = match["ident"]
+            if not value[0].isalpha() and value[0] not in "_@":
+                raise _SourceError(offset, f"unexpected character {value[0]!r}")
+        elif kind == "number":
+            value = _regex_number(match, offset)
+        elif kind == "string":
+            value = match["string"][1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        elif kind == "eof":
+            break
+        elif text[offset] == '"':
+            raise _SourceError(offset, "unterminated string literal")
+        else:
+            raise _SourceError(offset, f"unexpected character {text[offset]!r}")
+        tokens.append(_RegexToken(kind, value, offset))
+    tokens.append(_RegexToken("eof", None, len(text)))
+    return tokens
+
+
+def _regex_number(match: re.Match, offset: int) -> float:
+    value = float(match["numeral"])
+    unit = match["unit"]
+    # The suffix is the letters after the numeral; `re` also counts numerals
+    # such as `½` as letters, and one of those starts no token.
+    suffix = "".join(takewhile(str.isalpha, unit)) if unit else ""
+    if suffix:
+        if suffix not in _UNITS:
+            raise _SourceError(offset, f"unknown unit suffix {suffix!r}")
+        value *= _UNITS[suffix]
+    if not math.isfinite(value):
+        literal = match["numeral"] + suffix
+        raise _SourceError(offset, f"number literal {literal!r} is out of range")
+    if suffix != unit:
+        where = match.start("unit") + len(suffix)
+        raise _SourceError(where, f"unexpected character {unit[len(suffix)]!r}")
+    return value
+
+
+def _lexed(lex, text: str):
+    """The (kind, value, offset) of each token `lex` gives for `text`, or the
+    offset and message of its error."""
+    try:
+        return [tuple(token) for token in lex(text)]
+    except _SourceError as exc:
+        return exc.offset, exc.message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *LEXER_EDGE_CASES,
+        "k a: x = 2eggs.",
+        "k a: x = 1e5min.",
+        "k a: x = 1e+",
+        "k a: x = .5.5.",
+        't a "ends in a backslash\\',
+        't a "one \\" and a trailing backslash\\',
+        "t a. // a comment at the end",
+        "t a.//",
+        # Numerals that are digits, letters or neither to `str` and `re`.
+        "k a: x = \u0663 + 2\u0663sec.",
+        "k a: x = \u0663\u00bd.",
+        "t \u00b2.",
+        "t \u216b.",
+        "t a\u00b2\u216b\u0663.",
+        "k a: x = 2\u00b2.",
+        "k a: x = 2min\u0663.",
+        "t \u00e9t\u00e9 \u00aa\u00b5.",
+    ],
+)
+def test_the_lexer_matches_the_regex_lexer(text):
+    assert _lexed(_lex, text) == _lexed(regex_lex, text)
 
 
 @given(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -11,6 +12,8 @@ import pytest
 
 from roadmapper import cli
 from roadmapper.cli import ATOM_LIMIT_ENV
+from roadmapper.parser import serialize
+from roadmapper.testkit import ModelGenSpec, generate_database
 
 from conftest import LAS_PATH, REPO_ROOT
 
@@ -148,20 +151,63 @@ def test_every_method_is_read():
     assert not unread
 
 
+def _traced_table() -> dict[str, tuple[str, tuple[str, ...]]]:
+    """`TRACED` of `perfbench/child.py`: span name -> (home module, names)."""
+    tree = ast.parse((REPO_ROOT / "perfbench" / "child.py").read_text())
+    [table] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]
+    ]
+    return ast.literal_eval(table)
+
+
+def test_every_function_the_benchmark_traces_exists():
+    """The benchmark's traced run wraps each function of `TRACED` by module
+    attribute, and drops the per-layer metrics of one that is gone. So each
+    must exist, and return the shapes its wrapper reads: the length of
+    `build_roadmaps`' result, the added requirements of
+    `expand_value_conflicts`' report and the configurations of
+    `enumerate_configurations`' result."""
+    traced = {}
+    for name, (home, attrs) in _traced_table().items():
+        module = importlib.import_module(home)
+        for attr in attrs:
+            assert callable(getattr(module, attr, None)), f"{name}: {home}.{attr}"
+        traced[name] = getattr(module, attrs[0])
+    db = traced["parser.parse"](LAS_PATH.read_text()).database
+    assert traced["parser.serialize"](db)
+    expanded, report = traced["transforms.expand"](db)
+    assert len(report.added_requirements) == len(expanded.requirements) - len(db.requirements)
+    configs = traced["configuration.enumerate"](expanded, max_atoms=64).configurations
+    assert len(configs) > 3
+    assert len(traced["roadmap.build"](expanded, configs[:3], 2)) == 3 + 3 * 2
+
+
 # --- start-up cost ---------------------------------------------------------------
 
 # Modules the CLI's import path leaves out: `dataclasses` (with `inspect`,
 # `ast`, `dis` and `tokenize`), `typing`, `shutil` (with its compression
 # modules), argparse (with `gettext`), `json` (with its decoder and scanner),
-# and the test-data generator.
+# `re` (with `enum`, `functools` and `collections`), and the test-data
+# generator.
 COLD_MODULES = (
     "dataclasses", "inspect", "typing", "shutil", "argparse", "gettext", "json",
+    "re", "enum", "functools", "collections", "collections.abc",
     "roadmapper.testkit",
 )
 
 # Modules that no run of a canonical argv loads: argparse's first message
-# lookup imports `locale`, and its help formatter `shutil`.
-UNUSED_BY_RUNS = ("argparse", "gettext", "json", "locale", "shutil")
+# lookup imports `locale`, and its help formatter `shutil`; argparse and
+# `json` import `re`.
+UNUSED_BY_RUNS = (
+    "argparse", "gettext", "json", "locale", "shutil",
+    "re", "enum", "functools", "collections", "collections.abc",
+)
+
+# Modules that no module but `testkit`, which only `gen` loads, imports.
+GEN_ONLY_MODULES = ("re", "enum", "functools", "collections")
 
 
 def _fresh_run(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -181,19 +227,43 @@ def _fresh_python(code: str) -> str:
     return done.stdout
 
 
+def _module_level_imports(tree: ast.Module):
+    """The import statements that run when the module is imported: those at
+    its top level and in its top-level `if` and `try` blocks, except under
+    `if TYPE_CHECKING:`, which only type checkers read."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop(0)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                pending += node.body
+            pending += node.orelse
+        elif isinstance(node, ast.Try):
+            pending += node.body + node.orelse + node.finalbody
+            for handler in node.handlers:
+                pending += handler.body
+
+
 def test_no_module_imports_dataclasses_or_typing():
     """No module-level import names them; `_record` imports `dataclasses`
-    only to raise `FrozenInstanceError`."""
+    only to raise `FrozenInstanceError`. Nor does any module but `testkit`,
+    which only `gen` loads, import `re`, `enum`, `functools` or
+    `collections`."""
     found = []
     for name, tree in _modules().items():
-        for node in tree.body:
+        cold = ("dataclasses", "typing")
+        if name != "testkit.py":
+            cold += GEN_ONLY_MODULES
+        for node in _module_level_imports(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            elif node.level == 0:
                 modules = [node.module]
             else:
                 continue
-            found += [f"{name}: {m}" for m in modules if m.split(".")[0] in ("dataclasses", "typing")]
+            found += [f"{name}: {m}" for m in modules if m.split(".")[0] in cold]
     assert not found
 
 
@@ -215,15 +285,32 @@ LAS_ARGVS = [
 ]
 
 
-def test_a_check_run_loads_no_shutil():
-    """Nor does any other run of the benchmark's argvs, and none loads
-    argparse, `gettext`, `json` or `locale`: their argvs are read without
-    argparse, and JSON is written without the `json` module."""
-    for argv in LAS_ARGVS:
+def test_a_check_run_loads_no_shutil(tmp_path):
+    """Nor does any other run of the benchmark's argvs, `dot`, a text run,
+    or a run on a generated model, and none loads argparse, `gettext`,
+    `json`, `locale`, `re`, `enum`, `functools` or `collections`: their
+    argvs are read without argparse, and JSON is written without the `json`
+    module. The child swaps `sys.stdout` itself, since `contextlib` imports
+    `functools` and `collections`."""
+    generated = tmp_path / "t6q-0.req"
+    generated.write_text(
+        serialize(generate_database(ModelGenSpec(seed=0, tasks=6, include_quantities=True)))
+    )
+    model = str(generated)
+    argvs = [
+        *LAS_ARGVS,
+        ["dot", str(LAS_PATH)],
+        [*LAS_ARGVS[3], "--format", "text"],
+        ["configs", model, "--max-atoms", "64"],
+        ["rank", model, "--rule", "r3", "--var", "v1", "--max-atoms", "64"],
+        ["roadmaps", model, "--var", "v1", "--maxlen", "2", "--max-atoms", "64"],
+    ]
+    for argv in argvs:
         code = (
-            "import contextlib, io, sys, roadmapper.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = roadmapper.cli.main({argv!r})\n"
+            "import io, sys, roadmapper.cli\n"
+            "out, sys.stdout = sys.stdout, io.StringIO()\n"
+            f"code = roadmapper.cli.main({argv!r})\n"
+            "sys.stdout = out\n"
             f"print(code, [m for m in {UNUSED_BY_RUNS!r} if m in sys.modules])"
         )
         assert _fresh_python(code) == "0 []\n", argv
